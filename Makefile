@@ -39,7 +39,7 @@ chaos:
 
 # Telemetry gates: the sampling-vs-exact differential suite on the
 # Table 1 programs (per-predicate shares within telemetry.ShareTolerance
-# of the exact profiler, totals exact), the byte-identity of fast-mode
+# of the per-cycle profiler, totals exact), the byte-identity of the
 # output with the sampler and spans attached, the flight-recorder dump
 # on the fault path, and the in-suite sampling overhead guard.
 telemetry:
@@ -84,9 +84,10 @@ bench-pmms:
 bench-engine:
 	$(GO) run ./cmd/benchengine
 
-# Refresh BENCH_fast.json: measure the fast (batched) accounting mode
-# against the exact per-cycle path on nreverse, paired run by run
-# (floor: >= 1.5x speedup; exits nonzero when the speedup misses it).
+# Refresh BENCH_fast.json: measure the untapped signature-table tick
+# against the same run with a per-cycle micro.Stats tap on nreverse,
+# paired run by run (floor: >= 1.5x speedup; exits nonzero when the
+# speedup misses it).
 bench-fast:
 	$(GO) run ./cmd/benchengine -fast
 

@@ -348,7 +348,7 @@ func TestProfilerOverheadGuard(t *testing.T) {
 	}
 }
 
-// BenchmarkSamplingProfilerOverhead compares a bare fast-mode run
+// BenchmarkSamplingProfilerOverhead compares a bare untapped run
 // against the same run with the sampling profiler attached — the
 // telemetry layer's headline promise is that this costs at most 10%
 // (the precise gate is `make bench-obs`, which interleaves the lanes;
@@ -356,7 +356,7 @@ func TestProfilerOverheadGuard(t *testing.T) {
 func BenchmarkSamplingProfilerOverhead(b *testing.B) {
 	b.Run("fast-bare", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			r, err := harness.RunPSIWith(harness.Options{Fast: true}, progs.NReverse, false)
+			r, err := harness.RunPSIWith(harness.Options{}, progs.NReverse, false)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -395,7 +395,7 @@ func TestSamplingOverheadGuard(t *testing.T) {
 					t.Fatal(err)
 				}
 			} else {
-				r, err := harness.RunPSIWith(harness.Options{Fast: true}, progs.NReverse, false)
+				r, err := harness.RunPSIWith(harness.Options{}, progs.NReverse, false)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -6,10 +6,11 @@
 // indirection overhead against the <= 2% budget.
 //
 // With -fast it instead regenerates BENCH_fast.json: the same pooled
-// machine runs nreverse in the exact (per-cycle) and fast (batched)
-// accounting modes, interleaved run by run, and the document records
-// the speedup against the >= 1.5x floor. The process exits nonzero
-// when a budget is missed, so CI can gate on either document.
+// machine runs nreverse untapped ("fast") and with a per-cycle
+// micro.Stats tap attached ("exact", the cost a trace or per-cycle
+// profile consumer pays), interleaved run by run, and the document
+// records the speedup against the >= 1.5x floor. The process exits
+// nonzero when a budget is missed, so CI can gate on either document.
 //
 // Run via `make bench-engine` / `make bench-fast` after changing the
 // engine layer, the stepped execution loop or the accounting paths.
@@ -28,6 +29,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/harness"
+	"repro/internal/micro"
 	"repro/internal/progs"
 )
 
@@ -47,13 +49,14 @@ func cpuModel() string {
 
 const budgetPct = 2.0
 
-// speedupFloor is the CI gate on the fast accounting mode: fast must
-// run nreverse at least this many times faster than exact.
+// speedupFloor is the CI gate on the untapped tick: it must run
+// nreverse at least this many times faster than the same run with a
+// per-cycle tap attached.
 const speedupFloor = 1.5
 
 func main() {
 	out := flag.String("o", "", "output file (- for stdout; default BENCH_engine.json, or BENCH_fast.json with -fast)")
-	fastBench := flag.Bool("fast", false, "benchmark the fast accounting mode against exact instead of the session indirection")
+	fastBench := flag.Bool("fast", false, "benchmark the untapped tick against a per-cycle tap instead of the session indirection")
 	flag.Parse()
 	if *out == "" {
 		if *fastBench {
@@ -156,24 +159,27 @@ func main() {
 	}
 }
 
-// benchFast measures the fast accounting mode against the exact mode
-// on nreverse and writes BENCH_fast.json. The two lanes run on the same
-// pooled machine, interleaved run by run, and each lane keeps its best
-// time: the minimum of many paired runs is the only stable estimator on
-// a host whose frequency drifts (same methodology as the indirection
-// guard above). Exits nonzero when the speedup misses the floor.
+// benchFast measures the untapped tick against the same run with a
+// per-cycle micro.Stats tap on nreverse and writes BENCH_fast.json. The
+// two lanes run on the same pooled machine, interleaved run by run,
+// and each lane keeps its best time: the minimum of many paired runs is
+// the only stable estimator on a host whose frequency drifts (same
+// methodology as the indirection guard above). Exits nonzero when the
+// speedup misses the floor.
 func benchFast(out string) {
 	b := progs.NReverse
 	c, err := harness.Compile(b)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfgExact := core.Config{MaxSteps: 4_000_000_000}
-	cfgFast := core.Config{MaxSteps: 4_000_000_000, Fast: true}
+	var ref micro.Stats
+	cfgExact := core.Config{MaxSteps: 4_000_000_000, Trace: &ref}
+	cfgFast := core.Config{MaxSteps: 4_000_000_000}
 
 	m := core.New(c.Prog, cfgExact)
 	var wantSteps int64
 	runLane := func(cfg core.Config, mode string) {
+		ref.Reset()
 		if !m.Reset(c.Prog, cfg) {
 			log.Fatal("Reset refused")
 		}
@@ -185,13 +191,18 @@ func benchFast(out string) {
 			log.Fatal(sols.Err())
 		}
 		// Equivalence spot check on every run: both lanes must account
-		// the identical cycle count (the differential test suite locks
-		// the full statistics; this guards the benchmark itself against
-		// accidentally measuring different work).
-		if steps := m.Stats().Steps; wantSteps == 0 {
+		// the identical cycle count, and the tap must see exactly the
+		// cycles the table expansion counts (the differential test suite
+		// locks the full statistics; this guards the benchmark itself
+		// against accidentally measuring different work).
+		steps := m.Stats().Steps
+		if wantSteps == 0 {
 			wantSteps = steps
 		} else if steps != wantSteps {
 			log.Fatalf("lane %q accounted %d cycles, previous lanes %d", mode, steps, wantSteps)
+		}
+		if cfg.Trace != nil && ref != *m.Stats() {
+			log.Fatalf("lane %q: tapped micro.Stats differ from the table expansion", mode)
 		}
 	}
 	const pairs = 40
@@ -212,7 +223,7 @@ func benchFast(out string) {
 	}
 	speedup := float64(exact) / float64(fast)
 	doc := map[string]any{
-		"bench": "fast accounting mode (batched statistics) vs exact (per-cycle sink funnel)",
+		"bench": "untapped signature-table tick (fast) vs the same tick with a per-cycle micro.Stats tap (exact)",
 		"date":  time.Now().Format("2006-01-02"),
 		"host": map[string]any{
 			"cpu":        cpuModel(),
@@ -221,7 +232,7 @@ func benchFast(out string) {
 			"go":         runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
 		},
 		"method": fmt.Sprintf(
-			"best of %d run-by-run interleaved pairs over %s on one pooled (Reset) machine; both lanes execute the identical simulated cycle stream (cycle counts cross-checked every run, full statistics locked by the fast differential suite)",
+			"best of %d run-by-run interleaved pairs over %s on one pooled (Reset) machine; both lanes execute the identical simulated cycle stream (cycle counts and the tap's statistics cross-checked every run, full statistics locked by the reference-tap differential suite)",
 			pairs, b.Name),
 		"per_run_ns_op": map[string]any{
 			"exact": exact,
@@ -230,8 +241,8 @@ func benchFast(out string) {
 		"speedup":       fmt.Sprintf("%.2f", speedup),
 		"speedup_floor": fmt.Sprintf("%.1f", speedupFloor),
 		"within_budget": speedup >= speedupFloor,
-		"exact_guard":   "the exact lane is the default per-cycle path; its own regression budget is enforced by BENCH_engine.json's <= 2% session-indirection bound and the byte-identical golden tables",
-		"determinism":   "identical answers, bindings order and Table 1-7 statistics in both modes (TestFastDifferential* in the root package)",
+		"exact_guard":   "the exact lane is what a trace or per-cycle profile consumer pays: every cycle enters the event boundary and is handed to the tap as a micro.Cycle",
+		"determinism":   "identical answers, bindings order and Table 1-7 statistics with and without a tap (TestFastDifferential* in the root package)",
 	}
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -247,7 +258,7 @@ func benchFast(out string) {
 			out, float64(exact)/1e6, float64(fast)/1e6, speedup, speedupFloor)
 	}
 	if speedup < speedupFloor {
-		fmt.Fprintln(os.Stderr, "benchengine: WARNING: fast-mode speedup below the floor")
+		fmt.Fprintln(os.Stderr, "benchengine: WARNING: untapped speedup below the floor")
 		os.Exit(1)
 	}
 }

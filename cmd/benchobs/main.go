@@ -1,8 +1,8 @@
 // Benchobs refreshes BENCH_obs.json, the observability-layer benchmark
 // document, and gates the telemetry layer's two promises:
 //
-//   - Overhead: attaching the sampling profiler to the fast accounting
-//     engine costs at most 10% wall-clock over a bare fast run. The two
+//   - Overhead: attaching the sampling profiler to an untapped ("fast")
+//     run costs at most 10% wall-clock over a bare run. The two
 //     lanes run on the same pooled machine, interleaved run by run, and
 //     each lane keeps its best time (the minimum of many paired runs is
 //     the only stable estimator on a host with frequency drift — same
@@ -33,7 +33,7 @@ import (
 )
 
 // overheadBudgetPct is the CI gate on the sampling profiler: attaching
-// it to the fast engine must cost at most this much wall-clock.
+// it to an untapped run must cost at most this much wall-clock.
 const overheadBudgetPct = 10.0
 
 // cpuModel best-effort reads the host CPU model name (Linux only).
@@ -123,7 +123,7 @@ func benchOverhead() (bare, sampled int64) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfgBare := core.Config{MaxSteps: 4_000_000_000, Fast: true}
+	cfgBare := core.Config{MaxSteps: 4_000_000_000}
 	sp := telemetry.NewSamplingProfiler(0)
 	cfgSampled := cfgBare
 	cfgSampled.Sample = sp
@@ -136,7 +136,7 @@ func benchOverhead() (bare, sampled int64) {
 			log.Fatal("Reset refused")
 		}
 		if got := m.AccountingMode(); got != "fast" {
-			log.Fatalf("lane runs in mode %q, want fast (the sampler must not downgrade)", got)
+			log.Fatalf("lane runs in mode %q, want fast (the sampler is not a per-cycle tap)", got)
 		}
 		sols := m.SolveQuery(c.Query)
 		if _, ok := sols.Next(); !ok {

@@ -54,7 +54,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort the run after this wall-clock `duration` (exit 5)")
 	steps := flag.Int64("steps", 0, "bound the simulation to this many steps (0 = default 4e9; exit 4 when exceeded)")
 	faultSpec := flag.String("fault", "", "inject a deterministic seeded fault, e.g. `site=mem,after=1000,seed=1` (exit 7 when detected)")
-	engineMode := flag.String("engine", "exact", "accounting engine `mode`: exact (per-cycle) or fast (batched; identical output; -profile samples, -v stays fast, only -fault and trace collection force exact — a warning names the cause)")
+	engineMode := flag.String("engine", "exact", "profiler `mode` for -profile: exact (every cycle attributed) or fast (statistical sampling); statistics are identical either way")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON span trace to this `file` (view in Perfetto)")
 	flag.Parse()
 
@@ -156,11 +156,6 @@ func main() {
 	}
 	m, err := psi.LoadProgram(source, opts)
 	die(err)
-	if mode == engine.ModeFast {
-		if reason := m.ModeDowngradeReason(); reason != "" {
-			fmt.Fprintf(os.Stderr, "psi: -engine fast downgraded to exact accounting: %s needs the per-cycle record stream\n", reason)
-		}
-	}
 	workload := "<stdin>"
 	if flag.NArg() == 1 {
 		workload = flag.Arg(0)

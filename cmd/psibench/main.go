@@ -58,18 +58,12 @@ func main() {
 	steps := flag.Int64("steps", 0, "bound each simulated run to this many steps (0 = default 4e9; exit 4 when exceeded)")
 	faultSpec := flag.String("fault", "", "inject a deterministic seeded fault into matching cells, e.g. `site=mem,after=1000,seed=1,only=nreverse` (exit 7, or 8 with -keep-going)")
 	keepGoing := flag.Bool("keep-going", false, "report failing workloads as degraded and keep evaluating the rest (exit 8 when any run degraded)")
-	engineMode := flag.String("engine", "exact", "accounting engine `mode`: exact (per-cycle) or fast (batched; byte-identical output; -v stays fast, cells arming a per-cycle consumer — -fault matches, trace taps — run exact, with a startup warning)")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON span trace of the evaluation cells to this `file` (view in Perfetto)")
 	gridSpec := flag.String("grid", "", "cache-lab grid `spec` for the lab selector, e.g. 'caps=1024,8192;assoc=1,2;repl=lru,plru' (empty = the default grid)")
 	flag.Usage = usage
 	flag.Parse()
 	if *jFlag < 0 {
 		fmt.Fprintf(os.Stderr, "psibench: -j must be >= 0 (0 = one worker per CPU, 1 = serial), got %d\n", *jFlag)
-		os.Exit(2)
-	}
-	mode, err := engine.ParseMode(*engineMode)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "psibench: bad -engine: %v\n", err)
 		os.Exit(2)
 	}
 	stopCPU, err := obs.StartCPUProfile(*cpuProfile)
@@ -80,7 +74,7 @@ func main() {
 	} else if addr != "" {
 		fmt.Fprintf(os.Stderr, "psibench: debug listener on http://%s/debug/pprof\n", addr)
 	}
-	o := harness.Options{Workers: *jFlag, MaxSteps: *steps, Fast: mode == engine.ModeFast}
+	o := harness.Options{Workers: *jFlag, MaxSteps: *steps}
 	if *faultSpec != "" {
 		p, err := fault.Parse(*faultSpec)
 		if err != nil {
@@ -117,22 +111,6 @@ func main() {
 	}
 	if *traceOut != "" {
 		o.Spans = telemetry.NewSpanLog()
-	}
-	// The fast engine is downgraded per cell, never silently: name every
-	// per-cycle consumer the selected evaluation arms up front.
-	if mode == engine.ModeFast {
-		if o.Fault != nil {
-			fmt.Fprintln(os.Stderr, "psibench: -engine fast: cells matching the -fault plan run with exact accounting (fault injection needs the per-cycle stream)")
-		}
-		if which == "all" || which == "fig1" {
-			fmt.Fprintln(os.Stderr, "psibench: -engine fast: the Figure 1 cache sweep runs with exact accounting (its PMMS replay taps the per-cycle stream)")
-		}
-		if which == "all" || which == "lab" {
-			fmt.Fprintln(os.Stderr, "psibench: -engine fast: the cache lab runs with exact accounting (its grid sweep rides the per-cycle predicate sink)")
-		}
-		if which == "all" || which == "6" {
-			fmt.Fprintln(os.Stderr, "psibench: -engine fast: the Table 6 cell runs with exact accounting (MAP analysis needs a collected trace)")
-		}
 	}
 	defer func() { check(obs.WriteMemProfile(*memProfile)) }()
 	switch which {

@@ -1,7 +1,9 @@
 package psi
 
-// Paired benchmark of the two cycle-accounting modes. Run both lanes in
-// one invocation so they share the process and its frequency window:
+// Paired benchmark of the untapped tick against the same run with a
+// per-cycle micro.Stats tap — the cost a trace or per-cycle profile
+// consumer pays. Run both lanes in one invocation so they share the
+// process and its frequency window:
 //
 //	go test -run '^$' -bench FastVsExact -benchtime 20x .
 //
@@ -15,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/micro"
 	"repro/internal/progs"
 )
 
@@ -23,12 +26,13 @@ func BenchmarkFastVsExact(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var ref micro.Stats
 	for _, lane := range []struct {
 		name string
-		fast bool
-	}{{"exact", false}, {"fast", true}} {
+		tap  micro.Sink
+	}{{"exact", &ref}, {"fast", nil}} {
 		b.Run(lane.name, func(b *testing.B) {
-			cfg := core.Config{MaxSteps: 4_000_000_000, Fast: lane.fast}
+			cfg := core.Config{MaxSteps: 4_000_000_000, Trace: lane.tap}
 			m := core.New(c.Prog, cfg)
 			if got, want := m.AccountingMode(), lane.name; got != want {
 				b.Fatalf("lane %q runs in mode %q", want, got)

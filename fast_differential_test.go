@@ -1,23 +1,29 @@
 package psi
 
-// Differential lockdown of the fast accounting engine mode: the fast
-// path batches statistics updates but must execute the IDENTICAL
-// simulated cycle stream, so on every program the two modes must agree
-// on every observable — the answer sequence (including variable names
-// and bindings order), the termination class, the full Table 1-7
-// micro.Stats value, the simulated time, the inference count and the
-// cache model's counters. Any divergence here means the fast path
-// changed the simulation, not just its bookkeeping.
+// Differential lockdown of the single cycle-accounting path. The
+// machine counts every cycle with one signature-table bump and expands
+// the totals at observation boundaries (internal/core/fastacct.go); a
+// per-cycle tap receives the same cycles rebuilt from their keys. On
+// every program the table expansion must equal a micro.Stats reference
+// fed cycle by cycle through a tap, and attaching the tap must not
+// change any observable: the answer sequence (including variable names
+// and bindings order), the termination class and trip step, the
+// simulated time, the inference count and the cache model's counters.
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/harness"
+	"repro/internal/mapper"
 	"repro/internal/micro"
 	"repro/internal/progs"
 )
@@ -31,61 +37,72 @@ type machineStats interface {
 	Cache() *cache.Cache
 }
 
-// statsDiff lists the micro.Stats fields on which the two runs
-// disagree, one line per field (arrays print whole, the index-level
-// detail is visible in the values).
-func statsDiff(exact, fast micro.Stats) []string {
+// statsDiff lists the micro.Stats fields on which two values disagree,
+// one line per field (arrays print whole, the index-level detail is
+// visible in the values).
+func statsDiff(want, got micro.Stats) []string {
 	var diffs []string
-	ve, vf := reflect.ValueOf(exact), reflect.ValueOf(fast)
-	for i := 0; i < ve.NumField(); i++ {
-		if !reflect.DeepEqual(ve.Field(i).Interface(), vf.Field(i).Interface()) {
-			diffs = append(diffs, fmt.Sprintf("%s: exact %v, fast %v",
-				ve.Type().Field(i).Name, ve.Field(i), vf.Field(i)))
+	vw, vg := reflect.ValueOf(want), reflect.ValueOf(got)
+	for i := 0; i < vw.NumField(); i++ {
+		if !reflect.DeepEqual(vw.Field(i).Interface(), vg.Field(i).Interface()) {
+			diffs = append(diffs, fmt.Sprintf("%s: want %v, got %v",
+				vw.Type().Field(i).Name, vw.Field(i), vg.Field(i)))
 		}
 	}
 	return diffs
 }
 
-// assertFastEquivalent demands bit-identical accounting between an
-// exact-mode and a fast-mode run of the same workload.
-func assertFastEquivalent(t *testing.T, name string, exact, fast machineStats) {
+// assertStats demands that a machine's table expansion equals the
+// per-cycle reference field by field.
+func assertStats(t *testing.T, name string, ref micro.Stats, m machineStats) {
 	t.Helper()
-	se, sf := *exact.Stats(), *fast.Stats()
-	if se != sf {
-		t.Errorf("%s: micro.Stats diverge:\n  %s", name, strings.Join(statsDiff(se, sf), "\n  "))
+	if got := *m.Stats(); got != ref {
+		t.Errorf("%s: table expansion diverges from the per-cycle reference:\n  %s",
+			name, strings.Join(statsDiff(ref, got), "\n  "))
 	}
-	if e, f := exact.TimeNS(), fast.TimeNS(); e != f {
-		t.Errorf("%s: TimeNS: exact %d, fast %d", name, e, f)
+}
+
+// assertSameRun demands bit-identical accounting between an untapped
+// and a tapped run of the same workload.
+func assertSameRun(t *testing.T, name string, untapped, tapped machineStats) {
+	t.Helper()
+	su, st := *untapped.Stats(), *tapped.Stats()
+	if su != st {
+		t.Errorf("%s: micro.Stats diverge with a tap attached:\n  %s", name, strings.Join(statsDiff(su, st), "\n  "))
 	}
-	if e, f := exact.Inferences(), fast.Inferences(); e != f {
-		t.Errorf("%s: Inferences: exact %d, fast %d", name, e, f)
+	if u, tp := untapped.TimeNS(), tapped.TimeNS(); u != tp {
+		t.Errorf("%s: TimeNS: untapped %d, tapped %d", name, u, tp)
 	}
-	ce, cf := exact.Cache(), fast.Cache()
-	if (ce == nil) != (cf == nil) {
-		t.Fatalf("%s: cache presence: exact %v, fast %v", name, ce != nil, cf != nil)
+	if u, tp := untapped.Inferences(), tapped.Inferences(); u != tp {
+		t.Errorf("%s: Inferences: untapped %d, tapped %d", name, u, tp)
 	}
-	if ce == nil {
+	cu, ct := untapped.Cache(), tapped.Cache()
+	if (cu == nil) != (ct == nil) {
+		t.Fatalf("%s: cache presence: untapped %v, tapped %v", name, cu != nil, ct != nil)
+	}
+	if cu == nil {
 		return
 	}
-	if ce.Total != cf.Total {
-		t.Errorf("%s: cache total: exact %+v, fast %+v", name, ce.Total, cf.Total)
+	if cu.Total != ct.Total {
+		t.Errorf("%s: cache total: untapped %+v, tapped %+v", name, cu.Total, ct.Total)
 	}
-	if ce.Area != cf.Area {
-		t.Errorf("%s: cache areas: exact %+v, fast %+v", name, ce.Area, cf.Area)
+	if cu.Area != ct.Area {
+		t.Errorf("%s: cache areas: untapped %+v, tapped %+v", name, cu.Area, ct.Area)
 	}
-	if ce.StallNS != cf.StallNS || ce.Fills != cf.Fills ||
-		ce.WriteBacks != cf.WriteBacks || ce.WriteThroughs != cf.WriteThroughs {
-		t.Errorf("%s: cache traffic: exact stall=%d fills=%d wb=%d wt=%d, fast stall=%d fills=%d wb=%d wt=%d",
-			name, ce.StallNS, ce.Fills, ce.WriteBacks, ce.WriteThroughs,
-			cf.StallNS, cf.Fills, cf.WriteBacks, cf.WriteThroughs)
+	if cu.StallNS != ct.StallNS || cu.Fills != ct.Fills ||
+		cu.WriteBacks != ct.WriteBacks || cu.WriteThroughs != ct.WriteThroughs {
+		t.Errorf("%s: cache traffic: untapped stall=%d fills=%d wb=%d wt=%d, tapped stall=%d fills=%d wb=%d wt=%d",
+			name, cu.StallNS, cu.Fills, cu.WriteBacks, cu.WriteThroughs,
+			ct.StallNS, ct.Fills, ct.WriteBacks, ct.WriteThroughs)
 	}
 }
 
 // TestFastDifferentialTable1 runs all 19 Table-1 programs through the
-// harness (the pooled-machine path the published tables use) in both
-// engine modes and demands bit-identical accounting. This is the
-// headline equivalence proof: the numbers behind Tables 1-7 do not
-// depend on the engine mode.
+// harness (the pooled-machine path the published tables use) untapped
+// and with a per-cycle micro.Stats reference tap, and demands that both
+// table expansions equal the reference. This is the headline
+// equivalence proof: the numbers behind Tables 1-7 are what a
+// cycle-by-cycle micro.Stats would have counted.
 func TestFastDifferentialTable1(t *testing.T) {
 	for _, b := range progs.Table1() {
 		b := b
@@ -93,36 +110,48 @@ func TestFastDifferentialTable1(t *testing.T) {
 			if testing.Short() && (b.Name == "harmonizer-3" || b.Name == "lcp-3") {
 				t.Skip("slow Table-1 row skipped in -short mode")
 			}
-			exact, err := harness.RunPSIWith(harness.Options{}, b, false)
+			untapped, err := harness.RunPSIWith(harness.Options{}, b, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer exact.Release()
-			fast, err := harness.RunPSIWith(harness.Options{Fast: true}, b, false)
+			defer untapped.Release()
+			c, err := harness.Compile(b)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer fast.Release()
-			if got := exact.Machine.AccountingMode(); got != "exact" {
-				t.Fatalf("exact run reports mode %q", got)
+			var ref micro.Stats
+			tapped, err := c.Open(core.Config{MaxSteps: 4_000_000_000, Trace: &ref})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got := fast.Machine.AccountingMode(); got != "fast" {
-				t.Fatalf("fast run reports mode %q", got)
+			defer tapped.Release()
+			if st, err := tapped.Session.Next(context.Background()); st != engine.Solution {
+				t.Fatalf("tapped run: status %v, err %v", st, err)
 			}
-			assertFastEquivalent(t, b.Name, exact.Machine, fast.Machine)
+			if got := untapped.Machine.AccountingMode(); got != "fast" {
+				t.Fatalf("untapped run reports mode %q", got)
+			}
+			if got := tapped.Machine.AccountingMode(); got != "exact" {
+				t.Fatalf("tapped run reports mode %q", got)
+			}
+			assertStats(t, b.Name+" (untapped)", ref, untapped.Machine)
+			assertStats(t, b.Name+" (tapped)", ref, tapped.Machine)
+			assertSameRun(t, b.Name, untapped.Machine, tapped.Machine)
 		})
 	}
 }
 
-// runFastPair runs one query in both engine modes on fresh machines and
-// demands byte-identical answer streams (same engine, so even the
-// generated variable names must match), identical termination classes
-// and bit-identical accounting at the point both runs stopped.
-func runFastPair(t *testing.T, opts Options, src, query string, vars []string, limit int) {
+// runTapPair runs one query on fresh machines untapped and with a
+// COLLECT trace tap, whose records replayed through micro.Stats.Cycle
+// are the per-cycle reference. It demands byte-identical answer
+// streams (same engine, so even the generated variable names must
+// match), identical termination classes, and bit-identical accounting
+// at the point both runs stopped.
+func runTapPair(t *testing.T, opts Options, src, query string, vars []string, limit int) {
 	t.Helper()
-	run := func(fast bool) ([]string, error, *Machine) {
+	run := func(tap bool) ([]string, error, *Machine) {
 		o := opts
-		o.Fast = fast
+		o.Collect = tap
 		m, err := LoadProgram(src, o)
 		if err != nil {
 			t.Fatal(err)
@@ -147,20 +176,23 @@ func runFastPair(t *testing.T, opts Options, src, query string, vars []string, l
 		}
 		return out, s.Err(), m
 	}
-	eAns, eErr, em := run(false)
-	fAns, fErr, fm := run(true)
-	if fmt.Sprint(eAns) != fmt.Sprint(fAns) {
-		t.Fatalf("query %q: answers diverge:\n  exact %v\n  fast  %v", query, eAns, fAns)
+	uAns, uErr, um := run(false)
+	tAns, tErr, tm := run(true)
+	if fmt.Sprint(uAns) != fmt.Sprint(tAns) {
+		t.Fatalf("query %q: answers diverge:\n  untapped %v\n  tapped   %v", query, uAns, tAns)
 	}
-	if ec, fc := engine.ClassName(eErr), engine.ClassName(fErr); ec != fc {
-		t.Fatalf("query %q: termination class: exact %q (%v), fast %q (%v)", query, ec, eErr, fc, fErr)
+	if uc, tc := engine.ClassName(uErr), engine.ClassName(tErr); uc != tc {
+		t.Fatalf("query %q: termination class: untapped %q (%v), tapped %q (%v)", query, uc, uErr, tc, tErr)
 	}
-	assertFastEquivalent(t, query, em, fm)
+	ref := *mapper.Stats(tm.Trace())
+	assertStats(t, query+" (untapped)", ref, um)
+	assertStats(t, query+" (tapped)", ref, tm)
+	assertSameRun(t, query, um, tm)
 }
 
 // TestFastDifferentialAnswers exercises multi-solution backtracking:
-// both modes must enumerate the same answers in the same order and
-// account identical cycles doing it.
+// with and without a tap the machine must enumerate the same answers in
+// the same order and account identical cycles doing it.
 func TestFastDifferentialAnswers(t *testing.T) {
 	for _, q := range []struct {
 		query string
@@ -173,13 +205,13 @@ func TestFastDifferentialAnswers(t *testing.T) {
 		{"len([a, b, c], N)", []string{"N"}},
 		{"app(X, [k], Z), mem(b, Z)", []string{"X", "Z"}},
 	} {
-		runFastPair(t, Options{}, diffSrc, q.query, q.vars, 8)
+		runTapPair(t, Options{}, diffSrc, q.query, q.vars, 8)
 	}
 }
 
 // TestFastDifferentialBuiltinEdges replays the builtin edge suite (the
-// queries the cross-machine differential tests use) under exact vs
-// fast: arithmetic wraparound, standard order, structure builtins, and
+// queries the cross-machine differential tests use) with and without a
+// tap: arithmetic wraparound, standard order, structure builtins, and
 // the malformed cases whose abort point must land on the same cycle.
 func TestFastDifferentialBuiltinEdges(t *testing.T) {
 	vars := []string{"X", "O", "T", "N", "A", "L"}
@@ -199,9 +231,9 @@ func TestFastDifferentialBuiltinEdges(t *testing.T) {
 		"arg(1, f(a, b, c), X)", "arg(4, f(a), X)", "arg(1, [h|t], X)",
 		"f(a, b) =.. L", "[h|t] =.. L", "T =.. [foo, 1, 2]",
 	} {
-		runFastPair(t, Options{}, diffSrc, q, vars, 8)
+		runTapPair(t, Options{}, diffSrc, q, vars, 8)
 	}
-	// Malformed cases: both modes must abort with the malformed class,
+	// Malformed cases: both runs must abort with the malformed class,
 	// with no answers, at the identical cycle count.
 	for _, q := range []string{
 		"X is 1 // 0",
@@ -212,23 +244,23 @@ func TestFastDifferentialBuiltinEdges(t *testing.T) {
 		"T =.. [f | X]",
 		"T =.. [f(a), 1]",
 	} {
-		runFastPair(t, Options{}, diffSrc, q, vars, 1)
+		runTapPair(t, Options{}, diffSrc, q, vars, 1)
 	}
 }
 
 // TestFastDifferentialStepLimit drives an unbounded enumeration into
-// the step limit under both modes: the abort must hit the same class
-// after the same answers with identical statistics — the fast path's
-// deferred accounting may not move the step-limit trip point by even
-// one cycle.
+// the step limit with and without a tap: the abort must hit the same
+// class after the same answers at the same Steps, with identical
+// statistics — pinning the sentinel for the tap may not move the trip
+// point by even one cycle.
 func TestFastDifferentialStepLimit(t *testing.T) {
-	runFastPair(t, Options{MaxSteps: 20_000}, diffSrc,
+	runTapPair(t, Options{MaxSteps: 20_000}, diffSrc,
 		"app(X, Y, Z)", []string{"X", "Y", "Z"}, 1_000_000)
 }
 
 // TestFastDifferentialCacheConfigs repeats a cache-sensitive workload
-// across cache shapes (including store-through and no-cache): the fast
-// path must keep the cache model and its stall accounting untouched.
+// across cache shapes (including store-through and no-cache): the tap
+// must leave the cache model and its stall accounting untouched.
 func TestFastDifferentialCacheConfigs(t *testing.T) {
 	for _, o := range []Options{
 		{},
@@ -236,6 +268,54 @@ func TestFastDifferentialCacheConfigs(t *testing.T) {
 		{StoreThrough: true},
 		{NoCache: true},
 	} {
-		runFastPair(t, o, diffSrc, "flat([a, [b, [c, d]], [], [[e]]], R)", []string{"R"}, 4)
+		runTapPair(t, o, diffSrc, "flat([a, [b, [c, d]], [], [[e]]], R)", []string{"R"}, 4)
+	}
+}
+
+// TestFastFaultClassification injects the same seeded fault at every
+// site with and without a COLLECT tap next to the injector: the fault
+// must be contained at the identical step, site and message, still map
+// to the fault exit code, and leave statistics that equal the trace's
+// per-cycle reference up to the faulting cycle.
+func TestFastFaultClassification(t *testing.T) {
+	for _, plan := range []fault.Plan{
+		{Site: fault.SiteMem, After: 200, Seed: 5},
+		{Site: fault.SiteCache, After: 50, Seed: 5},
+		{Site: fault.SiteWF, After: 100, Seed: 5},
+		{Site: fault.SiteTrace, After: 300, Seed: 5},
+	} {
+		var faults []*engine.FaultError
+		var machines []*Machine
+		for _, collect := range []bool{false, true} {
+			p := plan
+			m, err := LoadProgram(diffSrc, Options{Fault: &p, Collect: collect})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := m.AccountingMode(); got != "exact" {
+				t.Fatalf("%v, collect=%v: mode %q, want exact", plan, collect, got)
+			}
+			runErr := solveAll(t, m, "app(X, Y, Z)")
+			if runErr == nil {
+				t.Fatalf("%v, collect=%v: fault never fired", plan, collect)
+			}
+			if !errors.Is(runErr, engine.ErrFault) || engine.ExitCode(runErr) != engine.ExitFault {
+				t.Fatalf("%v, collect=%v: error %v is not a contained exit-%d fault", plan, collect, runErr, engine.ExitFault)
+			}
+			var fe *engine.FaultError
+			if !errors.As(runErr, &fe) {
+				t.Fatalf("%v, collect=%v: error %v carries no *engine.FaultError", plan, collect, runErr)
+			}
+			faults = append(faults, fe)
+			machines = append(machines, m)
+		}
+		u, tp := faults[0], faults[1]
+		if u.Step != tp.Step || u.Site != tp.Site || u.Msg != tp.Msg {
+			t.Errorf("%v: fault depends on the tap: step %d/%d, site %q/%q, msg %q/%q",
+				plan, u.Step, tp.Step, u.Site, tp.Site, u.Msg, tp.Msg)
+		}
+		ref := *mapper.Stats(machines[1].Trace())
+		assertStats(t, plan.String(), ref, machines[0])
+		assertSameRun(t, plan.String(), machines[0], machines[1])
 	}
 }

@@ -1,22 +1,20 @@
 package psi
 
-// Regression tests for the fast mode's forced-exact fallback: any
-// consumer that needs the per-cycle record stream — a COLLECT trace or
-// a fault-injection plan — must push a Fast request back onto the exact
-// path (naming itself in ModeDowngradeReason), and the output of such a
-// run must be byte-identical whether or not Fast was requested. The
-// telemetry hooks (sampling profiler, progress heartbeats, spans, the
-// flight recorder) ride the fast path's event boundary instead and must
-// NOT downgrade it.
+// Regression tests for the derived accounting mode: AccountingMode is
+// "exact" exactly while a per-cycle tap is armed — a COLLECT trace, the
+// per-cycle profiler or a fault-injection plan — and "fast" otherwise,
+// whatever Options.Fast requests. The telemetry hooks (sampling
+// profiler, progress heartbeats, spans, the always-on flight recorder)
+// ride the event boundary and are not taps. Either way the run report
+// is byte-identical apart from its mode field.
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/telemetry"
 )
 
 // solveAll runs the query to exhaustion so the machine has done real
@@ -35,55 +33,68 @@ func solveAll(t *testing.T, m *Machine, query string) error {
 }
 
 func TestFastForcedExactByConsumers(t *testing.T) {
+	report := func(t *testing.T, opts Options) (*Machine, *obs.RunReport) {
+		t.Helper()
+		m, err := LoadProgram(diffSrc, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := solveAll(t, m, "app(X, Y, [a, b, c])"); err != nil {
+			t.Fatal(err)
+		}
+		return m, m.RunReport("t", nil)
+	}
+	_, base := report(t, Options{})
+	baseJSON, err := base.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	never := &fault.Plan{Site: fault.SiteMem, After: 1 << 40, Seed: 1}
 	cases := []struct {
-		name       string
-		opts       Options
-		want       string
-		wantReason string
+		name string
+		opts Options
+		want string
 	}{
-		{"plain-fast", Options{Fast: true}, "fast", ""},
-		{"plain-exact", Options{}, "exact", ""},
-		// The sampling profiler and progress heartbeats are telemetry:
-		// they attach to the fast path's event boundary, no downgrade.
-		{"profiler", Options{Fast: true, Profile: true}, "fast", ""},
-		{"progress", Options{Fast: true, Progress: func(obs.Progress) {}}, "fast", ""},
-		{"collect", Options{Fast: true, Collect: true}, "exact", "trace"},
-		{"fault", Options{Fast: true, Fault: &fault.Plan{Site: fault.SiteMem, After: 1 << 40, Seed: 1}}, "exact", "fault"},
-		{"collect-profile", Options{Fast: true, Collect: true, Profile: true}, "exact", "trace+profile"},
+		// Neither engine request picks a path; the flight recorder is
+		// always attached by LoadProgram.
+		{"plain-fast", Options{Fast: true}, "fast"},
+		{"plain-exact", Options{}, "fast"},
+		// Telemetry rides the event boundary: not a per-cycle tap.
+		{"profiler", Options{Fast: true, Profile: true}, "fast"},
+		{"progress", Options{Progress: func(obs.Progress) {}, ProgressEvery: 100}, "fast"},
+		{"spans", Options{Spans: telemetry.NewSpanLog()}, "fast"},
+		// Per-cycle taps.
+		{"exact-profiler", Options{Profile: true}, "exact"},
+		{"collect", Options{Fast: true, Collect: true}, "exact"},
+		{"fault", Options{Fast: true, Fault: never}, "exact"},
+		{"collect-profile", Options{Collect: true, Profile: true}, "exact"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			m, err := LoadProgram(diffSrc, c.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			m, rep := report(t, c.opts)
 			if got := m.AccountingMode(); got != c.want {
-				t.Fatalf("AccountingMode with %s armed: got %q, want %q", c.name, got, c.want)
+				t.Fatalf("AccountingMode: got %q, want %q", got, c.want)
 			}
-			if got := m.ModeDowngradeReason(); got != c.wantReason {
-				t.Fatalf("ModeDowngradeReason with %s armed: got %q, want %q", c.name, got, c.wantReason)
-			}
-			if err := solveAll(t, m, "app(X, Y, [a, b, c])"); err != nil {
-				t.Fatal(err)
-			}
-			// The run report records the effective mode, not the request,
-			// plus what (if anything) forced the downgrade.
-			rep := m.RunReport("t", nil)
 			if rep.Mode != c.want {
 				t.Fatalf("RunReport.Mode: got %q, want %q", rep.Mode, c.want)
 			}
-			if rep.ModeDowngradeReason != c.wantReason {
-				t.Fatalf("RunReport.ModeDowngradeReason: got %q, want %q", rep.ModeDowngradeReason, c.wantReason)
+			rep.Mode = base.Mode
+			got, err := rep.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, baseJSON) {
+				t.Errorf("run report diverges from the plain run:\n--- plain\n%s\n--- %s\n%s", baseJSON, c.name, got)
 			}
 		})
 	}
 }
 
-// TestFastSamplingProfilerKeepsFastByteIdentical runs the fast engine
-// bare and with the sampling profiler attached: the profiler must not
-// change the accounting mode, and the structured run report — every
-// simulated statistic — must match byte for byte, because sampling only
-// reads the live step counter at event boundaries.
+// TestFastSamplingProfilerKeepsFastByteIdentical runs the machine bare
+// and with the sampling profiler attached: the profiler must not change
+// the accounting mode, and the structured run report — every simulated
+// statistic — must match byte for byte, because sampling only reads the
+// live step counter at event boundaries.
 func TestFastSamplingProfilerKeepsFastByteIdentical(t *testing.T) {
 	run := func(profile bool) (*Machine, []byte) {
 		m, err := LoadProgram(diffSrc, Options{Fast: true, Profile: profile})
@@ -102,65 +113,22 @@ func TestFastSamplingProfilerKeepsFastByteIdentical(t *testing.T) {
 	_, bareRep := run(false)
 	m, sampledRep := run(true)
 	if got := m.AccountingMode(); got != "fast" {
-		t.Fatalf("sampling profiler downgraded the fast engine to %q", got)
+		t.Fatalf("sampling profiler armed a per-cycle tap: mode %q", got)
 	}
 	if !bytes.Equal(bareRep, sampledRep) {
-		t.Errorf("run report diverges between bare fast and fast+sampler:\n--- bare\n%s\n--- sampled\n%s", bareRep, sampledRep)
+		t.Errorf("run report diverges between bare and sampled runs:\n--- bare\n%s\n--- sampled\n%s", bareRep, sampledRep)
 	}
 	// The sampled profile is statistical per predicate, but its total is
 	// exact: the sampler flushes its partial stride at the observation
 	// boundary, so attributed cycles sum to Stats().Steps.
 	rp := m.Profile("t")
 	if rp == nil || !rp.Sampled {
-		t.Fatalf("Profile() under fast: got %+v, want a sampled profile", rp)
+		t.Fatalf("Profile() with Fast: got %+v, want a sampled profile", rp)
 	}
 	if rp.TotalCycles != m.Steps() {
 		t.Errorf("sampled TotalCycles = %d, want exactly Steps = %d", rp.TotalCycles, m.Steps())
 	}
 	if rp.SampleStride <= 0 || len(rp.Entries) == 0 {
 		t.Errorf("sampled profile missing metadata or entries: %+v", rp)
-	}
-}
-
-// TestFastFaultClassification injects the same seeded fault with and
-// without a Fast request: the plan forces the exact path, so the fault
-// must be contained at the identical step with the identical message
-// and still map to the fault exit code.
-func TestFastFaultClassification(t *testing.T) {
-	var msgs []string
-	var steps []int64
-	for _, fastReq := range []bool{false, true} {
-		m, err := LoadProgram(diffSrc, Options{
-			Fast:  fastReq,
-			Fault: &fault.Plan{Site: fault.SiteMem, After: 200, Seed: 5},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := m.AccountingMode(); got != "exact" {
-			t.Fatalf("fault plan armed, Fast=%v: mode %q, want exact", fastReq, got)
-		}
-		runErr := solveAll(t, m, "app(X, Y, Z)")
-		if runErr == nil {
-			t.Fatal("fault never fired")
-		}
-		if !errors.Is(runErr, engine.ErrFault) {
-			t.Fatalf("Fast=%v: error %v is not classified engine.ErrFault", fastReq, runErr)
-		}
-		if engine.ExitCode(runErr) != engine.ExitFault {
-			t.Fatalf("Fast=%v: exit code %d, want %d", fastReq, engine.ExitCode(runErr), engine.ExitFault)
-		}
-		var fe *engine.FaultError
-		if !errors.As(runErr, &fe) {
-			t.Fatalf("Fast=%v: error %v carries no *engine.FaultError", fastReq, runErr)
-		}
-		msgs = append(msgs, runErr.Error())
-		steps = append(steps, fe.Step)
-	}
-	if msgs[0] != msgs[1] {
-		t.Errorf("fault text depends on the Fast request:\n%s\n%s", msgs[0], msgs[1])
-	}
-	if steps[0] != steps[1] {
-		t.Errorf("fault step depends on the Fast request: %d vs %d", steps[0], steps[1])
 	}
 }

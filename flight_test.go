@@ -19,7 +19,6 @@ import (
 func TestFaultReportCarriesFlightDump(t *testing.T) {
 	run := func() *obs.RunReport {
 		m, err := LoadProgram(diffSrc, Options{
-			Fast:  true, // downgraded to exact by the plan; the downgrade itself is a flight event
 			Fault: &fault.Plan{Site: fault.SiteMem, After: 300, Seed: 9},
 		})
 		if err != nil {
@@ -48,7 +47,7 @@ func TestFaultReportCarriesFlightDump(t *testing.T) {
 	for _, e := range fl {
 		kinds[e.Kind] = true
 	}
-	for _, want := range []string{"mode-downgrade", "step", "fault"} {
+	for _, want := range []string{"step", "fault"} {
 		if !kinds[want] {
 			t.Errorf("flight dump has no %q event (kinds seen: %v)", want, kinds)
 		}

@@ -4,21 +4,26 @@ import (
 	"repro/internal/micro"
 )
 
-// Fast-mode deferred accounting.
+// Deferred cycle accounting.
 //
-// The exact engine funnels every executed microcycle through the
-// micro.Sink interface into micro.Stats.Cycle — ten counter updates per
-// 200 ns simulated cycle. In fast mode the machine instead packs the
-// cycle's accounting signature (module, work-file field modes, cache
-// command, branch op, data flag, memory-area kind — everything
-// Stats.Cycle looks at) into a small integer key and bumps one counter
-// in a direct-mapped signature table. Distinct signatures are few (one
-// per emission site and dynamic module/area combination), so the same
-// handful of slots stay hot. At every observation boundary —
-// Solutions.Step returning, Machine.Stats() — the table is flushed:
-// each slot's count expands into the same per-field additions
-// Stats.Cycle would have performed one cycle at a time, which is what
-// keeps the final statistics bit-identical to the exact mode.
+// micro.Stats.Cycle makes ten counter updates per 200 ns simulated
+// cycle. The machine instead packs each cycle's accounting signature
+// (module, work-file field modes, cache command, branch op, data flag,
+// memory-area kind — everything Stats.Cycle looks at) into a small
+// integer key and bumps one counter in a direct-mapped signature table.
+// Distinct signatures are few (one per emission site and dynamic
+// module/area combination), so the same handful of slots stay hot. At
+// every observation boundary — Solutions.Step returning,
+// Machine.Stats() — the table is flushed: each slot's count expands
+// into the same per-field additions Stats.Cycle would have performed
+// one cycle at a time. This is the machine's only accounting path; a
+// per-cycle tap (trace, profiler) receives the cycles rebuilt from
+// their keys at the event boundary, and the differential suite checks
+// the expansion against a micro.Stats fed through such a tap.
+//
+// The key layout extends micro.Sig* (module 0..2, Src1/Src2/Dest
+// 3..11, cache 12..13, branch 14..17, data 18) with the memory-area
+// kind in bits 19..21, offset by one so a zero slot key means "empty".
 //
 // Stats.Steps is NOT deferred: the run loop's budget slicing and the
 // step-limit abort both read it per cycle, and deferring it would move
@@ -38,32 +43,6 @@ const (
 type fastSlot struct {
 	key uint32
 	n   int64
-}
-
-// packCycle encodes the accounting signature of a cycle, extending the
-// micro.Sig* bit layout (module 0..2, Src1/Src2/Dest 3..11, cache
-// 12..13, branch 14..17, data 18) with the memory-area kind in bits
-// 19..21. kind is the reduced area kind of c.Addr; it is only
-// meaningful when the cycle carries a cache command, but packing it
-// unconditionally keeps the encoder branch-free (the expansion ignores
-// it for OpNone). The result is offset by one so a zero slot key always
-// means "empty".
-func packCycle(c micro.Cycle, kind uint32) uint32 {
-	return (uint32(c.Module) |
-		uint32(c.Src1)<<3 |
-		uint32(c.Src2)<<6 |
-		uint32(c.Dest)<<9 |
-		uint32(c.Cache)<<12 |
-		uint32(c.Branch)<<14 |
-		b2u(c.Data)<<18 |
-		kind<<19) + 1
-}
-
-func b2u(b bool) uint32 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // fastExpand replays n cycles of the packed signature into the
@@ -105,13 +84,9 @@ func (m *Machine) fastEvict(sl *fastSlot, key uint32) {
 }
 
 // fastFlush expands every deferred count into the statistics and
-// empties the table. Idempotent; a no-op outside fast mode or with
-// nothing deferred. Called at every boundary where the statistics
-// become observable.
+// empties the table. Idempotent; a no-op with nothing deferred. Called
+// at every boundary where the statistics become observable.
 func (m *Machine) fastFlush() {
-	if m.fastTab == nil {
-		return
-	}
 	for i := range m.fastTab {
 		sl := &m.fastTab[i]
 		if sl.key != 0 {

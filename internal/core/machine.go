@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/engine"
@@ -43,13 +42,13 @@ type Config struct {
 	Processes int
 	// Out receives output from write/1 and nl/0. Defaults to io.Discard.
 	Out io.Writer
-	// Trace, when non-nil, receives every executed microcycle in addition
-	// to the machine's statistics (the COLLECT hook).
+	// Trace, when non-nil, receives every executed microcycle (the
+	// COLLECT hook). It is a per-cycle tap: see AccountingMode.
 	Trace micro.Sink
 	// Profile, when non-nil, receives every executed microcycle plus
 	// predicate-context switches (EnterPredicate) and, if it implements
 	// micro.MissSink, cache-miss notifications — the simulated-workload
-	// profiler hook.
+	// profiler hook. It is a per-cycle tap: see AccountingMode.
 	Profile micro.PredSink
 	// Progress, when non-nil, receives a heartbeat every ProgressEvery
 	// executed microcycles (live-progress events for long simulations).
@@ -59,22 +58,14 @@ type Config struct {
 	ProgressEvery int64
 	// MaxSteps aborts runaway executions (0 = no limit).
 	MaxSteps int64
-	// Fast requests the fast accounting mode: when no per-cycle consumer
-	// is armed (Trace, Profile, Fault), the machine skips the micro.Sink
-	// funnel and batch-increments its Stats counters directly. The
-	// simulated cycle stream is identical — answers, statistics, cache
-	// behaviour and simulated time match the exact mode bit for bit;
-	// only the host-side bookkeeping is cheaper. When a per-cycle
-	// consumer is armed the machine runs the exact path and
-	// ModeDowngradeReason names the consumers that forced it. Progress
-	// heartbeats and the telemetry hooks below (Sample, Spans, Flight)
-	// do not downgrade: they fire from the fast path's event boundary.
+	// Fast is ignored. The machine has a single cycle-accounting path
+	// (see fastacct.go); the field remains so existing callers compile.
 	Fast bool
 	// Sample, when non-nil, receives statistical profiler samples: every
 	// SampleEvery cycles (plus a tail sample at each accounting flush,
 	// so sampled totals sum to Stats().Steps at observation boundaries)
 	// the machine attributes the cycles since the previous sample to the
-	// predicate the code pointer executes in. Compatible with Fast.
+	// predicate the code pointer executes in. Not a per-cycle tap.
 	Sample micro.SampleSink
 	// SampleEvery is the sampling stride in cycles
 	// (0 = telemetry.DefaultSampleStride).
@@ -87,8 +78,8 @@ type Config struct {
 	// SpanTID is the trace row the Step spans render on.
 	SpanTID int64
 	// Flight, when non-nil, is the session flight recorder: Step slices,
-	// heartbeats, downgrades and faults land in its ring, and fault
-	// reports dump it as a post-mortem. Compatible with Fast.
+	// heartbeats and faults land in its ring, and fault reports dump it
+	// as a post-mortem. Not a per-cycle tap.
 	Flight *telemetry.Flight
 	// Features selects machine-feature ablations and the PSI-II
 	// extensions.
@@ -96,7 +87,7 @@ type Config struct {
 	// Fault, when non-nil, is a seeded fault injector wired into the
 	// memory, cache, work-file and trace models. Detected faults panic
 	// with *fault.Check and are contained at the Solutions.Step boundary
-	// as engine.ErrFault.
+	// as engine.ErrFault. Its trace-FIFO hook makes it a per-cycle tap.
 	Fault *fault.Injector
 }
 
@@ -174,13 +165,14 @@ type Machine struct {
 	out   io.Writer
 
 	stats micro.Stats
-	sink  micro.Sink
-	fast  bool
-	// fastTab is the fast mode's deferred-accounting signature table
-	// (see fastacct.go). Allocated on first fast-mode configuration and
-	// kept across Reset; always fully drained (all-zero) outside a
-	// running Solutions.Step.
+	// fastTab is the deferred-accounting signature table (see
+	// fastacct.go). Allocated in New and kept across Reset; always fully
+	// drained (all-zero) outside a running Solutions.Step.
 	fastTab []fastSlot
+	// tap receives every executed cycle, rebuilt as a micro.Cycle: the
+	// trace, the per-cycle profiler, or both through a micro.Tee (nil
+	// when neither is attached).
+	tap micro.Sink
 
 	// Simulated-workload profiling state: the profile sink (nil unless
 	// profiling), its optional miss-notification half, and the predicate
@@ -190,12 +182,10 @@ type Machine struct {
 	curPred  int
 
 	// Live-progress state: hb is the heartbeat callback (nil when
-	// disabled), hbEvery the period in cycles, hbLeft the exact path's
-	// countdown, hbAt the fast path's next-heartbeat Steps value (both
-	// fire at the same cycle numbers).
+	// disabled), hbEvery the period in cycles, hbAt the Steps value of
+	// the next heartbeat.
 	hb      func(Heartbeat)
 	hbEvery int64
-	hbLeft  int64
 	hbAt    int64
 
 	// Sampling-profiler state: sample is the sink (nil unless sampling),
@@ -207,14 +197,11 @@ type Machine struct {
 	sampleLast  int64
 
 	// Telemetry attachments: Step-slice spans and the session flight
-	// recorder (see run.go), plus the mode-downgrade reason.
+	// recorder (see run.go).
 	spans    *telemetry.SpanLog
 	spanName string
 	spanTID  int64
 	flight   *telemetry.Flight
-	// downgrade names the per-cycle consumers that forced the exact path
-	// despite Config.Fast ("" when fast ran or was never requested).
-	downgrade string
 
 	// noCacheStall accumulates memory latency when the cache is disabled.
 	noCacheStall int64
@@ -227,11 +214,12 @@ type Machine struct {
 
 	inferences int64
 	maxSteps   int64
-	// stepStop is the fast path's event-boundary sentinel: the largest
-	// Steps value needing no attention — min over the step limit, the
-	// next profiler sample and the next heartbeat (MaxInt64 with none
-	// armed), so the per-cycle check is one branch-free compare. Kept by
-	// fastStop; crossing it dispatches through fastBoundary.
+	// stepStop is the event-boundary sentinel: the largest Steps value
+	// needing no attention — min over the step limit, the next profiler
+	// sample and the next heartbeat (MaxInt64 with none armed; pinned
+	// below every Steps value while a per-cycle tap is armed), so the
+	// per-cycle check is one branch-free compare. Kept by fastStop;
+	// crossing it dispatches through fastBoundary.
 	stepStop int64
 
 	// failed marks that the current path failed and the main loop must
@@ -274,12 +262,12 @@ func New(prog *kl0.Program, cfg Config) *Machine {
 		cfg.Out = io.Discard
 	}
 	m := &Machine{
-		prog:     prog,
-		mem:      mem.New(cfg.Processes),
-		wf:       wf.New(),
-		out:      cfg.Out,
-		maxSteps: cfg.MaxSteps,
-		feat:     cfg.Features,
+		prog:    prog,
+		mem:     mem.New(cfg.Processes),
+		wf:      wf.New(),
+		out:     cfg.Out,
+		fastTab: make([]fastSlot, fastTabSize),
+		feat:    cfg.Features,
 	}
 	if !cfg.NoCache {
 		cc := cfg.Cache
@@ -289,7 +277,6 @@ func New(prog *kl0.Program, cfg Config) *Machine {
 		m.cache = cache.New(cc)
 	}
 	m.configureSinks(cfg)
-	m.configureFault(cfg.Fault)
 	m.ctxs = make([]context, cfg.Processes)
 	for p := range m.ctxs {
 		m.ctxs[p] = context{
@@ -344,21 +331,17 @@ func (m *Machine) Reset(prog *kl0.Program, cfg Config) bool {
 	}
 	m.mem.Reset()
 	m.wf.Reset()
-	if m.fastTab != nil {
-		// Normally already drained by the last Step's flush; cleared
-		// here so a reused machine never inherits deferred counts.
-		clear(m.fastTab)
-	}
+	// Normally already drained by the last Step's flush; cleared here so
+	// a reused machine never inherits deferred counts.
+	clear(m.fastTab)
 	m.prog = prog
 	m.loaded = 0
 	m.out = cfg.Out
 	m.stats.Reset()
 	m.configureSinks(cfg)
-	m.configureFault(cfg.Fault)
 	m.noCacheStall = 0
 	m.heapTop = 0
 	m.inferences = 0
-	m.maxSteps = cfg.MaxSteps
 	m.failed = false
 	m.redoBarrier = 0
 	m.forceTrail = false
@@ -399,20 +382,19 @@ type Heartbeat struct {
 	Inferences int64 // logical inferences so far
 }
 
-// configureSinks wires the cycle stream, the profiler and the heartbeat
-// state from a configuration (shared by New and Reset).
+// configureSinks wires the per-cycle tap, the profiler, the telemetry
+// hooks and the fault injector from a configuration (shared by New and
+// Reset), then places the event-boundary sentinel.
 func (m *Machine) configureSinks(cfg Config) {
-	sinks := micro.Tee{&m.stats}
-	if cfg.Trace != nil {
-		sinks = append(sinks, cfg.Trace)
-	}
-	if cfg.Profile != nil {
-		sinks = append(sinks, cfg.Profile)
-	}
-	if len(sinks) == 1 {
-		m.sink = &m.stats
-	} else {
-		m.sink = sinks
+	switch {
+	case cfg.Trace != nil && cfg.Profile != nil:
+		m.tap = micro.Tee{cfg.Trace, cfg.Profile}
+	case cfg.Trace != nil:
+		m.tap = cfg.Trace
+	case cfg.Profile != nil:
+		m.tap = cfg.Profile
+	default:
+		m.tap = nil
 	}
 	m.profile = cfg.Profile
 	m.missSink = nil
@@ -424,8 +406,7 @@ func (m *Machine) configureSinks(cfg Config) {
 	m.hb = cfg.Progress
 	if m.hb != nil && m.flight != nil {
 		// Heartbeats are telemetry events too: mirror each one into the
-		// flight recorder (covers both accounting paths, since both fire
-		// the same callback).
+		// flight recorder.
 		inner, fl := m.hb, m.flight
 		m.hb = func(h Heartbeat) {
 			fl.Record(h.Steps, "heartbeat", "")
@@ -436,7 +417,6 @@ func (m *Machine) configureSinks(cfg Config) {
 	if m.hbEvery <= 0 {
 		m.hbEvery = DefaultProgressEvery
 	}
-	m.hbLeft = m.hbEvery
 	m.hbAt = m.hbEvery
 	m.sample = cfg.Sample
 	m.sampleEvery = cfg.SampleEvery
@@ -451,49 +431,30 @@ func (m *Machine) configureSinks(cfg Config) {
 		m.spanName = "step"
 	}
 	m.spanTID = cfg.SpanTID
-	// Fast accounting is only sound when nothing consumes individual
-	// cycle records: a trace or profile sink needs every record, and the
-	// fault injector's trace-FIFO site fires per record. Any of them
-	// forces the exact path (and names itself in ModeDowngradeReason).
-	// The telemetry hooks — sampler, heartbeat, spans, flight — need only
-	// a cycle count or host time, so they ride the fast path's event
-	// boundary (fastBoundary) without downgrading it.
-	m.fast = cfg.Fast && cfg.Trace == nil && cfg.Profile == nil && cfg.Fault == nil
-	m.downgrade = ""
-	if cfg.Fast && !m.fast {
-		var why []string
-		if cfg.Trace != nil {
-			why = append(why, "trace")
-		}
-		if cfg.Profile != nil {
-			why = append(why, "profile")
-		}
-		if cfg.Fault != nil {
-			why = append(why, "fault")
-		}
-		m.downgrade = strings.Join(why, "+")
-		telemetry.Default.Counter("psi_mode_downgrades_total",
-			"fast-engine requests downgraded to exact accounting by a per-cycle consumer").Inc()
-		if m.flight != nil {
-			m.flight.Record(0, "mode-downgrade", m.downgrade)
-		}
-	}
-	if m.fast && m.fastTab == nil {
-		m.fastTab = make([]fastSlot, fastTabSize)
-	}
+	m.configureFault(cfg.Fault)
 	m.maxSteps = cfg.MaxSteps
 	m.fastStop()
 }
 
-// fastStop recomputes the fast path's event-boundary sentinel: the
-// largest Steps value that needs no attention. The per-cycle fast tick
-// compares Steps against it once; crossing it funnels into
-// fastBoundary, which dispatches whichever events are due (profiler
-// sample, heartbeat, step-limit abort) and moves the sentinel forward.
-// With no telemetry armed the sentinel is the step limit alone, so the
-// bare fast tick is exactly what it was before sampling support: one
-// compare per cycle.
+// tapped reports whether a per-cycle tap is armed: a trace or profile
+// sink, which needs every cycle record, or a fault injector, whose
+// trace-FIFO site fires per record.
+func (m *Machine) tapped() bool { return m.tap != nil || m.inj != nil }
+
+// fastStop recomputes the event-boundary sentinel: the largest Steps
+// value that needs no attention. The per-cycle tick compares Steps
+// against it once; crossing it funnels into fastBoundary, which
+// dispatches whichever events are due (per-cycle tap, profiler sample,
+// heartbeat, step-limit abort) and moves the sentinel forward. With
+// nothing armed the sentinel is the step limit alone, so the bare tick
+// is one compare per cycle. While a per-cycle tap is armed the sentinel
+// is pinned to 0 — Steps is at least 1 after the tick's increment — so
+// every cycle enters fastBoundary.
 func (m *Machine) fastStop() {
+	if m.tapped() {
+		m.stepStop = 0
+		return
+	}
 	stop := m.maxSteps
 	if stop <= 0 {
 		stop = math.MaxInt64
@@ -507,15 +468,24 @@ func (m *Machine) fastStop() {
 	m.stepStop = stop
 }
 
-// fastBoundary services a fast-path event boundary: the cycle stream
-// crossed stepStop, so at least one of the events the sentinel guards
-// is (usually) due. Out of line so the per-cycle tick stays within the
-// inlining budget; the event order matches the exact path's per-cycle
-// tail (sample, heartbeat, then the step-limit abort — which therefore
-// trips at the identical cycle in both modes).
+// fastBoundary services an event boundary: the cycle stream crossed
+// stepStop, so at least one of the events the sentinel guards is
+// (usually) due. key and a identify the cycle just counted (a is zero
+// for a register-only cycle). The per-cycle tap sees the cycle first,
+// rebuilt from its signature key; then come the sample, the heartbeat
+// and the step-limit abort, in that order. Out of line so the per-cycle
+// tick stays within the inlining budget.
 //
 //go:noinline
-func (m *Machine) fastBoundary() {
+func (m *Machine) fastBoundary(key uint32, a word.Addr) {
+	if m.tap != nil {
+		m.tap.Cycle(micro.SigCycle(key-1, a))
+	}
+	if m.inj != nil {
+		// Every microcycle is one COLLECT trace record; the hook models
+		// the trace FIFO overrunning.
+		m.inj.TraceRecord()
+	}
 	if m.sample != nil && m.stats.Steps >= m.sampleAt {
 		m.takeSample()
 	}
@@ -532,9 +502,10 @@ func (m *Machine) fastBoundary() {
 // takeSample attributes every cycle since the previous sample to the
 // current predicate — the statistical half of the sampling profiler: a
 // whole stride is charged to the predicate observed at its end. The
-// current predicate is the same notion the exact profiler attributes
-// by (curPred, maintained at instruction dispatch and procedure entry),
-// so head unification and choice-point work charge the callee in both.
+// current predicate is the same notion the per-cycle profiler
+// attributes by (curPred, maintained at instruction dispatch and
+// procedure entry), so head unification and choice-point work charge
+// the callee in both.
 func (m *Machine) takeSample() {
 	if cycles := m.stats.Steps - m.sampleLast; cycles > 0 {
 		m.sample.Sample(m.curPred, cycles)
@@ -557,7 +528,7 @@ func (m *Machine) sampleFlush() {
 }
 
 // stepLimitPanic raises the step-limit abort out of line, keeping the
-// fast tick small enough to stay cheap.
+// tick small enough to stay cheap.
 //
 //go:noinline
 func stepLimitPanic(limit int64) {
@@ -566,9 +537,10 @@ func stepLimitPanic(limit int64) {
 
 // configureFault wires (or with nil unwires) the fault injector into the
 // machine and every hardware model that hosts an injection site. It is
-// called unconditionally from New and Reset — after the memory, work file
-// and cache are set up, because wf.Reset drops its injector — so a pooled
-// machine never retains a previous run's injector.
+// called unconditionally from configureSinks in New and Reset — after
+// the memory, work file and cache are set up, because wf.Reset drops
+// its injector — so a pooled machine never retains a previous run's
+// injector.
 func (m *Machine) configureFault(inj *fault.Injector) {
 	m.inj = inj
 	m.mem.SetInjector(inj)
@@ -594,23 +566,17 @@ func (m *Machine) Stats() *micro.Stats {
 	return &m.stats
 }
 
-// AccountingMode reports the effective cycle-accounting path:
-// engine.ModeFast when the batched fast path is active, engine.ModeExact
-// otherwise — including when Config.Fast was requested but a per-cycle
-// consumer (trace, profile, fault) forced the exact path. The telemetry
-// hooks (Sample, Progress, Spans, Flight) never change the mode.
+// AccountingMode reports engine.ModeExact while a per-cycle tap
+// (Config.Trace, Config.Profile or Config.Fault) is armed — every cycle
+// then enters the event boundary and is handed over as a micro.Cycle —
+// and engine.ModeFast otherwise. Both count every cycle through the
+// same signature table, so statistics never depend on the mode.
 func (m *Machine) AccountingMode() string {
-	if m.fast {
-		return engine.ModeFast
+	if m.tapped() {
+		return engine.ModeExact
 	}
-	return engine.ModeExact
+	return engine.ModeFast
 }
-
-// ModeDowngradeReason names the per-cycle consumers ("trace",
-// "profile", "fault", joined with "+") that forced exact accounting
-// despite Config.Fast being set; "" when the fast path ran or fast was
-// never requested.
-func (m *Machine) ModeDowngradeReason() string { return m.downgrade }
 
 // Flight returns the session flight recorder (nil unless configured).
 func (m *Machine) Flight() *telemetry.Flight { return m.flight }
@@ -670,16 +636,11 @@ func (m *Machine) SetInterruptHandler(process int, q *kl0.Query) error {
 // Every microcycle flows through aluTick (register-only cycles) or
 // memTick (cycles with a cache command); both identify the cycle by its
 // packed accounting signature (micro.Sig* layout, offset by one so the
-// key doubles as the signature-table key). In fast mode the cycle is
-// counted with one table bump and the totals expand later (see
-// fastacct.go); Steps stays live so the budget slicing and the
-// step-limit abort happen at exactly the same cycle as in the exact
-// mode, and the limit check runs after the slot update because the
-// exact path, too, accounts the cycle that crosses the limit before
-// aborting. The exact per-cycle tail (sink, trace-FIFO fault hook,
-// heartbeat, step limit) is duplicated between the two rather than
-// shared through a helper: the extra call level is measurable at this
-// frequency.
+// key doubles as the signature-table key) and count it with one table
+// bump; the totals expand later (see fastacct.go). Steps stays live so
+// the budget slicing and the step-limit abort happen at the exact
+// cycle, and the sentinel compare runs after the slot update because
+// the cycle that crosses the limit is accounted before the abort.
 
 // enterPred records that the code pointer now executes inside predicate
 // p, notifying the profiler on changes. Called only when the exact
@@ -742,45 +703,18 @@ func (m *Machine) push(mod micro.Module, a word.Addr, w word.Word, sig uint32) {
 
 // memTick counts one memory microcycle — key is the packed register
 // signature (offset by one), op the cache command — and then drives the
-// cache. In fast mode the command and area kind complete the signature
-// key (their bits are zero in a register signature) for a single table
-// bump; otherwise the full cycle is rebuilt for the exact per-cycle
-// path.
+// cache. The command and area kind complete the signature key (their
+// bits are zero in a register signature).
 func (m *Machine) memTick(key uint32, op micro.CacheOp, a word.Addr) {
-	if m.fast {
-		key |= uint32(op)<<12 | uint32(a.Area().Kind())<<19
-		m.stats.Steps++
-		sl := &m.fastTab[(key*0x9E3779B1)>>(32-fastTabBits)]
-		if sl.key != key {
-			m.fastEvict(sl, key)
-		}
-		sl.n++
-		if m.stats.Steps > m.stepStop {
-			m.fastBoundary()
-		}
-	} else {
-		c := micro.SigCycle(key - 1)
-		c.Cache = op
-		c.Addr = a
-		m.sink.Cycle(c)
-		if m.inj != nil {
-			// Every microcycle is one COLLECT trace record; the hook
-			// models the trace FIFO overrunning.
-			m.inj.TraceRecord()
-		}
-		if m.sample != nil && m.stats.Steps >= m.sampleAt {
-			m.takeSample()
-		}
-		if m.hb != nil {
-			m.hbLeft--
-			if m.hbLeft <= 0 {
-				m.hbLeft = m.hbEvery
-				m.hb(Heartbeat{Steps: m.stats.Steps, SimNS: m.TimeNS(), Inferences: m.inferences})
-			}
-		}
-		if m.maxSteps > 0 && m.stats.Steps > m.maxSteps {
-			stepLimitPanic(m.maxSteps)
-		}
+	key |= uint32(op)<<12 | uint32(a.Area().Kind())<<19
+	m.stats.Steps++
+	sl := &m.fastTab[(key*0x9E3779B1)>>(32-fastTabBits)]
+	if sl.key != key {
+		m.fastEvict(sl, key)
+	}
+	sl.n++
+	if m.stats.Steps > m.stepStop {
+		m.fastBoundary(key, a)
 	}
 	m.memAccess(op, a)
 }
@@ -789,47 +723,25 @@ func (m *Machine) memTick(key uint32, op micro.CacheOp, a word.Addr) {
 // accounting signature (see the micro.Sig* helpers). Taking the
 // signature as a scalar keeps alu within the inlining budget, so at
 // call sites that OR literal Sig* values the whole key folds to an
-// immediate — which is what makes the fast mode's per-cycle cost a
-// single table bump.
+// immediate — which is what makes the per-cycle cost a single table
+// bump.
 func (m *Machine) alu(mod micro.Module, sig uint32) {
 	m.aluTick((uint32(mod) | sig) + 1)
 }
 
 // aluTick counts one register-only cycle, identified by its packed
-// signature key (offset by one, matching the signature-table encoding):
-// against the signature table in fast mode, or through the exact
-// per-cycle path after reconstructing the cycle — a register-only cycle
-// is fully determined by its signature (Cache is OpNone, Addr is zero),
-// so the rebuilt value is identical to the one the caller described.
+// signature key (offset by one, matching the signature-table encoding).
+// A register-only cycle is fully determined by its signature (Cache is
+// OpNone, Addr is zero), so the boundary rebuilds it exactly.
 func (m *Machine) aluTick(key uint32) {
-	if m.fast {
-		m.stats.Steps++
-		sl := &m.fastTab[(key*0x9E3779B1)>>(32-fastTabBits)]
-		if sl.key != key {
-			m.fastEvict(sl, key)
-		}
-		sl.n++
-		if m.stats.Steps > m.stepStop {
-			m.fastBoundary()
-		}
-		return
+	m.stats.Steps++
+	sl := &m.fastTab[(key*0x9E3779B1)>>(32-fastTabBits)]
+	if sl.key != key {
+		m.fastEvict(sl, key)
 	}
-	m.sink.Cycle(micro.SigCycle(key - 1))
-	if m.inj != nil {
-		m.inj.TraceRecord()
-	}
-	if m.sample != nil && m.stats.Steps >= m.sampleAt {
-		m.takeSample()
-	}
-	if m.hb != nil {
-		m.hbLeft--
-		if m.hbLeft <= 0 {
-			m.hbLeft = m.hbEvery
-			m.hb(Heartbeat{Steps: m.stats.Steps, SimNS: m.TimeNS(), Inferences: m.inferences})
-		}
-	}
-	if m.maxSteps > 0 && m.stats.Steps > m.maxSteps {
-		stepLimitPanic(m.maxSteps)
+	sl.n++
+	if m.stats.Steps > m.stepStop {
+		m.fastBoundary(key, 0)
 	}
 }
 

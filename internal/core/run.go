@@ -180,9 +180,9 @@ func (s *Solutions) Step(budget int64) engine.Status {
 		}
 		found, yielded = m.runSteps(limit)
 	}()
-	// Drain the fast mode's deferred accounting: from here on the
-	// statistics are observable (reports, metrics, the next budget
-	// computation) and must equal the exact mode's bit for bit. Runs
+	// Drain the deferred accounting: from here on the statistics are
+	// observable (reports, metrics, the next budget computation) and
+	// must equal per-cycle micro.Stats accounting bit for bit. Runs
 	// after the containment recovery above, so aborted and faulted runs
 	// flush too. The sampler flushes at the same boundary, so its total
 	// equals Stats().Steps whenever statistics are observable.

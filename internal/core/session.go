@@ -62,9 +62,6 @@ func (e Eng) NewSession(p engine.Program, opts engine.Options) (engine.Session, 
 	cfg := e.Cfg
 	cfg.Out = opts.Out
 	cfg.MaxSteps = opts.MaxSteps
-	if opts.Mode == engine.ModeFast {
-		cfg.Fast = true
-	}
 	return NewSession(New(c.Prog, cfg), c.Query), nil
 }
 

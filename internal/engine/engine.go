@@ -158,15 +158,13 @@ type Options struct {
 	// MaxSteps aborts the run with ErrStepLimit after this many machine
 	// steps (0 = no bound).
 	MaxSteps int64
-	// Mode selects the cycle-accounting mode (ModeExact or ModeFast; ""
-	// means ModeExact). Engines without a fast mode ignore it: the mode
-	// never changes answers, only how the host aggregates statistics.
-	Mode string
 }
 
-// Accounting modes. ModeFast batches per-cycle statistics updates in
-// engines that support it (the PSI core); results are bit-identical to
-// ModeExact, which funnels every cycle through the micro.Sink interface.
+// Accounting modes, as reported in Metrics.Mode and run reports. The
+// PSI core reports ModeExact while a per-cycle tap (trace, per-cycle
+// profiler, fault injector) receives every cycle and ModeFast
+// otherwise; statistics are identical either way. Engines without
+// per-cycle taps report ModeExact.
 const (
 	ModeExact = "exact"
 	ModeFast  = "fast"

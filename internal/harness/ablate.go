@@ -51,7 +51,7 @@ func timeFeatMS(o Options, cell string, b progs.Benchmark, feat core.Features) (
 	if err != nil {
 		return 0, err
 	}
-	r, err := c.run(runOpts{feat: feat, cell: cell, progress: o.Progress, every: o.ProgressEvery, ctx: o.Ctx, maxSteps: o.MaxSteps, fault: o.Fault, fast: o.Fast})
+	r, err := c.run(runOpts{feat: feat, cell: cell, progress: o.Progress, every: o.ProgressEvery, ctx: o.Ctx, maxSteps: o.MaxSteps, fault: o.Fault})
 	if err != nil {
 		return 0, err
 	}

@@ -222,42 +222,41 @@ func TestKeepGoingEvaluationDeterministic(t *testing.T) {
 	}
 }
 
-// TestChaosFastModeContained repeats the containment check with the
-// fast accounting mode requested on every site of the sweep: a
-// matching fault plan arms a per-cycle consumer, which forces the run
-// back onto the exact path, so each fault must still terminate as a
-// classified engine.ErrFault with the fault exit code — and must be
-// contained at the identical step, with the identical message, as the
-// run that never requested fast.
+// TestChaosFastModeContained repeats the containment check on every
+// site of the sweep with a COLLECT trace tapping the cycle stream next
+// to the injector: each fault must still terminate as a classified
+// engine.ErrFault with the fault exit code — and must be contained at
+// the identical step, with the identical message, as the run without
+// the trace.
 func TestChaosFastModeContained(t *testing.T) {
 	for _, plan := range chaosPlans() {
 		plan := plan
 		t.Run(plan.String(), func(t *testing.T) {
 			t.Parallel()
-			runOnce := func(fast bool) *engine.FaultError {
-				o := Options{Fault: &plan, Fast: fast}
-				_, err := runPSIWith(o, "chaos/fast/"+progs.NReverse.Name, progs.NReverse, false)
+			runOnce := func(collect bool) *engine.FaultError {
+				o := Options{Fault: &plan}
+				_, err := runPSIWith(o, "chaos/fast/"+progs.NReverse.Name, progs.NReverse, collect)
 				if err == nil {
-					t.Fatalf("plan %v (fast=%v): fault never fired", plan, fast)
+					t.Fatalf("plan %v (collect=%v): fault never fired", plan, collect)
 				}
 				if !errors.Is(err, engine.ErrFault) {
-					t.Fatalf("plan %v (fast=%v): error %v is not classified engine.ErrFault", plan, fast, err)
+					t.Fatalf("plan %v (collect=%v): error %v is not classified engine.ErrFault", plan, collect, err)
 				}
 				if engine.ExitCode(err) != engine.ExitFault {
-					t.Fatalf("plan %v (fast=%v): exit code %d, want %d", plan, fast, engine.ExitCode(err), engine.ExitFault)
+					t.Fatalf("plan %v (collect=%v): exit code %d, want %d", plan, collect, engine.ExitCode(err), engine.ExitFault)
 				}
 				var fe *engine.FaultError
 				if !errors.As(err, &fe) {
-					t.Fatalf("plan %v (fast=%v): error %v carries no *engine.FaultError", plan, fast, err)
+					t.Fatalf("plan %v (collect=%v): error %v carries no *engine.FaultError", plan, collect, err)
 				}
 				return fe
 			}
-			exact, fast := runOnce(false), runOnce(true)
-			if exact.Step != fast.Step {
-				t.Errorf("plan %v: contained at step %d exact, %d with fast requested", plan, exact.Step, fast.Step)
+			bare, traced := runOnce(false), runOnce(true)
+			if bare.Step != traced.Step {
+				t.Errorf("plan %v: contained at step %d bare, %d with a trace tap", plan, bare.Step, traced.Step)
 			}
-			if exact.Error() != fast.Error() {
-				t.Errorf("plan %v: fault text depends on the fast request:\n%s\n%s", plan, exact.Error(), fast.Error())
+			if bare.Error() != traced.Error() {
+				t.Errorf("plan %v: fault text depends on the trace tap:\n%s\n%s", plan, bare.Error(), traced.Error())
 			}
 		})
 	}

@@ -167,19 +167,10 @@ type runOpts struct {
 	ctx         context.Context    // deadline/cancel bound (nil = unbounded)
 	maxSteps    int64              // step bound override (0 = harness default)
 	fault       *fault.Plan        // fault-injection plan (nil = no injection)
-	fast        bool               // request the fast accounting mode
-	sample      micro.SampleSink   // sampling-profiler sink (fast-compatible)
+	sample      micro.SampleSink   // sampling-profiler sink (not a per-cycle tap)
 	sampleEvery int64              // sampling stride in cycles (0 = default)
 	spans       *telemetry.SpanLog // Step-slice span log (nil = no tracing)
 	spanTID     int64              // trace row for this run's spans
-}
-
-// sinkPair duplicates the cycle stream to two sinks (collect + tap runs).
-type sinkPair struct{ a, b micro.Sink }
-
-func (p sinkPair) Cycle(c micro.Cycle) {
-	p.a.Cycle(c)
-	p.b.Cycle(c)
 }
 
 func (c *Compiled) run(ro runOpts) (*PSIRun, error) {
@@ -187,7 +178,7 @@ func (c *Compiled) run(ro runOpts) (*PSIRun, error) {
 	if steps <= 0 {
 		steps = maxSteps
 	}
-	cfg := core.Config{Processes: c.Procs, MaxSteps: steps, Features: ro.feat, Fast: ro.fast}
+	cfg := core.Config{Processes: c.Procs, MaxSteps: steps, Features: ro.feat}
 	if ro.fault != nil {
 		label := ro.cell
 		if label == "" {
@@ -210,7 +201,7 @@ func (c *Compiled) run(ro runOpts) (*PSIRun, error) {
 		// sweep fed through it computes exactly what a replay of the
 		// materialized trace computes, without the O(trace) allocation.
 		if cfg.Trace != nil {
-			cfg.Trace = sinkPair{cfg.Trace, ro.tap}
+			cfg.Trace = micro.Tee{cfg.Trace, ro.tap}
 		} else {
 			cfg.Trace = ro.tap
 		}

@@ -45,9 +45,8 @@ func RunPSI(b progs.Benchmark, collect bool) (*PSIRun, error) {
 }
 
 // RunPSIWith is RunPSI with Options threaded through — the entry point
-// for callers that need the fast accounting mode, fault plans or step
-// bounds on a single benchmark run (the differential suite drives both
-// engine modes through it).
+// for callers that need fault plans, step bounds or telemetry on a
+// single benchmark run.
 func RunPSIWith(o Options, b progs.Benchmark, collect bool) (*PSIRun, error) {
 	return runPSIWith(o, b.Name, b, collect)
 }
@@ -68,7 +67,6 @@ func runPSIWith(o Options, cell string, b progs.Benchmark, collect bool) (*PSIRu
 		ctx:      o.Ctx,
 		maxSteps: o.MaxSteps,
 		fault:    o.Fault,
-		fast:     o.Fast,
 		spans:    o.Spans,
 	})
 }
@@ -90,7 +88,6 @@ func runPSIInto(o Options, cell string, b progs.Benchmark, sink micro.Sink) erro
 		ctx:      o.Ctx,
 		maxSteps: o.MaxSteps,
 		fault:    o.Fault,
-		fast:     o.Fast,
 		spans:    o.Spans,
 	})
 	if err != nil {
@@ -119,14 +116,13 @@ func Profile(b progs.Benchmark) (*obs.RunProfile, error) {
 	return rp, nil
 }
 
-// SampleProfile executes a benchmark under the fast accounting engine
-// with the sampling profiler attached (stride <= 0 selects
-// telemetry.DefaultSampleStride) and returns the statistical
-// per-predicate profile. The run keeps AccountingMode "fast" — sampling
-// rides the fast path's event boundary instead of the per-cycle sink —
-// and the profile's TotalCycles still equals the run's
-// micro.Stats.Steps exactly, because the sampler attributes its partial
-// tail at the observation boundary. Individual predicate shares are
+// SampleProfile executes a benchmark with the sampling profiler
+// attached (stride <= 0 selects telemetry.DefaultSampleStride) and
+// returns the statistical per-predicate profile. The run keeps
+// AccountingMode "fast" — sampling rides the event boundary instead of
+// a per-cycle tap — and the profile's TotalCycles still equals the
+// run's micro.Stats.Steps exactly, because the sampler attributes its
+// partial tail at the observation boundary. Individual predicate shares are
 // estimates; the differential suite bounds them against the exact
 // profiler within telemetry.ShareTolerance on the Table 1 programs.
 func SampleProfile(b progs.Benchmark, stride int64) (*obs.RunProfile, error) {
@@ -135,7 +131,7 @@ func SampleProfile(b progs.Benchmark, stride int64) (*obs.RunProfile, error) {
 		return nil, err
 	}
 	sp := telemetry.NewSamplingProfiler(stride)
-	r, err := c.run(runOpts{fast: true, sample: sp, sampleEvery: stride})
+	r, err := c.run(runOpts{sample: sp, sampleEvery: stride})
 	if err != nil {
 		return nil, err
 	}

@@ -63,16 +63,6 @@ type Options struct {
 	// sections individually supply their own to read the entries back.
 	Degraded *DegradedLog
 
-	// Fast requests the fast accounting engine mode (core.Config.Fast)
-	// for every run. The evaluation output is byte-identical to the
-	// exact mode — the fast path only batches the host-side cycle
-	// accounting — and any run that arms a per-cycle consumer (fault
-	// injection, profiling, trace collection) falls back to the exact
-	// path; `psibench` warns once per downgrade cause. Progress
-	// heartbeats no longer downgrade: they fire from the fast path's
-	// event boundary.
-	Fast bool
-
 	// Spans, when non-nil, records a host-time span for every evaluation
 	// cell (one trace row per cell within a section) and for single
 	// benchmark runs driven through RunPSIWith. The resulting log exports

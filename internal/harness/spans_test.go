@@ -9,22 +9,22 @@ import (
 )
 
 // TestOptionsSpansByteIdentical is the telemetry acceptance check at the
-// harness level: attaching a span log to a fast-mode parallel table run
-// must leave the table byte-identical to a bare serial run, while the
+// harness level: attaching a span log to a parallel table run must
+// leave the table byte-identical to a bare serial run, while the
 // log captures one labelled span per evaluation cell and exports as a
 // valid Chrome trace-event document.
 func TestOptionsSpansByteIdentical(t *testing.T) {
-	bare, err := Table2With(Options{Workers: 1, Fast: true})
+	bare, err := Table2With(Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	log := telemetry.NewSpanLog()
-	traced, err := Table2With(Options{Workers: 4, Fast: true, Spans: log})
+	traced, err := Table2With(Options{Workers: 4, Spans: log})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if FormatTable2(bare) != FormatTable2(traced) {
-		t.Error("attaching spans (fast mode, 4 workers) changed Table 2 output")
+		t.Error("attaching spans (4 workers) changed Table 2 output")
 	}
 	if log.Len() == 0 {
 		t.Fatal("span log is empty after a traced table run")

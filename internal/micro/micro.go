@@ -166,10 +166,11 @@ type Cycle struct {
 // such cycles to its accounting as a packed signature instead of a
 // Cycle struct: Sig1/Sig2/SigD/SigBr compile to a single shift, so a
 // call site that ORs them over literal arguments folds the whole
-// signature to an immediate — which is what lets the fast engine mode
-// account a register-only cycle with one table increment. The module id
-// occupies bits 0..2 and is OR'd in by the machine. SigCycle inverts
-// the packing for the exact path.
+// signature to an immediate — which is what lets the machine account a
+// register-only cycle with one table increment. The module id occupies
+// bits 0..2 and is OR'd in by the machine, as is the cache command
+// (bits 12..13) of a memory cycle. SigCycle inverts the packing for a
+// per-cycle tap.
 
 // Sig1 packs the ALU input-1 field mode (bits 3..5).
 func Sig1(m WFMode) uint32 { return uint32(m) << 3 }
@@ -187,13 +188,16 @@ func SigBr(b BranchOp) uint32 { return uint32(b) << 14 }
 // SigData flags data manipulation alongside the branch (bit 18).
 const SigData uint32 = 1 << 18
 
-// SigCycle rebuilds the register-only cycle a packed signature encodes.
-func SigCycle(sig uint32) Cycle {
+// SigCycle rebuilds the cycle a packed signature encodes; addr is the
+// cycle's memory address (zero for a register-only cycle).
+func SigCycle(sig uint32, addr word.Addr) Cycle {
 	return Cycle{
 		Module: Module(sig & 7),
 		Src1:   WFMode(sig >> 3 & 7),
 		Src2:   WFMode(sig >> 6 & 7),
 		Dest:   WFMode(sig >> 9 & 7),
+		Cache:  CacheOp(sig >> 12 & 3),
+		Addr:   addr,
 		Branch: BranchOp(sig >> 14 & 15),
 		Data:   sig>>18&1 == 1,
 	}
@@ -234,8 +238,8 @@ type MissSink interface {
 // every accounting flush), the machine attributes all cycles executed
 // since the previous sample to the predicate the code pointer is in
 // (NoPredicate for query glue and stubs). Because nothing is called per
-// cycle, a SampleSink — unlike a PredSink — is compatible with the fast
-// accounting mode. The telemetry sampling profiler implements it.
+// cycle, a SampleSink — unlike a PredSink — is not a per-cycle tap. The
+// telemetry sampling profiler implements it.
 type SampleSink interface {
 	Sample(pred int, cycles int64)
 }
@@ -271,29 +275,6 @@ func (s *Stats) Cycle(c Cycle) {
 	s.CacheOps[c.Cache]++
 	if c.Cache != OpNone {
 		s.AreaOps[c.Addr.Area().Kind()][c.Cache]++
-	}
-}
-
-// Add accumulates n identical cycles in one step — the fast engine
-// mode's batched-accounting primitive. Add(c, 1) is exactly Cycle(c);
-// Add(c, n) equals n Cycle(c) calls. The field indices are masked
-// against the array sizes (all powers of two except ModuleSteps, which
-// keeps its range check) so the hot path carries no bounds checks.
-func (s *Stats) Add(c Cycle, n int64) {
-	s.Steps += n
-	if c.Module < NumModules {
-		s.ModuleSteps[c.Module] += n
-	}
-	s.Branch[c.Branch&(NumBranchOps-1)] += n
-	if c.Data && !c.Branch.IsNop() {
-		s.BranchData += n
-	}
-	s.Src1[c.Src1&(NumWFModes-1)] += n
-	s.Src2[c.Src2&(NumWFModes-1)] += n
-	s.Dest[c.Dest&(NumWFModes-1)] += n
-	s.CacheOps[c.Cache&(NumCacheOps-1)] += n
-	if c.Cache != OpNone {
-		s.AreaOps[c.Addr.Area().Kind()][c.Cache&(NumCacheOps-1)] += n
 	}
 }
 
@@ -343,7 +324,8 @@ func (s *Stats) BranchRatio(op BranchOp) float64 {
 	return float64(s.Branch[op]) / float64(s.Steps)
 }
 
-// Tee fans cycles out to several sinks (e.g. Stats plus a trace file).
+// Tee fans cycles out to several sinks (e.g. a trace plus the per-cycle
+// profiler).
 type Tee []Sink
 
 // Cycle implements Sink.

@@ -154,8 +154,6 @@ func registerFamilies() {
 	reg.Counter("psi_runs_total", "simulation runs completed")
 	reg.Counter("psi_cycles_simulated_total", "microcycles simulated across all runs")
 	reg.Counter("psi_inferences_total", "logical inferences executed across all runs")
-	reg.Counter("psi_mode_downgrades_total",
-		"fast-engine requests downgraded to exact accounting by a per-cycle consumer")
 	reg.Counter("psi_degraded_cells_total", "evaluation cells dropped under -keep-going")
 	reg.Histogram("psi_session_duration_seconds", "host wall time per session",
 		sessionDurationBounds)

@@ -95,8 +95,8 @@ type PredProfile struct {
 type RunProfile struct {
 	Workload    string `json:"workload,omitempty"`
 	TotalCycles int64  `json:"total_cycles"`
-	// Sampled marks a statistical profile (telemetry.SamplingProfiler
-	// under the fast engine): totals are exact, but each predicate's
+	// Sampled marks a statistical profile (telemetry.SamplingProfiler,
+	// no per-cycle tap): totals are exact, but each predicate's
 	// cycles are a stride-sampled estimate; SampleStride and Samples
 	// quantify the resolution.
 	Sampled      bool          `json:"sampled,omitempty"`

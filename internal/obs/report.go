@@ -75,9 +75,8 @@ type MemoryReport struct {
 // at recovery — diagnostic only, omitted when empty so deterministic
 // comparisons can strip it with one field. Flight, when the session
 // carried a flight recorder, dumps the last telemetry events leading up
-// to the fault (Step slices, heartbeats, downgrades) — a post-mortem
-// keyed by simulated step counts, so it is as deterministic as the
-// fault itself.
+// to the fault (Step slices, heartbeats) — a post-mortem keyed by
+// simulated step counts, so it is as deterministic as the fault itself.
 type FaultReport struct {
 	Site   string                  `json:"site"`
 	Step   int64                   `json:"step"`
@@ -101,19 +100,16 @@ type HostReport struct {
 type RunReport struct {
 	Schema string `json:"schema"`
 	Engine string `json:"engine"`
-	// Mode is the effective cycle-accounting mode ("exact" or "fast"):
-	// what the machine actually ran, not what was requested — a fast
-	// request with a per-cycle consumer armed reports "exact", and
-	// ModeDowngradeReason then names the consumers that forced it
-	// ("trace", "profile", "fault", joined with "+").
-	Mode                string  `json:"mode"`
-	ModeDowngradeReason string  `json:"mode_downgrade_reason,omitempty"`
-	Termination         string  `json:"termination"`
-	Workload            string  `json:"workload,omitempty"`
-	MicroCycles         int64   `json:"micro_cycles"`
-	SimulatedNS         int64   `json:"simulated_ns"`
-	Inferences          int64   `json:"inferences"`
-	KLIPS               float64 `json:"klips"`
+	// Mode is core.Machine.AccountingMode: "exact" while a per-cycle
+	// tap (trace, per-cycle profiler, fault injector) was armed, "fast"
+	// otherwise.
+	Mode        string  `json:"mode"`
+	Termination string  `json:"termination"`
+	Workload    string  `json:"workload,omitempty"`
+	MicroCycles int64   `json:"micro_cycles"`
+	SimulatedNS int64   `json:"simulated_ns"`
+	Inferences  int64   `json:"inferences"`
+	KLIPS       float64 `json:"klips"`
 
 	ModuleSteps []NamedCount `json:"module_steps"`
 	WFModes     WFModeCounts `json:"wf_modes"`
@@ -147,17 +143,16 @@ func modeCounts(c *[micro.NumWFModes]int64) []NamedCount {
 func NewRunReport(m *core.Machine, workload string, host *HostReport) *RunReport {
 	s := m.Stats()
 	r := &RunReport{
-		Schema:              ReportSchema,
-		Engine:              core.EngineName,
-		Mode:                m.AccountingMode(),
-		ModeDowngradeReason: m.ModeDowngradeReason(),
-		Termination:         engine.ClassName(nil),
-		Workload:            workload,
-		MicroCycles:         s.Steps,
-		SimulatedNS:         m.TimeNS(),
-		Inferences:          m.Inferences(),
-		Host:                host,
-		flight:              m.Flight(),
+		Schema:      ReportSchema,
+		Engine:      core.EngineName,
+		Mode:        m.AccountingMode(),
+		Termination: engine.ClassName(nil),
+		Workload:    workload,
+		MicroCycles: s.Steps,
+		SimulatedNS: m.TimeNS(),
+		Inferences:  m.Inferences(),
+		Host:        host,
+		flight:      m.Flight(),
 	}
 	if r.SimulatedNS > 0 {
 		r.KLIPS = float64(r.Inferences) / (float64(r.SimulatedNS) / 1e9) / 1000

@@ -90,7 +90,8 @@ func TestDifferentialTable1(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDifferentialFast checks the fast-engine mode keeps the identity.
+// TestDifferentialFast checks that the accepted "fast" engine field
+// keeps the identity.
 func TestDifferentialFast(t *testing.T) {
 	b := progs.Table1()[0] // nreverse
 	want := libraryReport(t, b, psi.Options{Fast: true})
@@ -102,7 +103,7 @@ func TestDifferentialFast(t *testing.T) {
 		t.Fatalf("status %d\n%s", resp.StatusCode, got)
 	}
 	if string(got) != string(want) {
-		t.Errorf("fast-mode daemon report differs from library:\n%s\n--\n%s", got, want)
+		t.Errorf("engine=fast daemon report differs from library:\n%s\n--\n%s", got, want)
 	}
 }
 

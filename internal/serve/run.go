@@ -37,10 +37,7 @@ func (s *JobSpec) source() string {
 // injector, always-on flight recorder) so a pooled machine dressed with
 // it behaves bit-identically to the machine the psi CLI builds.
 func (s *JobSpec) machineConfig() core.Config {
-	cfg := core.Config{
-		MaxSteps: s.Steps,
-		Fast:     s.Engine == engine.ModeFast,
-	}
+	cfg := core.Config{MaxSteps: s.Steps}
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = defaultMaxSteps
 	}

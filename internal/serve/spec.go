@@ -80,9 +80,9 @@ type JobSpec struct {
 	// ends the run with the deadline class (0 = the daemon default,
 	// which may itself be "none").
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Engine selects the accounting mode, "exact" or "fast" ("" = the
-	// daemon default). Identical output either way; fast is cheaper on
-	// the host.
+	// Engine is accepted and validated ("exact", "fast" or "" for the
+	// daemon default) but does not change accounting: the machine has a
+	// single cycle-accounting path.
 	Engine string `json:"engine,omitempty"`
 	// Stream switches the response to streamed solutions (NDJSON, or SSE
 	// under `Accept: text/event-stream`) ending in a report event,

@@ -2,7 +2,7 @@ package telemetry
 
 // Flight recorder: a fixed-size ring of the most recent telemetry
 // events of one session — Step slices with their outcomes, heartbeats,
-// mode downgrades, and finally the fault that ended the run. When a
+// and finally the fault that ended the run. When a
 // chaos run aborts with engine.ErrFault (exit 7), the ring is dumped
 // into the run report's fault block, so the incident ships its own
 // post-mortem instead of just a classification.
@@ -23,7 +23,7 @@ type FlightEvent struct {
 	// Step is the simulated step count when the event was recorded.
 	Step int64 `json:"step"`
 	// Kind classifies the event: "step", "solution", "yield",
-	// "exhausted", "error", "fault", "heartbeat", "mode-downgrade".
+	// "exhausted", "error", "fault", "heartbeat".
 	Kind string `json:"kind"`
 	// Detail is a short deterministic description (budget, fault site).
 	Detail string `json:"detail,omitempty"`

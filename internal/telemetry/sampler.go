@@ -5,7 +5,7 @@ package telemetry
 // predicate-switch patterns of loopy workloads (the same aliasing
 // argument hardware profilers make for prime sampling intervals); 509
 // cycles keeps the boundary work (one predicate lookup per sample)
-// far below 1% of the fast path's per-cycle cost.
+// far below 1% of the untapped per-cycle cost.
 const DefaultSampleStride = 509
 
 // ShareTolerance is the stated accuracy bound of the sampling profiler:

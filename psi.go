@@ -62,25 +62,20 @@ type Options struct {
 	Out io.Writer
 	// Collect attaches a COLLECT trace to the run.
 	Collect bool
-	// Fast requests the fast accounting engine mode: batched statistics
-	// updates instead of the per-cycle sink funnel, with bit-identical
-	// answers, statistics and simulated time. Runs that arm a per-cycle
-	// consumer (Collect, Fault, or Profile without Fast surviving) fall
-	// back to the exact path — Machine.ModeDowngradeReason names the
-	// cause. Progress, Spans and the flight recorder never downgrade,
-	// and Profile under a surviving Fast switches to the sampling
-	// profiler; see Machine.AccountingMode.
+	// Fast makes Profile attach the statistical sampling profiler
+	// instead of the per-cycle one. It has no other effect: the machine
+	// has a single cycle-accounting path (see Machine.AccountingMode).
 	Fast bool
 	// MaxSteps bounds the simulation (0 = 4e9 steps).
 	MaxSteps int64
 	// Features ablates individual hardware features or enables the
 	// PSI-II extensions (see core.Features).
 	Features Features
-	// Profile attaches the simulated-workload profiler. On the exact
-	// engine every micro-cycle is attributed to the predicate executing
-	// it; under a surviving Fast request the statistical sampling
-	// profiler is attached instead, keeping the accounting mode "fast"
-	// (see Machine.Profile — the returned profile says which it was).
+	// Profile attaches the simulated-workload profiler. Without Fast
+	// every micro-cycle is attributed to the predicate executing it,
+	// through a per-cycle tap; with Fast the statistical sampling
+	// profiler is attached instead, which is not a per-cycle tap (see
+	// Machine.Profile — the returned profile says which it was).
 	Profile bool
 	// SampleStride sets the sampling profiler's stride in micro-cycles
 	// (0 = telemetry.DefaultSampleStride). Only meaningful with Profile
@@ -137,7 +132,6 @@ func LoadProgram(source string, opts Options) (*Machine, error) {
 		MaxSteps:  opts.MaxSteps,
 		NoCache:   opts.NoCache,
 		Features:  opts.Features,
-		Fast:      opts.Fast,
 	}
 	if opts.Fault != nil {
 		cfg.Fault = opts.Fault.New()
@@ -164,9 +158,7 @@ func LoadProgram(source string, opts Options) (*Machine, error) {
 		cfg.Trace = mm.log
 	}
 	if opts.Profile {
-		if opts.Fast && !opts.Collect && opts.Fault == nil {
-			// The fast engine survives: profile statistically from its
-			// event boundary instead of downgrading to the per-cycle sink.
+		if opts.Fast {
 			mm.samp = telemetry.NewSamplingProfiler(opts.SampleStride)
 			cfg.Sample = mm.samp
 			cfg.SampleEvery = opts.SampleStride
@@ -275,16 +267,10 @@ func (m *Machine) Steps() int64 { return m.m.Stats().Steps }
 // Stats exposes the full microcycle statistics.
 func (m *Machine) Stats() *micro.Stats { return m.m.Stats() }
 
-// AccountingMode reports the effective cycle-accounting mode, "exact"
-// or "fast": what the machine actually runs, not what Options.Fast
-// requested — arming a per-cycle consumer forces "exact" (see
-// ModeDowngradeReason).
+// AccountingMode reports "exact" while a per-cycle tap (Collect, Fault,
+// or Profile without Fast) receives every cycle and "fast" otherwise.
+// Statistics are identical either way.
 func (m *Machine) AccountingMode() string { return m.m.AccountingMode() }
-
-// ModeDowngradeReason names the per-cycle consumers ("trace",
-// "profile", "fault", joined with "+") that forced exact accounting
-// despite Options.Fast; "" when fast ran or was never requested.
-func (m *Machine) ModeDowngradeReason() string { return m.m.ModeDowngradeReason() }
 
 // FlightEvents returns the flight recorder's retained telemetry events,
 // oldest first — the session's recent Step slices, heartbeats and
@@ -309,11 +295,11 @@ func (m *Machine) Trace() *trace.Log { return m.log }
 
 // Profile resolves the simulated-workload profile collected so far (nil
 // unless Options.Profile was set). The profile's TotalCycles equals
-// Stats().Steps exactly. On the exact engine every micro-cycle is
+// Stats().Steps exactly. Without Options.Fast every micro-cycle is
 // attributed to precisely one predicate, with query glue and runtime
-// stubs under "<main>"; under a surviving fast request the profile is
-// statistical (its Sampled field is set) with per-predicate cycles
-// estimated by stride sampling.
+// stubs under "<main>"; with Options.Fast the profile is statistical
+// (its Sampled field is set) with per-predicate cycles estimated by
+// stride sampling.
 func (m *Machine) Profile(workload string) *obs.RunProfile {
 	if m.samp != nil {
 		return obs.SampledProfile(m.samp, m.prog, workload)
