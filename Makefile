@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race fuzz chaos telemetry serve soak golden bench bench-pmms bench-engine bench-fast bench-obs bench-serve cover staticcheck profile verify
+.PHONY: build vet test race fuzz chaos telemetry serve soak golden bench bench-serve cover staticcheck profile verify
 
 build:
 	$(GO) build ./...
@@ -68,36 +68,14 @@ soak:
 golden:
 	$(GO) test ./internal/harness -run 'TestGolden|TestWorkerCountDeterminism' -update
 
+# Re-record every host-cost gate with cmd/bench and fail on any miss:
+# BENCH_engine.json (engine.Session overhead <= 2%), BENCH_fast.json
+# (untapped tick >= 1.5x a per-cycle tap), BENCH_obs.json (sampling
+# profiler overhead <= 10%, shares within telemetry.ShareTolerance) and
+# BENCH_pmms.json (classified grid <= 1.3x per lane vs the streaming
+# Figure 1 lanes). `go run ./cmd/bench fast` runs one rung.
 bench:
-	$(GO) test -run '^$$' -bench 'TablesParallel|EngineIndirection|FastVsExact' -benchtime 1x .
-
-# Refresh BENCH_pmms.json: measure the single-pass streaming cache sweep
-# against the legacy one-replay-per-configuration loop on a real trace,
-# plus the classified policy grid against the legacy lanes (floor: grid
-# cost <= 1.3x per lane; exits nonzero when the floor is missed).
-bench-pmms:
-	$(GO) run ./cmd/benchpmms
-
-# Refresh BENCH_engine.json: measure the engine.Session indirection
-# against direct Solutions.Next (budget: <= 2% overhead; exits nonzero
-# when the measured overhead exceeds it).
-bench-engine:
-	$(GO) run ./cmd/benchengine
-
-# Refresh BENCH_fast.json: measure the untapped signature-table tick
-# against the same run with a per-cycle micro.Stats tap on nreverse,
-# paired run by run (floor: >= 1.5x speedup; exits nonzero when the
-# speedup misses it).
-bench-fast:
-	$(GO) run ./cmd/benchengine -fast
-
-# Refresh BENCH_obs.json: measure the sampling profiler's overhead on
-# the fast engine (budget: <= 10% vs bare fast) and its per-predicate
-# accuracy against the exact profiler on every Table 1 program
-# (tolerance: telemetry.ShareTolerance absolute share); exits nonzero
-# when either bound is missed.
-bench-obs:
-	$(GO) run ./cmd/benchobs
+	$(GO) run ./cmd/bench
 
 # Refresh BENCH_serve.json: hammer a self-hosted psid with 8 concurrent
 # retrying clients replaying the seeded Table-1 + error/fault mix and

@@ -348,33 +348,9 @@ func TestProfilerOverheadGuard(t *testing.T) {
 	}
 }
 
-// BenchmarkSamplingProfilerOverhead compares a bare untapped run
-// against the same run with the sampling profiler attached — the
-// telemetry layer's headline promise is that this costs at most 10%
-// (the precise gate is `make bench-obs`, which interleaves the lanes;
-// BENCH_obs.json records the measured number).
-func BenchmarkSamplingProfilerOverhead(b *testing.B) {
-	b.Run("fast-bare", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			r, err := harness.RunPSIWith(harness.Options{}, progs.NReverse, false)
-			if err != nil {
-				b.Fatal(err)
-			}
-			r.Release()
-		}
-	})
-	b.Run("fast-sampled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := harness.SampleProfile(progs.NReverse, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // TestSamplingOverheadGuard keeps the sampler affordable in-suite: the
-// tight 10% budget is enforced by the interleaved `make bench-obs`
-// gate; here a generous 1.5x bound catches gross regressions (an
+// tight 10% budget is enforced by the interleaved `go run ./cmd/bench
+// obs` gate; here a generous 1.5x bound catches gross regressions (an
 // accidental per-cycle hook, a lost fast path) without being flaky on
 // noisy shared hosts.
 func TestSamplingOverheadGuard(t *testing.T) {

@@ -79,6 +79,24 @@ func (c Config) Ways() int { return c.Assoc }
 // PSI is the configuration of the real machine.
 var PSI = Config{Words: 8192, Assoc: 2, BlockWords: 4, Policy: StoreIn}
 
+// PSIWith is the PSI configuration with a user's geometry overrides
+// applied: words and ways replace the capacity and associativity when
+// nonzero, and storeThrough switches the write policy. The psi library
+// and the daemon both build their cache from it.
+func PSIWith(words, ways int, storeThrough bool) Config {
+	c := PSI
+	if words != 0 {
+		c.Words = words
+	}
+	if ways != 0 {
+		c.Assoc = ways
+	}
+	if storeThrough {
+		c.Policy = StoreThrough
+	}
+	return c
+}
+
 // Validate checks the geometry.
 func (c Config) Validate() error {
 	if c.BlockWords <= 0 || c.Words <= 0 || c.Assoc <= 0 {
@@ -162,8 +180,8 @@ func (a AreaStats) HitRatio() float64 {
 type Cache struct {
 	cfg      Config
 	rows     uint32
-	rowShift uint32  // log2(BlockWords)
-	tagShift uint32  // log2(rows): tag = block >> tagShift (rows is a power of two)
+	rowShift uint32   // log2(BlockWords)
+	tagShift uint32   // log2(rows): tag = block >> tagShift (rows is a power of two)
 	lines    []line   // rows × assoc
 	lru      []uint8  // most-recently-used way per row (nil-rep fast path)
 	rep      Replacer // replacement state; nil = inlined LRU (assoc <= 2)

@@ -29,6 +29,12 @@ import (
 	"repro/internal/word"
 )
 
+// DefaultMaxSteps is the step bound a run gets when its caller sets
+// none: far above any evaluation workload, low enough to stop a runaway
+// program. The psi library, the evaluation harness and the daemon all
+// apply it, so their reports for the same job agree.
+const DefaultMaxSteps = 4_000_000_000
+
 // Config selects the machine configuration for a run.
 type Config struct {
 	// Cache is the cache geometry; the zero value selects the PSI's 8K
@@ -56,7 +62,8 @@ type Config struct {
 	// ProgressEvery is the heartbeat period in microcycles
 	// (0 = DefaultProgressEvery).
 	ProgressEvery int64
-	// MaxSteps aborts runaway executions (0 = no limit).
+	// MaxSteps aborts runaway executions (0 = no limit; the CLIs, the
+	// harness and the daemon default to DefaultMaxSteps).
 	MaxSteps int64
 	// Fast is ignored. The machine has a single cycle-accounting path
 	// (see fastacct.go); the field remains so existing callers compile.

@@ -176,7 +176,7 @@ type runOpts struct {
 func (c *Compiled) run(ro runOpts) (*PSIRun, error) {
 	steps := ro.maxSteps
 	if steps <= 0 {
-		steps = maxSteps
+		steps = core.DefaultMaxSteps
 	}
 	cfg := core.Config{Processes: c.Procs, MaxSteps: steps, Features: ro.feat}
 	if ro.fault != nil {

@@ -23,9 +23,6 @@ import (
 	"repro/internal/trace"
 )
 
-// maxSteps bounds any single simulated run.
-const maxSteps = 4_000_000_000
-
 // PSIRun is the outcome of one PSI execution.
 type PSIRun struct {
 	Machine *core.Machine

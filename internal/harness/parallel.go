@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -75,7 +76,7 @@ func (o Options) maxSteps() int64 {
 	if o.MaxSteps > 0 {
 		return o.MaxSteps
 	}
-	return maxSteps
+	return core.DefaultMaxSteps
 }
 
 func (o Options) workers() int {

@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"expvar"
+	_ "expvar" // registers /debug/vars (Go runtime memstats, cmdline) on the default mux
 	"fmt"
 	"net"
 	"net/http"
@@ -17,31 +17,8 @@ import (
 // Host profiling hooks: the simulator is itself a program worth
 // profiling, so the CLIs expose the standard Go toolchain entry points —
 // CPU/heap profiles written to files and an optional debug HTTP listener
-// with /debug/pprof and expvar counters about the simulation.
-
-var (
-	expOnce sync.Once
-	// The psi_* counters are published lazily so binaries that never
-	// enable -http do not pay for expvar registration.
-	expCycles       *expvar.Int
-	expRuns         *expvar.Int
-	expSweeps       *expvar.Int
-	expSweepLanes   *expvar.Int
-	expSweepRecords *expvar.Int
-	expSweepWallNS  *expvar.Int
-)
-
-func exported() (*expvar.Int, *expvar.Int) {
-	expOnce.Do(func() {
-		expCycles = expvar.NewInt("psi_cycles_simulated")
-		expRuns = expvar.NewInt("psi_runs_completed")
-		expSweeps = expvar.NewInt("psi_cache_sweeps")
-		expSweepLanes = expvar.NewInt("psi_cache_sweep_lanes")
-		expSweepRecords = expvar.NewInt("psi_cache_sweep_records")
-		expSweepWallNS = expvar.NewInt("psi_cache_sweep_wall_ns")
-	})
-	return expCycles, expRuns
-}
+// with /debug/pprof, Go's runtime expvars at /debug/vars, and the
+// telemetry registry's counters about the simulation at /metrics.
 
 // sessionDurationBounds buckets session wall times from sub-millisecond
 // micro-benchmarks up to multi-second simulations.
@@ -49,15 +26,11 @@ var sessionDurationBounds = []float64{
 	0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30,
 }
 
-// RecordRun accumulates one finished run into the process-wide expvar
-// counters (visible at /debug/vars when the debug listener is enabled)
-// and the telemetry metrics registry (scraped at /metrics). Pass zero
-// for counters the caller did not measure (cacheAccesses 0 leaves the
-// hit-ratio gauge untouched; wallNS 0 skips the duration histogram).
+// RecordRun accumulates one finished run into the telemetry metrics
+// registry (scraped at /metrics). Pass zero for counters the caller did
+// not measure (cacheAccesses 0 leaves the hit-ratio gauge untouched;
+// wallNS 0 skips the duration histogram).
 func RecordRun(cycles, inferences, cacheHits, cacheAccesses, wallNS int64) {
-	c, r := exported()
-	c.Add(cycles)
-	r.Add(1)
 	reg := telemetry.Default
 	reg.Counter("psi_runs_total", "simulation runs completed").Inc()
 	reg.Counter("psi_cycles_simulated_total", "microcycles simulated across all runs").Add(cycles)
@@ -74,35 +47,26 @@ func RecordRun(cycles, inferences, cacheHits, cacheAccesses, wallNS int64) {
 	}
 }
 
-// RecordSweep accumulates one finished multi-configuration cache sweep:
-// how many cache configurations replayed in the single pass, how many
-// trace records fed it, and how long the pass took on the host.
+// RecordSweep accumulates one finished multi-configuration cache sweep
+// into the telemetry metrics registry: how many cache configurations
+// replayed in the single pass, how many trace records fed it, and how
+// long the pass took on the host.
 func RecordSweep(lanes int, records, wallNS int64) {
-	exported()
-	expSweeps.Add(1)
-	expSweepLanes.Add(int64(lanes))
-	expSweepRecords.Add(records)
-	expSweepWallNS.Add(wallNS)
+	sweeps, lanesC, recordsC, wall := sweepCounters()
+	sweeps.Inc()
+	lanesC.Add(int64(lanes))
+	recordsC.Add(records)
+	wall.Add(wallNS)
 }
 
-// SweepStats is a snapshot of the process-wide sweep counters.
-type SweepStats struct {
-	Sweeps  int64 `json:"sweeps"`
-	Lanes   int64 `json:"lanes"`
-	Records int64 `json:"records"`
-	WallNS  int64 `json:"wall_ns"`
-}
-
-// ReadSweepStats snapshots the sweep counters RecordSweep accumulates
-// (the same numbers /debug/vars exports as psi_cache_sweep_*).
-func ReadSweepStats() SweepStats {
-	exported()
-	return SweepStats{
-		Sweeps:  expSweeps.Value(),
-		Lanes:   expSweepLanes.Value(),
-		Records: expSweepRecords.Value(),
-		WallNS:  expSweepWallNS.Value(),
-	}
+// sweepCounters returns the registry's cache-sweep counter families,
+// registering them on first use.
+func sweepCounters() (sweeps, lanes, records, wallNS *telemetry.Counter) {
+	reg := telemetry.Default
+	return reg.Counter("psi_cache_sweeps_total", "multi-configuration cache sweeps completed"),
+		reg.Counter("psi_cache_sweep_lanes_total", "cache configurations replayed across all sweeps"),
+		reg.Counter("psi_cache_sweep_records_total", "trace records fed to cache sweeps"),
+		reg.Counter("psi_cache_sweep_wall_nanoseconds_total", "host wall time spent in cache sweeps")
 }
 
 // StartCPUProfile begins a CPU profile written to path and returns a
@@ -155,12 +119,13 @@ func registerFamilies() {
 	reg.Counter("psi_cycles_simulated_total", "microcycles simulated across all runs")
 	reg.Counter("psi_inferences_total", "logical inferences executed across all runs")
 	reg.Counter("psi_degraded_cells_total", "evaluation cells dropped under -keep-going")
+	sweepCounters()
 	reg.Histogram("psi_session_duration_seconds", "host wall time per session",
 		sessionDurationBounds)
 }
 
 // ServeDebug starts an HTTP listener on addr exposing /debug/pprof (via
-// net/http/pprof), /debug/vars (expvar, including the psi_* counters)
+// net/http/pprof), /debug/vars (expvar: Go's runtime memstats and cmdline)
 // and /metrics (the telemetry registry in Prometheus text exposition).
 // It returns the bound address — pass ":0" for an ephemeral port — and
 // serves until the process exits. With an empty addr it is a no-op.
@@ -168,7 +133,6 @@ func ServeDebug(addr string) (string, error) {
 	if addr == "" {
 		return "", nil
 	}
-	exported() // make sure the psi_* counters exist before first scrape
 	metricsOnce.Do(func() {
 		registerFamilies()
 		http.Handle("/metrics", telemetry.Default.Handler())

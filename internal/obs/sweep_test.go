@@ -8,10 +8,11 @@ import (
 // TestSweepStatsConcurrentWriters hammers the sweep counters from
 // parallel writers with interleaved readers — the PMMS sweeps record
 // from the harness worker pool — and checks no update is lost; run
-// with -race. The counters are process-global expvars, so the test
-// asserts on deltas, not absolute values.
+// with -race. The counters live in the process-wide registry, so the
+// test asserts on deltas, not absolute values.
 func TestSweepStatsConcurrentWriters(t *testing.T) {
-	before := ReadSweepStats()
+	sweeps, lanes, records, wall := sweepCounters()
+	before := [4]int64{sweeps.Value(), lanes.Value(), records.Value(), wall.Value()}
 	const writers, perWriter = 8, 200
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -23,34 +24,27 @@ func TestSweepStatsConcurrentWriters(t *testing.T) {
 			}
 		}()
 	}
-	// Interleaved readers must always observe a consistent snapshot type
-	// (no torn reads flagged by the race detector) and monotonic counts.
+	// Interleaved readers must observe monotonic counts (no torn reads
+	// flagged by the race detector).
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		last := before.Sweeps
+		last := before[0]
 		for i := 0; i < 100; i++ {
-			s := ReadSweepStats()
-			if s.Sweeps < last {
+			v := sweeps.Value()
+			if v < last {
 				t.Error("sweep counter went backwards")
 				return
 			}
-			last = s.Sweeps
+			last = v
 		}
 	}()
 	wg.Wait()
-	after := ReadSweepStats()
 	const n = writers * perWriter
-	if got := after.Sweeps - before.Sweeps; got != n {
-		t.Errorf("Sweeps delta = %d, want %d", got, n)
-	}
-	if got := after.Lanes - before.Lanes; got != 3*n {
-		t.Errorf("Lanes delta = %d, want %d", got, 3*n)
-	}
-	if got := after.Records - before.Records; got != 1000*n {
-		t.Errorf("Records delta = %d, want %d", got, 1000*n)
-	}
-	if got := after.WallNS - before.WallNS; got != 7*n {
-		t.Errorf("WallNS delta = %d, want %d", got, 7*n)
+	after := [4]int64{sweeps.Value(), lanes.Value(), records.Value(), wall.Value()}
+	for i, want := range [4]int64{n, 3 * n, 1000 * n, 7 * n} {
+		if got := after[i] - before[i]; got != want {
+			t.Errorf("%s delta = %d, want %d", [4]string{"sweeps", "lanes", "records", "wall ns"}[i], got, want)
+		}
 	}
 }

@@ -18,11 +18,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// defaultMaxSteps is the step bound when neither the job nor the daemon
-// config sets one — the same 4e9 fallback psi.LoadProgram applies, so a
-// default job's report matches `psi -json` byte for byte.
-const defaultMaxSteps = 4_000_000_000
-
 // source is the effective program text: the standard library prepended
 // when requested, in the psi CLI's order.
 func (s *JobSpec) source() string {
@@ -32,30 +27,18 @@ func (s *JobSpec) source() string {
 	return s.Program
 }
 
-// machineConfig assembles the core configuration for one job, mirroring
-// psi.LoadProgram field for field (budgets, cache geometry, fault
-// injector, always-on flight recorder) so a pooled machine dressed with
-// it behaves bit-identically to the machine the psi CLI builds.
+// machineConfig assembles the core configuration for one job the way
+// psi.LoadProgram does (step bound, cache geometry, fault injector,
+// always-on flight recorder) so a pooled machine dressed with it
+// behaves bit-identically to the machine the psi CLI builds.
 func (s *JobSpec) machineConfig() core.Config {
 	cfg := core.Config{MaxSteps: s.Steps}
 	if cfg.MaxSteps == 0 {
-		cfg.MaxSteps = defaultMaxSteps
+		cfg.MaxSteps = core.DefaultMaxSteps
 	}
 	if c := s.Cache; c != nil {
 		cfg.NoCache = c.Disable
-		if c.Words != 0 || c.Sets != 0 || c.StoreThrough {
-			cc := cache.PSI
-			if c.Words != 0 {
-				cc.Words = c.Words
-			}
-			if c.Sets != 0 {
-				cc.Assoc = c.Sets
-			}
-			if c.StoreThrough {
-				cc.Policy = cache.StoreThrough
-			}
-			cfg.Cache = cc
-		}
+		cfg.Cache = cache.PSIWith(c.Words, c.Sets, c.StoreThrough)
 	}
 	if s.Fault != "" {
 		// Validated by ParseSpec; each run arms a fresh injector so

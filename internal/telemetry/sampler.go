@@ -12,7 +12,7 @@ const DefaultSampleStride = 509
 // on the evaluation workloads, every predicate's sampled cycle share is
 // within this absolute distance of the exact profiler's share for the
 // same run. The differential suite (TestSamplingDifferentialTable1) and
-// the bench-obs gate both enforce it; DESIGN.md "Telemetry" derives it.
+// the `cmd/bench obs` gate both enforce it; DESIGN.md "Telemetry" derives it.
 const ShareTolerance = 0.05
 
 // SamplingProfiler attributes simulated cycles to predicates

@@ -137,21 +137,9 @@ func LoadProgram(source string, opts Options) (*Machine, error) {
 		cfg.Fault = opts.Fault.New()
 	}
 	if cfg.MaxSteps == 0 {
-		cfg.MaxSteps = 4_000_000_000
+		cfg.MaxSteps = core.DefaultMaxSteps
 	}
-	if opts.CacheWords != 0 || opts.CacheSets != 0 || opts.StoreThrough {
-		cc := cache.PSI
-		if opts.CacheWords != 0 {
-			cc.Words = opts.CacheWords
-		}
-		if opts.CacheSets != 0 {
-			cc.Assoc = opts.CacheSets
-		}
-		if opts.StoreThrough {
-			cc.Policy = cache.StoreThrough
-		}
-		cfg.Cache = cc
-	}
+	cfg.Cache = cache.PSIWith(opts.CacheWords, opts.CacheSets, opts.StoreThrough)
 	mm := &Machine{prog: prog}
 	if opts.Collect {
 		mm.log = &trace.Log{}
@@ -374,7 +362,7 @@ func LoadBaseline(source string, out io.Writer) (*Baseline, error) {
 		return nil, err
 	}
 	return &Baseline{
-		m:    dec10.New(prog, dec10.Config{Out: out, MaxUnits: 4_000_000_000}),
+		m:    dec10.New(prog, dec10.Config{Out: out, MaxUnits: core.DefaultMaxSteps}),
 		prog: prog,
 	}, nil
 }

@@ -4,7 +4,8 @@ package psi
 // whole claim is that it reproduces the exact profiler's per-predicate
 // attribution within telemetry.ShareTolerance while keeping the fast
 // accounting engine fast. This suite locks the claim on all Table 1
-// programs; BENCH_obs.json records the measured worst case.
+// programs; `go run ./cmd/bench obs` records the measured worst case in
+// BENCH_obs.json.
 
 import (
 	"testing"
