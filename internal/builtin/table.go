@@ -146,17 +146,24 @@ var specs = [NumBuiltins]Spec{
 	BRetract:   {BRetract, "retract", 1, SemiDet, "+fact"},
 }
 
+// indicator is a name/arity key.
+type indicator struct {
+	name  string
+	arity int
+}
+
 // aliases lists accepted alternate names for some built-ins.
-var aliases = map[string]ID{
-	"false/0":  BFail,
-	"assert/1": BAssertz,
+var aliases = map[indicator]ID{
+	{"false", 0}:  BFail,
+	{"assert", 1}: BAssertz,
 }
 
 // byIndicator maps name/arity to IDs, canonical names plus aliases.
-var byIndicator = func() map[string]ID {
-	m := make(map[string]ID, len(specs)+len(aliases))
+// Keying by the pair lets Lookup probe without formatting a string.
+var byIndicator = func() map[indicator]ID {
+	m := make(map[indicator]ID, len(specs)+len(aliases))
 	for _, s := range specs {
-		m[s.Indicator()] = s.ID
+		m[indicator{s.Name, s.Arity}] = s.ID
 	}
 	for k, v := range aliases {
 		m[k] = v
@@ -181,7 +188,7 @@ func Specs() []Spec {
 
 // Lookup resolves a predicate indicator to a built-in ID.
 func Lookup(name string, arity int) (ID, bool) {
-	id, ok := byIndicator[fmt.Sprintf("%s/%d", name, arity)]
+	id, ok := byIndicator[indicator{name, arity}]
 	return id, ok
 }
 

@@ -20,6 +20,7 @@ func (m *Machine) biAssertz(args []val) bool {
 	// Snapshot the clause term (runtime bindings become part of the
 	// stored clause; unbound cells become fresh clause variables).
 	t := m.decodeVal(m.derefVal(micro.MBuilt, args[0]), true)
+	m.ownProgram()
 	if err := m.prog.AddClauses([]*term.Term{t}); err != nil {
 		panic(&RunError{Msg: fmt.Sprintf("assertz/1: %v", err)})
 	}
@@ -65,6 +66,7 @@ func (m *Machine) biRetract(args []val) bool {
 			continue
 		}
 		if m.retractMatch(ci, head) {
+			m.ownProgram()
 			m.prog.RetractClause(procIdx, k)
 			m.alu(micro.MBuilt, micro.Sig1(micro.ModeWF10)|micro.SigD(micro.ModeWF10)|micro.SigBr(micro.BGoto)|micro.SigData)
 			return true

@@ -165,6 +165,14 @@ type context struct {
 type Machine struct {
 	prog   *kl0.Program
 	loaded int // words of prog.Code already copied into the heap
+	// ownProg reports that prog is the machine's private copy (see
+	// ownProgram); until then prog may be shared with other machines.
+	ownProg bool
+	// argRegs holds the arguments of the goal being dispatched:
+	// fetchGoalArgs loads them, and they are dead once the selected
+	// clause's head unification returns, so calls and retries reuse
+	// this storage instead of allocating.
+	argRegs [kl0.MaxArity]val
 
 	mem   *mem.Memory
 	cache *cache.Cache
@@ -342,6 +350,7 @@ func (m *Machine) Reset(prog *kl0.Program, cfg Config) bool {
 	// a reused machine never inherits deferred counts.
 	clear(m.fastTab)
 	m.prog = prog
+	m.ownProg = false
 	m.loaded = 0
 	m.out = cfg.Out
 	m.stats.Reset()
@@ -567,6 +576,19 @@ func (m *Machine) load() {
 	}
 }
 
+// ownProgram switches the machine to a private copy of its program
+// before the first dynamic mutation (assertz/retract), so a compiled
+// image shared by a compile cache or a machine pool stays read-only and
+// every run of a dynamic job starts from the same clauses. The copy
+// keeps every code offset, so heap addresses — and the simulated
+// numbers — are those of mutating the original in place.
+func (m *Machine) ownProgram() {
+	if !m.ownProg {
+		m.prog = m.prog.Clone()
+		m.ownProg = true
+	}
+}
+
 // Stats returns the accumulated microcycle statistics.
 func (m *Machine) Stats() *micro.Stats {
 	m.fastFlush()
@@ -610,7 +632,8 @@ func (m *Machine) TimeNS() int64 {
 	return t
 }
 
-// Program returns the loaded program.
+// Program returns the loaded program: after a dynamic mutation, the
+// machine's private copy of it.
 func (m *Machine) Program() *kl0.Program { return m.prog }
 
 // HeapHighWater reports the heap allocation high-water mark in words

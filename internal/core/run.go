@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"runtime/debug"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
@@ -345,7 +347,7 @@ func (m *Machine) runSteps(limit int64) (found, yielded bool) {
 // fetchGoalArgs reads and resolves the argument words of a goal into the
 // argument registers.
 func (m *Machine) fetchGoalArgs(mod micro.Module, gAddr word.Addr, arity int, lf, gf word.Addr) []val {
-	args := make([]val, arity)
+	args := m.argRegs[:arity:arity]
 	for i := 0; i < arity; i++ {
 		aw := m.read(mod, gAddr.Add(1+i), micro.SigD(micro.ModeWF10)|micro.SigBr(micro.BNop2))
 		args[i] = m.resolveArg(mod, aw, lf, gf)
@@ -467,43 +469,45 @@ func (m *Machine) dropDead(proc *kl0.Proc, candidates []int) []int {
 	return out
 }
 
-// aliveClauses lists the non-retracted clause numbers (the common case —
-// no retractions — reuses cached identity slices).
+// aliveClauses lists the non-retracted clause numbers: the shared
+// identity list when nothing is retracted, else the procedure's own
+// alive list. Neither allocates.
 func (m *Machine) aliveClauses(proc *kl0.Proc) []int {
 	if proc.NDead() == 0 {
 		return allClauses(len(proc.Clauses))
 	}
-	out := make([]int, 0, len(proc.Clauses))
-	for i := range proc.Clauses {
-		if !proc.Clauses[i].Dead {
-			out = append(out, i)
-		}
-	}
-	return out
+	return proc.Alive()
 }
 
-// clauseSeqs caches the identity candidate lists.
-var clauseSeqs = func() [][]int {
-	out := make([][]int, 64)
-	for n := range out {
-		seq := make([]int, n)
-		for i := range seq {
-			seq[i] = i
-		}
-		out[n] = seq
-	}
-	return out
-}()
+// Identity candidate lists are prefixes of one process-wide slice
+// {0, 1, 2, ...}, grown by doubling under seqMu and published through
+// seqAll, so a lookup is one atomic load and never allocates.
+var (
+	seqMu  sync.Mutex
+	seqAll atomic.Pointer[[]int]
+)
 
+// allClauses returns the identity list {0..n-1}. The result is capped
+// (seq[:n:n]) so no caller can append into the shared array.
 func allClauses(n int) []int {
-	if n < len(clauseSeqs) {
-		return clauseSeqs[n]
+	if p := seqAll.Load(); p != nil && n <= len(*p) {
+		return (*p)[:n:n]
 	}
-	seq := make([]int, n)
-	for i := range seq {
-		seq[i] = i
+	seqMu.Lock()
+	defer seqMu.Unlock()
+	var seq []int
+	if p := seqAll.Load(); p != nil {
+		seq = *p
 	}
-	return seq
+	if n > len(seq) {
+		grown := make([]int, max(n, 2*len(seq), 64))
+		for i := range grown {
+			grown[i] = i
+		}
+		seq = grown
+		seqAll.Store(&seq)
+	}
+	return seq[:n:n]
 }
 
 // globalizeUnsafe moves an unbound local cell to a fresh global cell just

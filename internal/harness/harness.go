@@ -108,7 +108,7 @@ func Profile(b progs.Benchmark) (*obs.RunProfile, error) {
 	if err != nil {
 		return nil, err
 	}
-	rp := p.Profile(c.Prog, b.Name)
+	rp := p.Profile(r.Machine.Program(), b.Name)
 	r.Release()
 	return rp, nil
 }
@@ -132,7 +132,7 @@ func SampleProfile(b progs.Benchmark, stride int64) (*obs.RunProfile, error) {
 	if err != nil {
 		return nil, err
 	}
-	rp := obs.SampledProfile(sp, c.Prog, b.Name)
+	rp := obs.SampledProfile(sp, r.Machine.Program(), b.Name)
 	r.Release()
 	return rp, nil
 }

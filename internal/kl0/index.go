@@ -31,13 +31,14 @@ func constKey(w word.Word) uint64 {
 	return uint64(w.Tag())<<32 | uint64(w.Data())
 }
 
-// Index returns the first-argument index for a procedure. Static
-// predicates get their index eagerly at compile time (see addClauses),
-// so the common path is a single atomic load; the build here only runs
-// for procedures whose clause list changed since (dynamic assert/
-// retract). Machines sharing one program may race to that rebuild: the
-// construction runs under the program lock and is published atomically,
-// so every caller sees a fully built index and the build happens once.
+// Index returns the first-argument index for a procedure, building it
+// on first use: compilation builds no index, so only runs with
+// Features.Indexing pay for one, and only for the procedures they call.
+// Once built, the common path is a single atomic load; a procedure whose
+// clause list grew since (assertz) is rebuilt here. Machines sharing one
+// program may race to a build: the construction runs under the program
+// lock and is published atomically, so every caller sees a fully built
+// index and the build happens once.
 func (p *Program) Index(procIdx int) *ClauseIndex {
 	proc := p.Procs[procIdx]
 	if ix := proc.index.Load(); ix != nil && ix.built == len(proc.Clauses) {
@@ -45,13 +46,7 @@ func (p *Program) Index(procIdx int) *ClauseIndex {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.buildIndex(procIdx)
-}
-
-// buildIndex constructs and publishes the first-argument index for a
-// procedure. The caller must hold p.mu.
-func (p *Program) buildIndex(procIdx int) *ClauseIndex {
-	proc := p.Procs[procIdx]
+	// Recheck under the lock: a concurrent caller may have built it.
 	if ix := proc.index.Load(); ix != nil && ix.built == len(proc.Clauses) {
 		return ix
 	}

@@ -11,6 +11,7 @@ package kl0
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/parse"
@@ -186,20 +187,39 @@ func TestClauseIndexZeroArity(t *testing.T) {
 	}
 }
 
-// TestClauseIndexEagerBuild checks that static predicates get their
-// index at compile time: the fast-path atomic load must hit without a
-// locked build.
-func TestClauseIndexEagerBuild(t *testing.T) {
+// TestClauseIndexLazyBuild checks that compiling builds no index, that
+// the first Index call builds one for the current clause count and later
+// calls return that same index, and that concurrent first calls (run it
+// under -race) all receive one published pointer.
+func TestClauseIndexLazyBuild(t *testing.T) {
 	prog, pi, _ := buildFuzzProc(t, []byte{0, 7, 12})
 	proc := prog.Procs[pi]
-	ix := proc.index.Load()
-	if ix == nil {
-		t.Fatal("compile did not publish an eager index")
+	if proc.index.Load() != nil {
+		t.Fatal("compile published an index")
 	}
+	ix := prog.Index(pi)
 	if ix.built != len(proc.Clauses) {
-		t.Fatalf("eager index built for %d clauses, proc has %d", ix.built, len(proc.Clauses))
+		t.Fatalf("index built for %d clauses, proc has %d", ix.built, len(proc.Clauses))
 	}
 	if got := prog.Index(pi); got != ix {
 		t.Fatal("Index rebuilt despite unchanged clause list")
+	}
+
+	prog, pi, _ = buildFuzzProc(t, []byte{1, 8, 13, 3})
+	const callers = 8
+	got := make([]*ClauseIndex, callers)
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = prog.Index(pi)
+		}(g)
+	}
+	wg.Wait()
+	for g, ix := range got {
+		if ix == nil || ix != got[0] {
+			t.Fatalf("caller %d got index %p, caller 0 got %p", g, ix, got[0])
+		}
 	}
 }

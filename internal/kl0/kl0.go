@@ -24,6 +24,8 @@ package kl0
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -54,10 +56,19 @@ func (p *Program) RetractClause(procIdx, k int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	proc := p.Procs[procIdx]
-	if !proc.Clauses[k].Dead {
-		proc.Clauses[k].Dead = true
-		proc.nDead++
+	if proc.Clauses[k].Dead {
+		return
 	}
+	proc.Clauses[k].Dead = true
+	if proc.nDead == 0 {
+		proc.alive = make([]int, len(proc.Clauses))
+		for i := range proc.alive {
+			proc.alive[i] = i
+		}
+	}
+	i, _ := slices.BinarySearch(proc.alive, k)
+	proc.alive = slices.Delete(proc.alive, i, i+1)
+	proc.nDead++
 }
 
 // Proc is one user predicate.
@@ -68,6 +79,10 @@ type Proc struct {
 	Clauses []ClauseInfo
 	index   atomic.Pointer[ClauseIndex]
 	nDead   int // retracted clauses, maintained by RetractClause
+	// alive lists the non-retracted clause numbers in source order once
+	// nDead > 0 (nil before): RetractClause removes from it, clause
+	// compilation appends to it.
+	alive []int
 }
 
 // Indicator returns name/arity.
@@ -79,6 +94,12 @@ func (p *Proc) Indicator() string { return fmt.Sprintf("%s/%d", p.Name, p.Arity)
 // programs owned by a single machine (see the sharing contract on
 // Program).
 func (p *Proc) NDead() int { return p.nDead }
+
+// Alive lists the non-retracted clause numbers in source order. It is
+// only maintained while NDead() > 0 — dispatch uses the identity list
+// otherwise — and the next retraction may rewrite it in place, so
+// callers must not retain it.
+func (p *Proc) Alive() []int { return p.alive }
 
 // Query is a compiled top-level goal. All query variables are global so
 // that answers survive until extraction.
@@ -98,7 +119,8 @@ type Query struct {
 // only runtime mutations a shared program tolerates are symbol interning
 // (guarded in term.Symbols) and first-argument index builds (guarded
 // here). Dynamic predicates (assertz/retract) mutate the clause lists and
-// are only safe on a program owned by a single machine.
+// are only safe on a program owned by a single machine: a machine
+// switches to a private Clone before its first such mutation.
 type Program struct {
 	Syms      *term.Symbols
 	Code      []word.Word
@@ -118,6 +140,36 @@ type Program struct {
 type codeRange struct {
 	start, end int
 	proc       int
+}
+
+// Clone returns a private copy of the program for a machine about to
+// mutate it (assertz/retract). The copy duplicates the code image, the
+// procedure table with its clause lists and the code ranges, so its
+// code offsets — and hence a machine's heap addresses — are unchanged;
+// it starts with no first-argument indexes (they rebuild lazily) and
+// shares the concurrency-safe symbol table.
+func (p *Program) Clone() *Program {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	c := &Program{
+		Syms:      p.Syms,
+		Code:      slices.Clone(p.Code),
+		Procs:     make([]*Proc, len(p.Procs)),
+		procIndex: maps.Clone(p.procIndex),
+		auxCount:  p.auxCount,
+		ranges:    slices.Clone(p.ranges),
+	}
+	for i, proc := range p.Procs {
+		c.Procs[i] = &Proc{
+			Name:    proc.Name,
+			Sym:     proc.Sym,
+			Arity:   proc.Arity,
+			Clauses: slices.Clone(proc.Clauses),
+			nDead:   proc.nDead,
+			alive:   slices.Clone(proc.alive),
+		}
+	}
+	return c
 }
 
 // NewProgram returns an empty program sharing the given symbol table.
@@ -280,17 +332,6 @@ func (p *Program) addClauses(clauses []*term.Term) error {
 		}
 	}
 
-	// Pass 3: build the first-argument index of every predicate the
-	// batch defined or extended, so static code never pays the lazy
-	// build (or its lock) at call time. Dynamically asserted clauses
-	// still invalidate and rebuild through Index.
-	built := make(map[int]bool, len(work))
-	for _, w := range work {
-		if !built[w.owner] {
-			built[w.owner] = true
-			p.buildIndex(w.owner)
-		}
-	}
 	return nil
 }
 
@@ -348,7 +389,11 @@ func (p *Program) compileClause(src, head, body *term.Term, owner int) error {
 	if err != nil {
 		return err
 	}
-	p.Procs[owner].Clauses = append(p.Procs[owner].Clauses, ClauseInfo{
+	proc := p.Procs[owner]
+	if proc.nDead > 0 {
+		proc.alive = append(proc.alive, len(proc.Clauses))
+	}
+	proc.Clauses = append(proc.Clauses, ClauseInfo{
 		Start:    start,
 		NLocals:  len(vars.localNames),
 		NGlobals: len(vars.globalNames),

@@ -208,7 +208,7 @@ func (l *Lexer) Next() (Token, error) {
 
 	case c == '(' || c == ')' || c == '[' || c == ']' || c == '{' || c == '}' || c == ',' || c == '|' || c == '!' || c == ';':
 		l.advance()
-		text := string(c)
+		text := l.src[l.pos-1 : l.pos]
 		if c == '!' || c == ';' {
 			return Token{Kind: AtomTok, Text: text, Line: line}, nil
 		}

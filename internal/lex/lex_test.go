@@ -166,3 +166,34 @@ func TestTokenString(t *testing.T) {
 		t.Error("kind string")
 	}
 }
+
+// countAllocs reports the allocations of tokenizing src to EOF.
+func countAllocs(t *testing.T, src string) float64 {
+	t.Helper()
+	return testing.AllocsPerRun(100, func() {
+		l := New(src)
+		for {
+			tok, err := l.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tok.Kind == EOF {
+				return
+			}
+		}
+	})
+}
+
+// TestTokenizeAllocations guards the reader's hot path: punctuation,
+// atoms, variables and integers take their text from the source, so a
+// fact line tokenizes without allocating. Only tokens whose text differs
+// from the source — quoted atoms and strings, built with escapes
+// resolved — may allocate, one string each.
+func TestTokenizeAllocations(t *testing.T) {
+	if n := countAllocs(t, "f(1, 2, [3, 4, 5]).\ng(X, a, {b} ; !) :- h([Y|Z]).\n"); n != 0 {
+		t.Errorf("fact and rule lines: %.1f allocations, want 0", n)
+	}
+	if n := countAllocs(t, `p('it''s', "ab").`); n > 2 {
+		t.Errorf("one quoted atom and one string: %.1f allocations, want at most 2", n)
+	}
+}

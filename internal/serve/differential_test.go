@@ -135,3 +135,33 @@ func TestDifferentialFault(t *testing.T) {
 		t.Errorf("fault report differs:\ndaemon:\n%s\nlibrary:\n%s", got, want)
 	}
 }
+
+// TestDifferentialDynamic serves a job that asserts and retracts against
+// one cached compiled program, sequentially and from concurrent clients:
+// every response must equal the library's report for a fresh program,
+// because a dynamic job mutates a private copy, never the cached image.
+func TestDifferentialDynamic(t *testing.T) {
+	b := progs.Benchmark{Name: "dynamic", Source: "q(0).\n", Query: "assertz(q(1)), retract(q(0)), q(X)"}
+	want := libraryReport(t, b, psi.Options{})
+	_, ts := newTestServer(t, Config{Workers: 2})
+	spec := JobSpec{Program: b.Source, Query: b.Query, Workload: b.Name}
+	check := func(what string) {
+		resp, got := postJob(t, ts, spec)
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: status %d\n%s", what, resp.StatusCode, got)
+		} else if string(got) != string(want) {
+			t.Errorf("%s: daemon report differs from psi -json\ndaemon:\n%s\nlibrary:\n%s", what, got, want)
+		}
+	}
+	check("first run")
+	check("second run")
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			check("concurrent run")
+		}()
+	}
+	wg.Wait()
+}

@@ -105,7 +105,6 @@ type Features = core.Features
 // Machine is a loaded PSI machine.
 type Machine struct {
 	m      *core.Machine
-	prog   *kl0.Program
 	log    *trace.Log
 	prof   *obs.Profiler
 	samp   *telemetry.SamplingProfiler
@@ -140,7 +139,7 @@ func LoadProgram(source string, opts Options) (*Machine, error) {
 		cfg.MaxSteps = core.DefaultMaxSteps
 	}
 	cfg.Cache = cache.PSIWith(opts.CacheWords, opts.CacheSets, opts.StoreThrough)
-	mm := &Machine{prog: prog}
+	mm := &Machine{}
 	if opts.Collect {
 		mm.log = &trace.Log{}
 		cfg.Trace = mm.log
@@ -178,7 +177,7 @@ func (m *Machine) AddClauses(source string) error {
 	if err != nil {
 		return err
 	}
-	return m.prog.AddClauses(cs)
+	return m.m.Program().AddClauses(cs)
 }
 
 // Solve runs a query; iterate the returned Solutions for the answers.
@@ -236,7 +235,7 @@ func (m *Machine) SetInterruptHandler(process int, goal string) error {
 	if err != nil {
 		return err
 	}
-	q, err := m.prog.CompileQuery(g)
+	q, err := m.m.Program().CompileQuery(g)
 	if err != nil {
 		return err
 	}
@@ -290,12 +289,12 @@ func (m *Machine) Trace() *trace.Log { return m.log }
 // stride sampling.
 func (m *Machine) Profile(workload string) *obs.RunProfile {
 	if m.samp != nil {
-		return obs.SampledProfile(m.samp, m.prog, workload)
+		return obs.SampledProfile(m.samp, m.m.Program(), workload)
 	}
 	if m.prof == nil {
 		return nil
 	}
-	return m.prof.Profile(m.prog, workload)
+	return m.prof.Profile(m.m.Program(), workload)
 }
 
 // RunReport assembles the structured, stable-schema report of the run so

@@ -110,6 +110,51 @@ func TestAddClauses(t *testing.T) {
 	}
 }
 
+// TestAddClausesAfterAssertz checks that the library follows the
+// machine onto its private program copy: clauses added after an assertz
+// reach the running program, and the profile names the asserted
+// predicate.
+func TestAddClausesAfterAssertz(t *testing.T) {
+	m, err := LoadProgram("n(1).", Options{Profile: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []string{"assertz(n(2)), assertz(d(0))", "d(0)"} {
+		sols, err := m.Solve(step)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := sols.Next(); !ok {
+			t.Fatalf("%s failed: %v", step, sols.Err())
+		}
+	}
+	if err := m.AddClauses("n(3)."); err != nil {
+		t.Fatal(err)
+	}
+	sols, err := m.Solve("n(X)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for {
+		ans, ok := sols.Next()
+		if !ok {
+			break
+		}
+		got = append(got, ans["X"].String())
+	}
+	if strings.Join(got, ",") != "1,2,3" {
+		t.Fatalf("n(X) answers %v, want 1,2,3", got)
+	}
+	found := false
+	for _, p := range m.Profile("dyn").Entries {
+		found = found || p.Name == "d/1"
+	}
+	if !found {
+		t.Fatal("profile does not name the asserted predicate d/1")
+	}
+}
+
 func TestBaseline(t *testing.T) {
 	b, err := LoadBaseline(appendSrc, nil)
 	if err != nil {
