@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -42,91 +41,65 @@ func ablationWorkloads() []progs.Benchmark {
 	return []progs.Benchmark{progs.NReverse, progs.QueensFirst, progs.BUP2, progs.Window1}
 }
 
-// timeFeatMS executes a benchmark under a feature configuration and
-// reports the simulated time. The program comes from the compile cache
-// (features change the machine, never the code image) and the machine
-// goes back to the pool.
-func timeFeatMS(o Options, cell string, b progs.Benchmark, feat core.Features) (float64, error) {
-	c, err := Compile(b)
-	if err != nil {
-		return 0, err
-	}
-	r, err := c.run(runOpts{feat: feat, cell: cell, progress: o.Progress, every: o.ProgressEvery, ctx: o.Ctx, maxSteps: o.MaxSteps, fault: o.Fault})
-	if err != nil {
-		return 0, err
-	}
-	ms := float64(r.Machine.TimeNS()) / 1e6
-	r.Release()
-	return ms, nil
-}
-
 // Ablations measures every feature variant on every ablation workload.
 func Ablations() ([]AblationRow, error) { return AblationsWith(Options{}) }
 
-// AblationsWith is Ablations under explicit worker options: the base
-// runs fan out first, then every (workload, variant) cell. Under
-// KeepGoing a failed base run drops the whole workload (its deltas have
-// no denominator) and a failed variant run drops that row; every
-// failure is recorded in the degraded log.
-func AblationsWith(o Options) ([]AblationRow, error) {
+// AblationsWith is Ablations under explicit worker options. The base
+// runs are the default-feature runs the tables read. Under KeepGoing a
+// failed base run drops the whole workload (its deltas have no
+// denominator) and a failed variant run drops that row; every failure is
+// recorded in the degraded log.
+func AblationsWith(o Options) ([]AblationRow, error) { return onPlan(o, planAblations) }
+
+func planAblations(p *plan) func() ([]AblationRow, error) {
 	ws := ablationWorkloads()
 	vs := ablationVariants()
-	baseMS, baseErrs := parMapErrs(o.workers(), ws, func(b progs.Benchmark) (float64, error) {
-		return timeFeatMS(o, "ablate/base/"+b.Name, b, core.Features{})
-	})
-	var joined []error
-	baseOK := make([]bool, len(ws))
-	for i, err := range baseErrs {
-		if err == nil {
-			baseOK[i] = true
-			continue
-		}
-		cerr := &CellError{Cell: "ablate/base/" + ws[i].Name, Err: err}
-		if o.KeepGoing {
-			o.degrade("ablations", cerr.Cell, err)
-		} else {
-			joined = append(joined, cerr)
+	baseCells := make([]string, len(ws))
+	base := make([]*planRun, len(ws))
+	for wi, b := range ws {
+		baseCells[wi] = "ablate/base/" + b.Name
+		base[wi] = p.psi(baseCells[wi], b, core.Features{})
+	}
+	type cell struct {
+		w, v  int
+		label string
+		run   *planRun
+	}
+	var all []cell
+	for wi, b := range ws { // workload-major, the row order
+		for vi, v := range vs {
+			label := "ablate/" + v.name + "/" + b.Name
+			all = append(all, cell{wi, vi, label, p.psi(label, b, v.feat)})
 		}
 	}
-	if len(joined) > 0 {
-		return nil, errors.Join(joined...)
-	}
-	type cell struct{ w, v int }
-	cells := make([]cell, 0, len(ws)*len(vs))
-	for wi := range ws { // workload-major, the serial row order
-		if !baseOK[wi] {
-			continue
+	return func() ([]AblationRow, error) {
+		_, err := cellRows(p.o, "ablations", baseCells, func(i int) (struct{}, error) { return struct{}{}, base[i].err })
+		if err != nil {
+			return nil, err
 		}
-		for vi := range vs {
-			cells = append(cells, cell{wi, vi})
-		}
-	}
-	varMS, varErrs := parMapErrs(o.workers(), cells, func(c cell) (float64, error) {
-		return timeFeatMS(o, "ablate/"+vs[c.v].name+"/"+ws[c.w].Name, ws[c.w], vs[c.v].feat)
-	})
-	rows := make([]AblationRow, 0, len(cells))
-	for i, c := range cells {
-		if err := varErrs[i]; err != nil {
-			cerr := &CellError{Cell: "ablate/" + vs[c.v].name + "/" + ws[c.w].Name, Err: err}
-			if o.KeepGoing {
-				o.degrade("ablations", cerr.Cell, err)
-				continue
+		var cells []cell
+		var labels []string
+		for _, c := range all {
+			if base[c.w].err == nil {
+				cells = append(cells, c)
+				labels = append(labels, c.label)
 			}
-			joined = append(joined, cerr)
-			continue
 		}
-		rows = append(rows, AblationRow{
-			Feature:  vs[c.v].name,
-			Workload: ws[c.w].Name,
-			BaseMS:   baseMS[c.w],
-			VarMS:    varMS[i],
-			DeltaPct: (varMS[i]/baseMS[c.w] - 1) * 100,
+		return cellRows(p.o, "ablations", labels, func(i int) (AblationRow, error) {
+			c := cells[i]
+			if c.run.err != nil {
+				return AblationRow{}, c.run.err
+			}
+			baseMS, varMS := base[c.w].ms(), c.run.ms()
+			return AblationRow{
+				Feature:  vs[c.v].name,
+				Workload: ws[c.w].Name,
+				BaseMS:   baseMS,
+				VarMS:    varMS,
+				DeltaPct: (varMS/baseMS - 1) * 100,
+			}, nil
 		})
 	}
-	if len(joined) > 0 {
-		return nil, errors.Join(joined...)
-	}
-	return rows, nil
 }
 
 // FormatAblations renders the ablation study.

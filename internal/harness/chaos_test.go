@@ -102,7 +102,12 @@ func TestFaultedPoolMachinesReplayClean(t *testing.T) {
 	// Replay clean runs at -j > 1 on the (now fault-tainted) pool.
 	const replays = 8
 	stats, errs := parMapErrs(replays, make([]int, replays), func(int) (micro.Stats, error) {
-		return statsValueFor(Options{}, "chaos/replay", progs.NReverse)
+		r, err := RunPSI(progs.NReverse, false)
+		if err != nil {
+			return micro.Stats{}, err
+		}
+		defer r.Release()
+		return *r.Machine.Stats(), nil
 	})
 	for i, err := range errs {
 		if err != nil {

@@ -3,6 +3,9 @@ package harness
 import (
 	"encoding/json"
 	"strings"
+
+	"repro/internal/pmms"
+	"repro/internal/progs"
 )
 
 // EvaluationSchema identifies the Evaluation JSON schema. Bump the
@@ -39,45 +42,53 @@ type Evaluation struct {
 // Evaluate computes the full evaluation with default options.
 func Evaluate() (*Evaluation, error) { return EvaluationWith(Options{}) }
 
-// EvaluationWith computes the full evaluation: the sections run in the
-// classic order, each fanning its cells out over the option's workers.
-// The result is identical for any worker count. With KeepGoing set,
-// failing workloads are dropped from their sections and listed in the
-// result's Degraded field instead of aborting the evaluation.
+// EvaluationWith computes the full evaluation. Every section declares
+// its runs on one plan, which simulates each distinct run once, longest
+// first, over the option's workers; the sections then render in the
+// classic order from the finished runs. The result is identical for any
+// worker count. With KeepGoing set, failing workloads are dropped from
+// their sections and listed in the result's Degraded field instead of
+// aborting the evaluation.
 func EvaluationWith(o Options) (*Evaluation, error) {
 	if o.KeepGoing && o.Degraded == nil {
 		o.Degraded = NewDegradedLog()
 	}
+	p := newPlan(o)
+	t1, t2, t3, t4, t5 := planTable1(p), planTable2(p), planTable3(p), planTable4(p), planTable5(p)
+	t6, t7, f1 := planTable6(p), planTable7(p), planFigure1(p)
+	abl, lab := planAblations(p), planCacheLab(p, pmms.DefaultGrid(), progs.Window1)
+	p.execute()
+
 	e := &Evaluation{Schema: EvaluationSchema}
 	var err error
-	if e.Table1, err = Table1With(o); err != nil {
+	if e.Table1, err = t1(); err != nil {
 		return nil, err
 	}
-	if e.Table2, err = Table2With(o); err != nil {
+	if e.Table2, err = t2(); err != nil {
 		return nil, err
 	}
-	if e.Table3, err = Table3With(o); err != nil {
+	if e.Table3, err = t3(); err != nil {
 		return nil, err
 	}
-	if e.Table4, err = Table4With(o); err != nil {
+	if e.Table4, err = t4(); err != nil {
 		return nil, err
 	}
-	if e.Table5, err = Table5With(o); err != nil {
+	if e.Table5, err = t5(); err != nil {
 		return nil, err
 	}
-	if e.Table6, err = Table6With(o); err != nil {
+	if e.Table6, err = t6(); err != nil {
 		return nil, err
 	}
-	if e.Table7, err = Table7With(o); err != nil {
+	if e.Table7, err = t7(); err != nil {
 		return nil, err
 	}
-	if e.Figure1, err = Figure1With(o); err != nil {
+	if e.Figure1, err = f1(); err != nil {
 		return nil, err
 	}
-	if e.Ablations, err = AblationsWith(o); err != nil {
+	if e.Ablations, err = abl(); err != nil {
 		return nil, err
 	}
-	if e.CacheLab, err = CacheLabWith(o); err != nil {
+	if e.CacheLab, err = lab(); err != nil {
 		return nil, err
 	}
 	if o.Degraded != nil {

@@ -7,18 +7,28 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under docs/ from the current output")
 
 // evalOnce computes the complete evaluation once per test binary, both
-// strictly serially and with 8 workers, so the determinism and golden
-// tests share the (expensive) runs.
+// strictly serially and with 8 workers, so the determinism, golden and
+// run-count tests share the (expensive) runs. runs holds each
+// evaluation's psi_runs_total delta; the callers are non-parallel
+// top-level tests, so no other simulation runs meanwhile.
 var evalOnce struct {
 	sync.Once
 	serial   *Evaluation
 	parallel *Evaluation
+	runs     [2]int64
 	err      error
+}
+
+// psiRuns reads the process-wide count of completed PSI simulations.
+func psiRuns() int64 {
+	return telemetry.Default.Counter("psi_runs_total", "simulation runs completed").Value()
 }
 
 func fullEvalStructs(t *testing.T) (serial, parallel *Evaluation) {
@@ -27,10 +37,13 @@ func fullEvalStructs(t *testing.T) (serial, parallel *Evaluation) {
 		t.Skip("full evaluation skipped in -short mode")
 	}
 	evalOnce.Do(func() {
+		n0 := psiRuns()
 		evalOnce.serial, evalOnce.err = EvaluationWith(Options{Workers: 1})
+		n1 := psiRuns()
 		if evalOnce.err == nil {
 			evalOnce.parallel, evalOnce.err = EvaluationWith(Options{Workers: 8})
 		}
+		evalOnce.runs = [2]int64{n1 - n0, psiRuns() - n1}
 	})
 	if evalOnce.err != nil {
 		t.Fatal(evalOnce.err)

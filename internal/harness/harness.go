@@ -5,9 +5,10 @@
 //
 // Benchmarks are parsed and compiled once per process (see Compile) and
 // the resulting read-only code images are shared by every machine that
-// runs them; machines themselves are pooled and reset between runs.
-// Tables can therefore compute their cells on a bounded worker pool (see
-// Options) without changing a single byte of output.
+// runs them; machines themselves are pooled and reset between runs. The
+// evaluation can therefore simulate each distinct run once on a bounded
+// worker pool (see Options) and render every table from those runs
+// without changing a single byte of output.
 package harness
 
 import (
@@ -66,32 +67,6 @@ func runPSIWith(o Options, cell string, b progs.Benchmark, collect bool) (*PSIRu
 		fault:    o.Fault,
 		spans:    o.Spans,
 	})
-}
-
-// runPSIInto executes a benchmark with sink tapping the machine's cycle
-// stream — COLLECT without the log. The sink sees exactly the records a
-// collected trace would hold, in order; no trace is materialized. The
-// machine goes straight back to the pool.
-func runPSIInto(o Options, cell string, b progs.Benchmark, sink micro.Sink) error {
-	c, err := Compile(b)
-	if err != nil {
-		return err
-	}
-	r, err := c.run(runOpts{
-		tap:      sink,
-		cell:     cell,
-		progress: o.Progress,
-		every:    o.ProgressEvery,
-		ctx:      o.Ctx,
-		maxSteps: o.MaxSteps,
-		fault:    o.Fault,
-		spans:    o.Spans,
-	})
-	if err != nil {
-		return err
-	}
-	r.Release()
-	return nil
 }
 
 // Profile executes a benchmark with the simulated-workload profiler
@@ -174,17 +149,4 @@ func StatsFor(b progs.Benchmark) (*micro.Stats, *core.Machine, error) {
 		return nil, nil, err
 	}
 	return r.Machine.Stats(), r.Machine, nil
-}
-
-// statsValueFor runs a benchmark, copies the statistics by value and
-// returns the machine to the pool. Stats is a pure value type, so the
-// copy is safe to read after the machine is reused.
-func statsValueFor(o Options, cell string, b progs.Benchmark) (micro.Stats, error) {
-	r, err := runPSIWith(o, cell, b, false)
-	if err != nil {
-		return micro.Stats{}, err
-	}
-	s := *r.Machine.Stats()
-	r.Release()
-	return s, nil
 }

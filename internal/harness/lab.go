@@ -3,10 +3,9 @@ package harness
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/cache"
-	"repro/internal/obs"
+	"repro/internal/core"
 	"repro/internal/pmms"
 	"repro/internal/progs"
 )
@@ -61,17 +60,23 @@ func CacheLabWith(o Options) (*CacheLab, error) {
 }
 
 // CacheLabFor computes the cache lab for an explicit grid and workload
-// (the CLI's -grid flag parses into g). The whole grid costs one run of
-// the workload: the Sweeper taps the machine's cycle stream as its
-// profile sink, so it sees every cycle exactly once plus the predicate
-// context needed for miss attribution. The reference lane is the
-// machine's configuration when the grid contains it, lane 0 otherwise.
-// Under KeepGoing a failed run degrades the whole section (it is a
-// single measurement), like Table 6.
+// (the CLI's -grid flag parses into g). The whole grid rides the run of
+// the workload the tables read: the Sweeper taps the machine's cycle
+// stream as its profile sink, so it sees every cycle exactly once plus
+// the predicate context needed for miss attribution. The reference lane
+// is the machine's configuration when the grid contains it, lane 0
+// otherwise. Under KeepGoing a failed run degrades the whole section (it
+// is a single measurement), like Table 6.
 func CacheLabFor(o Options, g pmms.Grid, b progs.Benchmark) (*CacheLab, error) {
+	return onPlan(o, func(p *plan) func() (*CacheLab, error) { return planCacheLab(p, g, b) })
+}
+
+func planCacheLab(p *plan, g pmms.Grid, b progs.Benchmark) func() (*CacheLab, error) {
 	cfgs := g.Configs()
 	if len(cfgs) == 0 {
-		return nil, fmt.Errorf("cache lab: the grid has no valid configuration")
+		return func() (*CacheLab, error) {
+			return nil, fmt.Errorf("cache lab: the grid has no valid configuration")
+		}
 	}
 	ref := 0
 	for i, cfg := range cfgs {
@@ -82,59 +87,48 @@ func CacheLabFor(o Options, g pmms.Grid, b progs.Benchmark) (*CacheLab, error) {
 	}
 	s := pmms.NewSweeper(cfgs)
 	s.Classify(ref)
-
-	c, err := Compile(b)
-	if err != nil {
-		return nil, err
-	}
 	cell := "lab/" + b.Name
-	start := time.Now()
+	r := p.psi(cell, b, core.Features{})
 	// The sweeper attaches as the run's profile sink — never as a trace
-	// tap at the same time, which would double-count every cycle. The
-	// profile path delivers the identical cycle stream a tap would, plus
-	// the EnterPredicate context the attribution needs.
-	r, err := c.run(runOpts{
-		profile:  s,
-		cell:     cell,
-		progress: o.Progress,
-		every:    o.ProgressEvery,
-		ctx:      o.Ctx,
-		maxSteps: o.MaxSteps,
-		fault:    o.Fault,
-		spans:    o.Spans,
-	})
-	if err != nil {
-		if o.KeepGoing {
-			o.degrade("cache_lab", cell, err)
-			return nil, nil
+	// tap as well, which would double-count every cycle. The profile
+	// path delivers the identical cycle stream a tap would, plus the
+	// EnterPredicate context the attribution needs.
+	r.profile = s
+	return func() (*CacheLab, error) {
+		if r.err != nil {
+			if p.o.KeepGoing {
+				p.o.degrade("cache_lab", cell, r.err)
+				return nil, nil
+			}
+			return nil, &CellError{Cell: cell, Err: r.err}
 		}
-		return nil, &CellError{Cell: cell, Err: err}
-	}
-	r.Release()
-	obs.RecordSweep(s.Lanes(), s.Cycles(), time.Since(start).Nanoseconds())
-
-	lab := &CacheLab{Workload: b.Name, RefConfig: cfgs[ref].String()}
-	for i, cfg := range cfgs {
-		lab.Lanes = append(lab.Lanes, LabLane{
-			Config:      cfg.String(),
-			Words:       cfg.Words,
-			Ways:        cfg.Ways(),
-			Replacement: cfg.Replacement.String(),
-			Improvement: s.Improvement(i),
-			HitRatio:    s.Cache(i).HitRatio(),
-			Breakdown:   s.Misses(i),
-		})
-	}
-	for _, pm := range s.PredMisses() {
-		if len(lab.TopCauses) == maxMissCauses {
-			break
+		c, err := Compile(b)
+		if err != nil {
+			return nil, err
 		}
-		lab.TopCauses = append(lab.TopCauses, MissCause{
-			Predicate:     c.Prog.ProcName(pm.Pred),
-			MissBreakdown: pm.MissBreakdown,
-		})
+		lab := &CacheLab{Workload: b.Name, RefConfig: cfgs[ref].String()}
+		for i, cfg := range cfgs {
+			lab.Lanes = append(lab.Lanes, LabLane{
+				Config:      cfg.String(),
+				Words:       cfg.Words,
+				Ways:        cfg.Ways(),
+				Replacement: cfg.Replacement.String(),
+				Improvement: s.Improvement(i),
+				HitRatio:    s.Cache(i).HitRatio(),
+				Breakdown:   s.Misses(i),
+			})
+		}
+		for _, pm := range s.PredMisses() {
+			if len(lab.TopCauses) == maxMissCauses {
+				break
+			}
+			lab.TopCauses = append(lab.TopCauses, MissCause{
+				Predicate:     c.Prog.ProcName(pm.Pred),
+				MissBreakdown: pm.MissBreakdown,
+			})
+		}
+		return lab, nil
 	}
-	return lab, nil
 }
 
 // FormatCacheLab renders the lab grid in the Figure 1 style: one line

@@ -24,10 +24,10 @@ type Options struct {
 	Workers int
 
 	// Progress, when non-nil, receives periodic heartbeats from every
-	// simulated run, labelled with the evaluation cell being computed.
-	// The callback must be safe for concurrent use (parallel workers
-	// share it) and must not block: it runs on the simulation path.
-	// Heartbeats never touch the evaluation output, which stays
+	// simulated run, labelled with the first evaluation cell that reads
+	// the run. The callback must be safe for concurrent use (parallel
+	// workers share it) and must not block: it runs on the simulation
+	// path. Heartbeats never touch the evaluation output, which stays
 	// byte-identical whether or not they are enabled.
 	Progress func(obs.Progress)
 
@@ -64,11 +64,12 @@ type Options struct {
 	// sections individually supply their own to read the entries back.
 	Degraded *DegradedLog
 
-	// Spans, when non-nil, records a host-time span for every evaluation
-	// cell (one trace row per cell within a section) and for single
-	// benchmark runs driven through RunPSIWith. The resulting log exports
-	// as a Chrome trace-event document (`psibench -trace-out`). Spans
-	// measure the host only; evaluation output stays byte-identical.
+	// Spans, when non-nil, records a host-time span for every simulated
+	// run of an evaluation (one trace row per run, named by the first
+	// cell that reads it) and for single benchmark runs driven through
+	// RunPSIWith. The resulting log exports as a Chrome trace-event
+	// document (`psibench -trace-out`). Spans measure the host only;
+	// evaluation output stays byte-identical.
 	Spans *telemetry.SpanLog
 }
 
@@ -86,24 +87,9 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// parMap applies fn to every item on up to workers goroutines and
-// returns the results in item order, so callers observe the same result
-// sequence a serial loop would produce. On error the first failure by
-// item index wins — again matching the serial loop.
-func parMap[T, R any](workers int, items []T, fn func(T) (R, error)) ([]R, error) {
-	out, errs := parMapErrs(workers, items, fn)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// parMapErrs is parMap without the first-error collapse: every item runs
-// and the caller receives the full per-item error slice, positionally
-// aligned with the results. This is what lets the harness attribute each
-// failure to its workload and degrade instead of aborting.
+// parMapErrs applies fn to every item on up to workers goroutines and
+// returns the results and the per-item errors in item order: every item
+// runs, whatever the others return.
 func parMapErrs[T, R any](workers int, items []T, fn func(T) (R, error)) ([]R, []error) {
 	out := make([]R, len(items))
 	errs := make([]error, len(items))
@@ -159,8 +145,9 @@ type DegradedRun struct {
 }
 
 // DegradedLog collects degraded runs across sections. It is safe for
-// concurrent use, but the harness only appends between section barriers
-// in cell order, which is what keeps the entry order deterministic.
+// concurrent use, but the harness only appends from the section views,
+// after every run has finished, in cell order, which is what keeps the
+// entry order deterministic.
 type DegradedLog struct {
 	mu   sync.Mutex
 	runs []DegradedRun
@@ -199,49 +186,30 @@ func (o Options) degrade(section, cell string, err error) {
 	})
 }
 
-// runCells fans the cells of one evaluation section out over the worker
-// pool. Every failure is attributed to its cell. Without KeepGoing all
-// cell errors are joined in cell order and returned — deterministic at
-// any worker count, unlike a first-error race. With KeepGoing the
-// failing cells are dropped, recorded in the degraded log (in cell
-// order, after the section barrier) and the surviving rows returned.
-func runCells[T, R any](o Options, section string, items []T, name func(T) string, fn func(T) (R, error)) ([]R, error) {
-	idxs := make([]int, len(items))
-	for i := range idxs {
-		idxs[i] = i
-	}
-	out, errs := parMapErrs(o.workers(), idxs, func(i int) (R, error) {
-		if o.Spans == nil {
-			return fn(items[i])
-		}
-		// One span per cell, one trace row per cell index: a section's
-		// cells render as parallel lanes in the trace viewer, named by
-		// the cell label, with the outcome class in args.
-		done := o.Spans.Start(section+"/"+name(items[i]), "cell", int64(i+1))
-		r, err := fn(items[i])
-		st := "ok"
-		if err != nil {
-			st = engine.ClassName(err)
-		}
-		done(map[string]string{"status": st})
-		return r, err
-	})
+// cellRows renders one section's cells, in cell order, from finished
+// runs: row(i) is cell i's row, or the error of a run it reads. Every
+// failure is attributed to its cell. Without KeepGoing all cell errors
+// are joined in cell order and returned; with KeepGoing the failing cells
+// are dropped, recorded in the degraded log in cell order, and the
+// surviving rows returned. Views render in section order, which is what
+// keeps the degraded log byte-identical at any worker count.
+func cellRows[R any](o Options, section string, cells []string, row func(i int) (R, error)) ([]R, error) {
 	var joined []error
-	kept := out[:0]
-	for i, err := range errs {
+	out := make([]R, 0, len(cells))
+	for i, cell := range cells {
+		r, err := row(i)
 		if err == nil {
-			kept = append(kept, out[i])
+			out = append(out, r)
 			continue
 		}
-		cerr := &CellError{Cell: section + "/" + name(items[i]), Err: err}
 		if o.KeepGoing {
-			o.degrade(section, cerr.Cell, err)
+			o.degrade(section, cell, err)
 			continue
 		}
-		joined = append(joined, cerr)
+		joined = append(joined, &CellError{Cell: cell, Err: err})
 	}
 	if len(joined) > 0 {
 		return nil, errors.Join(joined...)
 	}
-	return kept, nil
+	return out, nil
 }

@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/pmms"
 	"repro/internal/progs"
 )
 
-// streamingSweepTable runs the streaming sweep — one Sweeper tapping the
-// machine's cache stream during the run, per workload, parallel across
-// workloads — and renders the lane results as a small Figure 1 style
+// streamingSweepTable runs the streaming sweep — one Sweeper tapping
+// each workload's run, all runs on one evaluation plan over the given
+// workers — and renders the lane results as a small Figure 1 style
 // table. Byte-identical output across worker counts is the contract.
 func streamingSweepTable(t *testing.T, workers int, bs []progs.Benchmark) string {
 	t.Helper()
@@ -20,30 +21,35 @@ func streamingSweepTable(t *testing.T, workers int, bs []progs.Benchmark) string
 		pmms.SweepConfig(64), pmms.SweepConfig(1024),
 		cache.PSI, pmms.OneSetConfig, pmms.StoreThroughConfig,
 	}
-	rows, err := parMap(workers, bs, func(b progs.Benchmark) (string, error) {
-		s := pmms.NewSweeper(cfgs)
-		if err := runPSIInto(Options{Workers: 1}, "race-smoke "+b.Name, b, s); err != nil {
-			return "", err
-		}
-		var sb strings.Builder
-		for i := range cfgs {
-			c := s.Cache(i)
-			fmt.Fprintf(&sb, "%s %s hit=%.4f stall=%d imp=%.2f\n",
-				b.Name, cfgs[i], c.HitRatio(), c.StallNS, s.Improvement(i))
-		}
-		return sb.String(), nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	p := newPlan(Options{Workers: workers})
+	sweeps := make([]*pmms.Sweeper, len(bs))
+	runs := make([]*planRun, len(bs))
+	for i, b := range bs {
+		sweeps[i] = pmms.NewSweeper(cfgs)
+		runs[i] = p.psi("race-smoke/"+b.Name, b, core.Features{})
+		runs[i].tap(sweeps[i])
 	}
-	return strings.Join(rows, "")
+	p.execute()
+	var sb strings.Builder
+	for i, b := range bs {
+		if err := runs[i].err; err != nil {
+			t.Fatal(err)
+		}
+		for j := range cfgs {
+			c := sweeps[i].Cache(j)
+			fmt.Fprintf(&sb, "%s %s hit=%.4f stall=%d imp=%.2f\n",
+				b.Name, cfgs[j], c.HitRatio(), c.StallNS, sweeps[i].Improvement(j))
+		}
+	}
+	return sb.String()
 }
 
 // TestStreamingSweepRaceSmoke drives the streaming fan-out across
 // workloads concurrently and demands the formatted sweep table be
 // byte-identical at -j1 and -j8. It stays in the -short set on purpose:
 // under `go test -race -short` this is the smoke test that sweeps the
-// trace tap, lane fan-out and machine-pool paths for data races.
+// run plan, trace tap, lane fan-out and machine-pool paths for data
+// races.
 func TestStreamingSweepRaceSmoke(t *testing.T) {
 	bs := []progs.Benchmark{
 		progs.NReverse, progs.QuickSort, progs.TreeTraverse,

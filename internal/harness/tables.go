@@ -1,13 +1,10 @@
 package harness
 
 import (
-	"errors"
-	"time"
-
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/mapper"
 	"repro/internal/micro"
-	"repro/internal/obs"
 	"repro/internal/pmms"
 	"repro/internal/progs"
 	"repro/internal/trace"
@@ -28,38 +25,44 @@ type T1Row struct {
 	Inferences int64   `json:"inferences"`
 }
 
-// benchName labels a benchmark cell inside its section.
-func benchName(b progs.Benchmark) string { return b.Name }
-
 // Table1 measures every benchmark on both engines.
 func Table1() ([]T1Row, error) { return Table1With(Options{}) }
 
 // Table1With is Table1 under explicit worker options.
-func Table1With(o Options) ([]T1Row, error) {
-	return runCells(o, "table1", progs.Table1(), benchName, func(b progs.Benchmark) (T1Row, error) {
-		r, err := runPSIWith(o, "table1/"+b.Name, b, false)
-		if err != nil {
-			return T1Row{}, err
-		}
-		psi := float64(r.Machine.TimeNS()) / 1e6
-		inf := r.Machine.Inferences()
-		r.Release()
-		d, err := runDECWith(o, b)
-		if err != nil {
-			return T1Row{}, err
-		}
-		dec := float64(d.TimeNS()) / 1e6
-		return T1Row{
-			Name:       b.Name,
-			PSIMS:      psi,
-			DECMS:      dec,
-			Ratio:      dec / psi,
-			PaperPSIMS: b.PaperPSIMS,
-			PaperDECMS: b.PaperDECMS,
-			PaperRatio: b.PaperDECMS / b.PaperPSIMS,
-			Inferences: inf,
-		}, nil
-	})
+func Table1With(o Options) ([]T1Row, error) { return onPlan(o, planTable1) }
+
+// planTable1 declares each Table 1 cell's PSI and DEC-10 runs.
+func planTable1(p *plan) func() ([]T1Row, error) {
+	set := progs.Table1()
+	cells := make([]string, len(set))
+	psi := make([]*planRun, len(set))
+	dec := make([]*planRun, len(set))
+	for i, b := range set {
+		cells[i] = "table1/" + b.Name
+		psi[i] = p.psi(cells[i], b, core.Features{})
+		dec[i] = p.dec(cells[i], b)
+	}
+	return func() ([]T1Row, error) {
+		return cellRows(p.o, "table1", cells, func(i int) (T1Row, error) {
+			if psi[i].err != nil {
+				return T1Row{}, psi[i].err
+			}
+			if dec[i].err != nil {
+				return T1Row{}, dec[i].err
+			}
+			b := set[i]
+			return T1Row{
+				Name:       b.Name,
+				PSIMS:      psi[i].ms(),
+				DECMS:      dec[i].ms(),
+				Ratio:      dec[i].ms() / psi[i].ms(),
+				PaperPSIMS: b.PaperPSIMS,
+				PaperDECMS: b.PaperDECMS,
+				PaperRatio: b.PaperDECMS / b.PaperPSIMS,
+				Inferences: psi[i].inferences,
+			}, nil
+		})
+	}
 }
 
 // ---- Table 2 -------------------------------------------------------------
@@ -76,18 +79,15 @@ type T2Row struct {
 func Table2() ([]T2Row, error) { return Table2With(Options{}) }
 
 // Table2With is Table2 under explicit worker options.
-func Table2With(o Options) ([]T2Row, error) {
-	return runCells(o, "table2", progs.Table2Set(), benchName, func(b progs.Benchmark) (T2Row, error) {
-		s, err := statsValueFor(o, "table2/"+b.Name, b)
-		if err != nil {
-			return T2Row{}, err
-		}
-		var row T2Row
-		row.Name = b.Name
+func Table2With(o Options) ([]T2Row, error) { return onPlan(o, planTable2) }
+
+func planTable2(p *plan) func() ([]T2Row, error) {
+	return psiRows(p, "table2", progs.Table2Set(), func(b progs.Benchmark, r *planRun) T2Row {
+		row := T2Row{Name: b.Name}
 		for m := micro.Module(0); m < micro.NumModules; m++ {
-			row.Modules[m] = s.ModuleRatio(m) * 100
+			row.Modules[m] = r.stats.ModuleRatio(m) * 100
 		}
-		return row, nil
+		return row
 	})
 }
 
@@ -107,19 +107,17 @@ type T3Row struct {
 func Table3() ([]T3Row, error) { return Table3With(Options{}) }
 
 // Table3With is Table3 under explicit worker options.
-func Table3With(o Options) ([]T3Row, error) {
-	return runCells(o, "table3", progs.HardwareSet(), benchName, func(b progs.Benchmark) (T3Row, error) {
-		s, err := statsValueFor(o, "table3/"+b.Name, b)
-		if err != nil {
-			return T3Row{}, err
-		}
-		read := s.CacheOpRatio(micro.OpRead) * 100
-		ws := s.CacheOpRatio(micro.OpWriteStack) * 100
-		wr := s.CacheOpRatio(micro.OpWrite) * 100
+func Table3With(o Options) ([]T3Row, error) { return onPlan(o, planTable3) }
+
+func planTable3(p *plan) func() ([]T3Row, error) {
+	return psiRows(p, "table3", progs.HardwareSet(), func(b progs.Benchmark, r *planRun) T3Row {
+		read := r.stats.CacheOpRatio(micro.OpRead) * 100
+		ws := r.stats.CacheOpRatio(micro.OpWriteStack) * 100
+		wr := r.stats.CacheOpRatio(micro.OpWrite) * 100
 		return T3Row{
 			Name: b.Name, Read: read, WriteStack: ws, Write: wr,
 			WriteTotal: ws + wr, Total: read + ws + wr,
-		}, nil
+		}
 	})
 }
 
@@ -135,18 +133,15 @@ type T4Row struct {
 func Table4() ([]T4Row, error) { return Table4With(Options{}) }
 
 // Table4With is Table4 under explicit worker options.
-func Table4With(o Options) ([]T4Row, error) {
-	return runCells(o, "table4", progs.HardwareSet(), benchName, func(b progs.Benchmark) (T4Row, error) {
-		s, err := statsValueFor(o, "table4/"+b.Name, b)
-		if err != nil {
-			return T4Row{}, err
-		}
-		var row T4Row
-		row.Name = b.Name
+func Table4With(o Options) ([]T4Row, error) { return onPlan(o, planTable4) }
+
+func planTable4(p *plan) func() ([]T4Row, error) {
+	return psiRows(p, "table4", progs.HardwareSet(), func(b progs.Benchmark, r *planRun) T4Row {
+		row := T4Row{Name: b.Name}
 		for k := 0; k < 5; k++ {
-			row.Areas[k] = s.AreaAccessRatio(word.AreaID(k)) * 100
+			row.Areas[k] = r.stats.AreaAccessRatio(word.AreaID(k)) * 100
 		}
-		return row, nil
+		return row
 	})
 }
 
@@ -163,21 +158,15 @@ type T5Row struct {
 func Table5() ([]T5Row, error) { return Table5With(Options{}) }
 
 // Table5With is Table5 under explicit worker options.
-func Table5With(o Options) ([]T5Row, error) {
-	return runCells(o, "table5", progs.HardwareSet(), benchName, func(b progs.Benchmark) (T5Row, error) {
-		r, err := runPSIWith(o, "table5/"+b.Name, b, false)
-		if err != nil {
-			return T5Row{}, err
-		}
-		c := r.Machine.Cache()
-		var row T5Row
-		row.Name = b.Name
+func Table5With(o Options) ([]T5Row, error) { return onPlan(o, planTable5) }
+
+func planTable5(p *plan) func() ([]T5Row, error) {
+	return psiRows(p, "table5", progs.HardwareSet(), func(b progs.Benchmark, r *planRun) T5Row {
+		row := T5Row{Name: b.Name, Total: r.total.HitRatio() * 100}
 		for k := 0; k < 5; k++ {
-			row.Areas[k] = c.Area[k].HitRatio() * 100
+			row.Areas[k] = r.area[k].HitRatio() * 100
 		}
-		row.Total = c.HitRatio() * 100
-		r.Release()
-		return row, nil
+		return row
 	})
 }
 
@@ -204,12 +193,13 @@ type Fig1 struct {
 func Figure1() (*Fig1, error) { return Figure1With(Options{}) }
 
 // Figure1With is Figure1 under explicit worker options. Each workload's
-// cycle stream is fanned out to every cache configuration it feeds in a
-// single pass — WINDOW to the whole capacity sweep plus the ablations,
-// the penalty workloads to their two configurations — with the sweep
-// tapping the machine's cycle stream directly, so no trace is ever
-// materialized. Workloads fan out across the workers as before.
-func Figure1With(o Options) (*Fig1, error) {
+// sweeper taps the cycle stream of the run the tables read, so no trace
+// is materialized and no workload is simulated for the figure alone:
+// WINDOW feeds the whole capacity sweep plus the ablations, the penalty
+// workloads their two configurations.
+func Figure1With(o Options) (*Fig1, error) { return onPlan(o, planFigure1) }
+
+func planFigure1(p *plan) func() (*Fig1, error) {
 	var sizes []int
 	for _, w := range pmms.DefaultSizes() {
 		if w >= 8 {
@@ -226,65 +216,56 @@ func Figure1With(o Options) (*Fig1, error) {
 	iTwoSet, iOneSet, iThrough := len(sizes), len(sizes)+1, len(sizes)+2
 
 	penaltyBenchmarks := []progs.Benchmark{progs.Window1, progs.Puzzle8, progs.BUP3}
-	sweeps, errs := parMapErrs(o.workers(), penaltyBenchmarks, func(b progs.Benchmark) (*pmms.Sweeper, error) {
+	cells := make([]string, len(penaltyBenchmarks))
+	runs := make([]*planRun, len(penaltyBenchmarks))
+	sweeps := make([]*pmms.Sweeper, len(penaltyBenchmarks))
+	for i, b := range penaltyBenchmarks {
 		cfgs := []cache.Config{cache.PSI, pmms.OneSetConfig}
-		if b.Name == progs.Window1.Name {
+		if i == 0 {
 			cfgs = fullCfgs
 		}
-		s := pmms.NewSweeper(cfgs)
-		start := time.Now()
-		if err := runPSIInto(o, "fig1/"+b.Name, b, s); err != nil {
+		cells[i] = "fig1/" + b.Name
+		runs[i] = p.psi(cells[i], b, core.Features{})
+		sweeps[i] = pmms.NewSweeper(cfgs)
+		runs[i].tap(sweeps[i])
+	}
+	return func() (*Fig1, error) {
+		ok, err := cellRows(p.o, "figure1", cells, func(i int) (int, error) { return i, runs[i].err })
+		if err != nil {
 			return nil, err
 		}
-		obs.RecordSweep(s.Lanes(), s.Cycles(), time.Since(start).Nanoseconds())
-		return s, nil
-	})
-	var joined []error
-	for i, err := range errs {
-		if err == nil {
-			continue
+		if len(ok) == 0 || ok[0] != 0 {
+			// Degraded: the WINDOW sweep carries the capacity curve and
+			// the ablation points — without it there is no figure to
+			// report.
+			return nil, nil
 		}
-		cerr := &CellError{Cell: "fig1/" + penaltyBenchmarks[i].Name, Err: err}
-		if o.KeepGoing {
-			o.degrade("figure1", cerr.Cell, err)
-		} else {
-			joined = append(joined, cerr)
+		win := sweeps[0]
+		f := &Fig1{Workload: progs.Window1.Name}
+		for i := range sizes {
+			f.Points = append(f.Points, win.PointAt(i))
 		}
-	}
-	if len(joined) > 0 {
-		return nil, errors.Join(joined...)
-	}
-	if errs[0] != nil {
-		// Degraded: the WINDOW sweep carries the capacity curve and the
-		// ablation points — without it there is no figure to report.
-		return nil, nil
-	}
+		f.TwoSet8K = win.Improvement(iTwoSet)
+		// The paper compares "two 4K-word sets" (the machine) against
+		// "one 4K-word set": half the capacity, direct-mapped.
+		f.OneSet8K = win.Improvement(iOneSet)
+		f.StoreThrough = win.Improvement(iThrough)
 
-	win := sweeps[0]
-	f := &Fig1{Workload: progs.Window1.Name}
-	for i := range sizes {
-		f.Points = append(f.Points, win.PointAt(i))
-	}
-	f.TwoSet8K = win.Improvement(iTwoSet)
-	// The paper compares "two 4K-word sets" (the machine) against "one
-	// 4K-word set": half the capacity, direct-mapped.
-	f.OneSet8K = win.Improvement(iOneSet)
-	f.StoreThrough = win.Improvement(iThrough)
-
-	f.OneSetPenalty = map[string]float64{}
-	for i, b := range penaltyBenchmarks {
-		s := sweeps[i]
-		if s == nil {
-			continue // degraded penalty workload: the curve survives without it
+		// A degraded penalty workload is skipped: the curve survives
+		// without it.
+		f.OneSetPenalty = map[string]float64{}
+		for _, i := range ok {
+			s := sweeps[i]
+			two, one := s.Improvement(0), s.Improvement(1)
+			if i == 0 {
+				two, one = s.Improvement(iTwoSet), s.Improvement(iOneSet)
+			}
+			name := penaltyBenchmarks[i].Name
+			f.OneSetPenalty[name] = two - one
+			f.PenaltyOrder = append(f.PenaltyOrder, name)
 		}
-		two, one := s.Improvement(0), s.Improvement(1)
-		if i == 0 {
-			two, one = s.Improvement(iTwoSet), s.Improvement(iOneSet)
-		}
-		f.OneSetPenalty[b.Name] = two - one
-		f.PenaltyOrder = append(f.PenaltyOrder, b.Name)
+		return f, nil
 	}
-	return f, nil
 }
 
 // ---- Table 6 -------------------------------------------------------------
@@ -299,22 +280,28 @@ type T6 struct {
 // BUP; other programs give close results).
 func Table6() (*T6, error) { return Table6With(Options{}) }
 
-// Table6With is Table6 under explicit worker options. Under KeepGoing a
-// failed run degrades the whole section (it is a single measurement):
-// the table is reported as nil and the failure recorded.
-func Table6With(o Options) (*T6, error) {
+// Table6With is Table6 under explicit worker options. MAP folds the
+// cycle stream of the BUP run the tables read, so no trace is
+// materialized. Under KeepGoing a failed run degrades the whole section
+// (it is a single measurement): the table is reported as nil and the
+// failure recorded.
+func Table6With(o Options) (*T6, error) { return onPlan(o, planTable6) }
+
+func planTable6(p *plan) func() (*T6, error) {
 	cell := "table6/" + progs.BUP3.Name
-	r, err := runPSIWith(o, cell, progs.BUP3, true)
-	if err != nil {
-		if o.KeepGoing {
-			o.degrade("table6", cell, err)
-			return nil, nil
+	r := p.psi(cell, progs.BUP3, core.Features{})
+	u := &mapper.WFUsage{}
+	r.tap(u)
+	return func() (*T6, error) {
+		if r.err != nil {
+			if p.o.KeepGoing {
+				p.o.degrade("table6", cell, r.err)
+				return nil, nil
+			}
+			return nil, &CellError{Cell: cell, Err: r.err}
 		}
-		return nil, &CellError{Cell: cell, Err: err}
+		return &T6{Workload: progs.BUP3.Name, Usage: *u}, nil
 	}
-	t := &T6{Workload: progs.BUP3.Name, Usage: mapper.Analyze(r.Trace)}
-	r.Release()
-	return t, nil
 }
 
 // ---- Table 7 -------------------------------------------------------------
@@ -332,27 +319,23 @@ type T7Col struct {
 func Table7() ([]T7Col, error) { return Table7With(Options{}) }
 
 // Table7With is Table7 under explicit worker options.
-func Table7With(o Options) ([]T7Col, error) {
+func Table7With(o Options) ([]T7Col, error) { return onPlan(o, planTable7) }
+
+func planTable7(p *plan) func() ([]T7Col, error) {
 	set := []progs.Benchmark{progs.BUP3, progs.Window1, progs.Puzzle8}
-	return runCells(o, "table7", set, benchName, func(b progs.Benchmark) (T7Col, error) {
-		s, err := statsValueFor(o, "table7/"+b.Name, b)
-		if err != nil {
-			return T7Col{}, err
-		}
-		var c T7Col
-		c.Name = b.Name
-		nonNop := 0.0
+	return psiRows(p, "table7", set, func(b progs.Benchmark, r *planRun) T7Col {
+		s := &r.stats
+		c := T7Col{Name: b.Name}
 		for op := micro.BranchOp(0); op < micro.NumBranchOps; op++ {
 			c.Rates[op] = s.BranchRatio(op) * 100
 			if !op.IsNop() {
-				nonNop += c.Rates[op]
+				c.Branch += c.Rates[op]
 			}
 		}
-		c.Branch = nonNop
 		if s.Steps > 0 {
 			c.Data = float64(s.BranchData) / float64(s.Steps) * 100
 		}
-		return c, nil
+		return c
 	})
 }
 

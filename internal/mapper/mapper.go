@@ -1,7 +1,8 @@
 // Package mapper implements the MAP microinstruction pattern analyzer:
-// given a COLLECT trace, it counts how often specific patterns appear in
-// specific microinstruction fields, producing the raw data behind the
-// work-file (Table 6) and branch-function (Table 7) evaluations.
+// given a COLLECT trace, or the cycle stream a trace would hold, it
+// counts how often specific patterns appear in specific microinstruction
+// fields, producing the raw data behind the work-file (Table 6) and
+// branch-function (Table 7) evaluations.
 package mapper
 
 import (
@@ -70,20 +71,29 @@ type WFUsage struct {
 	Counts [3][micro.NumWFModes]int64 `json:"counts"`
 }
 
+// Cycle implements micro.Sink: MAP as a streaming fold. Attached to a
+// running machine, a WFUsage counts the work-file fields of every cycle
+// with no trace in memory; Analyze is the same fold over a stored trace.
+func (u *WFUsage) Cycle(c micro.Cycle) {
+	u.Steps++
+	u.Counts[0][bounded(c.Src1)]++
+	u.Counts[1][bounded(c.Src2)]++
+	u.Counts[2][bounded(c.Dest)]++
+}
+
 // Analyze computes the work-file usage of a trace.
 func Analyze(l *trace.Log) WFUsage {
 	var u WFUsage
-	u.Steps = int64(len(l.Recs))
 	for _, r := range l.Recs {
-		u.Counts[0][bounded(r.Src1)]++
-		u.Counts[1][bounded(r.Src2)]++
-		u.Counts[2][bounded(r.Dest)]++
+		u.Cycle(r.Cycle())
 	}
 	return u
 }
 
-func bounded(m uint8) int {
-	if int(m) >= int(micro.NumWFModes) {
+// bounded maps a mode outside the WF mode set (a damaged record) to
+// ModeNone.
+func bounded(m micro.WFMode) int {
+	if m >= micro.NumWFModes {
 		return 0
 	}
 	return int(m)
