@@ -244,11 +244,11 @@ func CheckType(b ID, k Kind) bool {
 
 // Structure-builtin errors (all ErrMalformed-class when surfaced).
 var (
-	ErrFunctorArityType  = errors.New("functor/3: arity must be an integer")
-	ErrFunctorNameType   = errors.New("functor/3: name must be an atom")
-	ErrUnivList          = errors.New("=../2: second argument must be a proper non-empty list")
-	ErrUnivFunctor       = errors.New("=../2: functor must be an atom")
-	ErrUnivArity         = errors.New("=../2: arity too large")
+	ErrFunctorArityType = errors.New("functor/3: arity must be an integer")
+	ErrFunctorNameType  = errors.New("functor/3: name must be an atom")
+	ErrUnivList         = errors.New("=../2: second argument must be a proper non-empty list")
+	ErrUnivFunctor      = errors.New("=../2: functor must be an atom")
+	ErrUnivArity        = errors.New("=../2: arity too large")
 )
 
 // ErrFunctorArityRange builds the out-of-range arity error.

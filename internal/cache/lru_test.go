@@ -129,9 +129,9 @@ func TestDirtyWriteBackAccounting(t *testing.T) {
 			name: "store-in dirty eviction pays transfer",
 			cfg:  cfg(StoreIn),
 			steps: []step{
-				{micro.OpWrite, 0, false, MissExtraNS},                 // fill + dirty
+				{micro.OpWrite, 0, false, MissExtraNS},                  // fill + dirty
 				{micro.OpRead, 4, false, BlockTransferNS + MissExtraNS}, // dirty eviction
-				{micro.OpRead, 0, false, MissExtraNS},                  // clean eviction
+				{micro.OpRead, 0, false, MissExtraNS},                   // clean eviction
 			},
 			wantWriteBacks: 1,
 			wantFills:      3,
@@ -151,7 +151,7 @@ func TestDirtyWriteBackAccounting(t *testing.T) {
 			name: "write-stack allocation is dirty but transfer-free",
 			cfg:  cfg(StoreIn),
 			steps: []step{
-				{micro.OpWriteStack, 0, false, 0},                      // allocate, no read-in
+				{micro.OpWriteStack, 0, false, 0},                       // allocate, no read-in
 				{micro.OpRead, 4, false, BlockTransferNS + MissExtraNS}, // but eviction writes it back
 			},
 			wantWriteBacks: 1,

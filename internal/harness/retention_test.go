@@ -1,0 +1,49 @@
+package harness
+
+import (
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+
+	"repro/internal/progs"
+)
+
+// TestCompiledImageRetainsNoParse compiles many fresh fact bases, keeps
+// the compiled images and drops everything else. The live heap they
+// leave must stay a small multiple of their code: an image holds its
+// code, clause and range tables and its source text (about 2.5x the
+// code on this shape). The parser's terms share slab chunks, so a
+// single source term left in a program's compile scratch would keep a
+// whole parse alive with the image, about 10x the code.
+func TestCompiledImageRetainsNoParse(t *testing.T) {
+	const images, clauses = 40, 2000
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	kept := make([]*Compiled, images)
+	codeBytes := 0
+	for i := range kept {
+		var b strings.Builder
+		for k := 0; k < clauses; k++ {
+			fmt.Fprintf(&b, "f(%d, %d, [%d, %d, %d]).\n", k, i*clauses+k, k%10, k%100, k%1000)
+		}
+		key := fmt.Sprintf("retention-%d", i)
+		c, err := CompileKeyed(key, progs.Benchmark{Name: key, Source: b.String(), Query: "f(7, X, _)"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		Evict(key) // the test holds the image, not the process cache
+		kept[i] = c
+		codeBytes += len(c.Prog.Code) * 8
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(kept)
+	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("%d images: heap +%d KB, code %d KB (%.2fx)", images, growth>>10, codeBytes>>10, float64(growth)/float64(codeBytes))
+	if growth > 4*int64(codeBytes) {
+		t.Errorf("%d compiled images keep %d KB live, more than 4x their %d KB of code: a compiled image retains its parse",
+			images, growth>>10, codeBytes>>10)
+	}
+}

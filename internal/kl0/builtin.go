@@ -10,45 +10,45 @@ type Builtin = builtin.ID
 
 // Built-in predicates.
 const (
-	BTrue      = builtin.BTrue
-	BFail      = builtin.BFail
-	BUnify     = builtin.BUnify
-	BNotUnify  = builtin.BNotUnify
-	BEqEq      = builtin.BEqEq
-	BNotEqEq   = builtin.BNotEqEq
-	BVar       = builtin.BVar
-	BNonvar    = builtin.BNonvar
-	BAtom      = builtin.BAtom
-	BInteger   = builtin.BInteger
-	BAtomic    = builtin.BAtomic
-	BIs        = builtin.BIs
-	BArithEq   = builtin.BArithEq
-	BArithNe   = builtin.BArithNe
-	BLess      = builtin.BLess
-	BLessEq    = builtin.BLessEq
-	BGreater   = builtin.BGreater
-	BGreaterEq = builtin.BGreaterEq
-	BFunctor   = builtin.BFunctor
-	BArg       = builtin.BArg
-	BUniv      = builtin.BUniv
-	BCall      = builtin.BCall
-	BWrite     = builtin.BWrite
-	BNl        = builtin.BNl
-	BTab       = builtin.BTab
-	BHalt      = builtin.BHalt
-	BVector    = builtin.BVector
-	BVset      = builtin.BVset
-	BVref      = builtin.BVref
-	BInterrupt = builtin.BInterrupt
-	BCompare   = builtin.BCompare
-	BTermLess  = builtin.BTermLess
-	BTermLeq   = builtin.BTermLeq
-	BTermGtr   = builtin.BTermGtr
-	BTermGeq   = builtin.BTermGeq
-	BFindall   = builtin.BFindall
-	BName      = builtin.BName
-	BAssertz   = builtin.BAssertz
-	BRetract   = builtin.BRetract
+	BTrue       = builtin.BTrue
+	BFail       = builtin.BFail
+	BUnify      = builtin.BUnify
+	BNotUnify   = builtin.BNotUnify
+	BEqEq       = builtin.BEqEq
+	BNotEqEq    = builtin.BNotEqEq
+	BVar        = builtin.BVar
+	BNonvar     = builtin.BNonvar
+	BAtom       = builtin.BAtom
+	BInteger    = builtin.BInteger
+	BAtomic     = builtin.BAtomic
+	BIs         = builtin.BIs
+	BArithEq    = builtin.BArithEq
+	BArithNe    = builtin.BArithNe
+	BLess       = builtin.BLess
+	BLessEq     = builtin.BLessEq
+	BGreater    = builtin.BGreater
+	BGreaterEq  = builtin.BGreaterEq
+	BFunctor    = builtin.BFunctor
+	BArg        = builtin.BArg
+	BUniv       = builtin.BUniv
+	BCall       = builtin.BCall
+	BWrite      = builtin.BWrite
+	BNl         = builtin.BNl
+	BTab        = builtin.BTab
+	BHalt       = builtin.BHalt
+	BVector     = builtin.BVector
+	BVset       = builtin.BVset
+	BVref       = builtin.BVref
+	BInterrupt  = builtin.BInterrupt
+	BCompare    = builtin.BCompare
+	BTermLess   = builtin.BTermLess
+	BTermLeq    = builtin.BTermLeq
+	BTermGtr    = builtin.BTermGtr
+	BTermGeq    = builtin.BTermGeq
+	BFindall    = builtin.BFindall
+	BName       = builtin.BName
+	BAssertz    = builtin.BAssertz
+	BRetract    = builtin.BRetract
 	NumBuiltins = builtin.NumBuiltins
 )
 

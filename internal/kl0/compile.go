@@ -16,32 +16,72 @@ const (
 	kindGlobal
 )
 
+// varInfo is one named clause variable: its occurrences, then its
+// classification, then whether its fresh occurrence has been emitted.
 type varInfo struct {
-	count          int
-	inCompound     bool
-	inLastUserGoal bool
+	name       string
+	count      int
+	inCompound bool
+	kind       varKind
+	index      int
+	lazy       bool
+	emitted    bool
 }
 
-// classifier scans a clause and decides each variable's kind.
+// linearVars is the number of distinct variables up to which a clause's
+// variables are found by scanning; a clause with more gets a name index.
+const linearVars = 32
+
+// classifier scans a clause and decides each variable's kind. A Program
+// keeps one and reuses its variable table for every clause it compiles.
 type classifier struct {
 	forceGlobal bool
-	order       []string
-	info        map[string]*varInfo
+	vars        []varInfo      // in order of first occurrence
+	byName      map[string]int // index into vars, once len(vars) > linearVars
 }
 
-func newClassifier() *classifier {
-	return &classifier{info: make(map[string]*varInfo)}
+// reset empties the classifier for the next clause, dropping every
+// variable name.
+func (c *classifier) reset(forceGlobal bool) {
+	clear(c.vars)
+	c.vars = c.vars[:0]
+	c.byName = nil
+	c.forceGlobal = forceGlobal
+}
+
+// lookup returns the named variable, or nil if the clause has none.
+func (c *classifier) lookup(name string) *varInfo {
+	if c.byName != nil {
+		if i, ok := c.byName[name]; ok {
+			return &c.vars[i]
+		}
+		return nil
+	}
+	for i := range c.vars {
+		if c.vars[i].name == name {
+			return &c.vars[i]
+		}
+	}
+	return nil
 }
 
 func (c *classifier) touch(name string) *varInfo {
 	if name == "_" {
 		return nil
 	}
-	vi, ok := c.info[name]
-	if !ok {
-		vi = &varInfo{}
-		c.info[name] = vi
-		c.order = append(c.order, name)
+	vi := c.lookup(name)
+	if vi == nil {
+		c.vars = append(c.vars, varInfo{name: name})
+		switch {
+		case c.byName != nil:
+			c.byName[name] = len(c.vars) - 1
+		case len(c.vars) > linearVars:
+			c.byName = make(map[string]int, 2*len(c.vars))
+			for i := range c.vars {
+				c.byName[c.vars[i].name] = i
+			}
+		}
+		vi = &c.vars[len(c.vars)-1]
 	}
 	vi.count++
 	return vi
@@ -72,112 +112,96 @@ func (c *classifier) scanArgs(args []*term.Term) {
 	}
 }
 
-// scanGoals records all body occurrences, applying the unsafe-variable
-// rule to the last user goal.
+// scanGoals records all body occurrences.
 func (c *classifier) scanGoals(goals []goal) {
-	last := -1
-	for i, g := range goals {
-		if !g.isBI && !g.cut {
-			last = i
-		}
-	}
-	for i, g := range goals {
-		for _, a := range g.args {
-			if a.Kind == term.Var {
-				vi := c.touch(a.Name)
-				if vi != nil && i == last {
-					// Unsafe: tail-recursion optimization releases the
-					// local frame before the last call, so the variable
-					// must live on the global stack.
-					vi.inLastUserGoal = true
-				}
-				continue
-			}
-			c.scanTerm(a)
-		}
+	for _, g := range goals {
+		c.scanArgs(g.args)
 	}
 }
 
-// varSet is the classification result. Global slots are ordered with the
-// eagerly-initialized variables (those occurring inside compound terms,
-// whose cells a shared skeleton may touch at any time) first; the
-// remaining globals and all locals materialize lazily at their first
-// top-level occurrence, which the emitter marks with the fresh bit.
+// varSet is the classification result; the per-variable kinds and
+// indices are recorded in the classifier's table. Global slots are
+// ordered with the eagerly-initialized variables (those occurring
+// inside compound terms, whose cells a shared skeleton may touch at any
+// time) first; the remaining globals and all locals materialize lazily
+// at their first top-level occurrence, which the emitter marks with the
+// fresh bit.
 type varSet struct {
-	kind        map[string]varKind
-	index       map[string]int
-	lazy        map[string]bool
-	localNames  []string
-	globalNames []string
-	ginit       int
-	err         error
+	nLocals  int
+	nGlobals int
+	ginit    int
+	err      error
 }
 
-func (c *classifier) finish(clause *term.Term) *varSet {
-	vs := &varSet{
-		kind:  make(map[string]varKind),
-		index: make(map[string]int),
-		lazy:  make(map[string]bool),
-	}
+func (c *classifier) finish(clause *term.Term) varSet {
+	var vs varSet
 	// Pass 1: eager globals (inside compound terms) take the low indices.
-	for _, name := range c.order {
-		vi := c.info[name]
-		if c.forceGlobal || vi.count == 1 {
+	for i := range c.vars {
+		v := &c.vars[i]
+		if c.forceGlobal || v.count == 1 {
 			continue
 		}
-		if vi.inCompound {
-			vs.kind[name] = kindGlobal
-			vs.index[name] = len(vs.globalNames)
-			vs.globalNames = append(vs.globalNames, name)
+		if v.inCompound {
+			v.kind, v.index = kindGlobal, vs.nGlobals
+			vs.nGlobals++
 		}
 	}
-	vs.ginit = len(vs.globalNames)
+	vs.ginit = vs.nGlobals
 	// Pass 2: the rest.
-	for _, name := range c.order {
-		vi := c.info[name]
-		if _, done := vs.kind[name]; done {
+	for i := range c.vars {
+		v := &c.vars[i]
+		if v.kind == kindGlobal {
 			continue
 		}
 		switch {
 		case c.forceGlobal:
 			// Query variables are all global and eagerly initialized (the
 			// query frame outlives the run for answer extraction).
-			vs.kind[name] = kindGlobal
-			vs.index[name] = len(vs.globalNames)
-			vs.globalNames = append(vs.globalNames, name)
-			vs.ginit = len(vs.globalNames)
-		case vi.count == 1:
-			vs.kind[name] = kindVoid
+			v.kind, v.index = kindGlobal, vs.nGlobals
+			vs.nGlobals++
+			vs.ginit = vs.nGlobals
+		case v.count == 1:
+			v.kind = kindVoid
 		default:
-			vs.kind[name] = kindLocal
-			vs.index[name] = len(vs.localNames)
-			vs.localNames = append(vs.localNames, name)
-			vs.lazy[name] = true
+			v.kind, v.index, v.lazy = kindLocal, vs.nLocals, true
+			vs.nLocals++
 		}
 	}
-	if len(vs.globalNames) > MaxArity {
-		vs.err = errf(clause, "clause needs %d global variables; at most %d supported", len(vs.globalNames), MaxArity)
+	if vs.nGlobals > MaxArity {
+		vs.err = errf(clause, "clause needs %d global variables; at most %d supported", vs.nGlobals, MaxArity)
 	}
-	if len(vs.localNames) > MaxArity {
-		vs.err = errf(clause, "clause needs %d local variables; at most %d supported", len(vs.localNames), MaxArity)
+	if vs.nLocals > MaxArity {
+		vs.err = errf(clause, "clause needs %d local variables; at most %d supported", vs.nLocals, MaxArity)
 	}
 	return vs
 }
 
+// globalNames lists the global variables by slot.
+func (c *classifier) globalNames(vs varSet) []string {
+	names := make([]string, vs.nGlobals)
+	for _, v := range c.vars {
+		if v.kind == kindGlobal {
+			names[v.index] = v.name
+		}
+	}
+	return names
+}
+
 // emitter writes instruction code words for one clause.
 type emitter struct {
-	p       *Program
-	vars    *varSet
-	clause  *term.Term
-	skels   map[*term.Term]int
-	emitted map[string]bool // lazy variables whose fresh occurrence is out
+	p      *Program
+	cl     *classifier
+	clause *term.Term
+	// offs holds skeleton offsets: those of the clause's top-level
+	// compound arguments in emission order, read back through next,
+	// with each emitSkel's pending children stacked above them.
+	offs []int
+	next int
 }
 
 // emitClause writes all skeletons then the clause proper, returning the
 // offset of the info word.
-func (em *emitter) emitClause(headArgs []*term.Term, goals []goal, vars *varSet) (int, error) {
-	em.skels = make(map[*term.Term]int)
-	em.emitted = make(map[string]bool)
+func (em *emitter) emitClause(headArgs []*term.Term, goals []goal, vars varSet) (int, error) {
 	// Emit skeletons for every compound argument first so the clause body
 	// is a contiguous run of words (instruction fetch locality).
 	for _, a := range headArgs {
@@ -193,7 +217,7 @@ func (em *emitter) emitClause(headArgs []*term.Term, goals []goal, vars *varSet)
 		}
 	}
 	start := len(em.p.Code)
-	em.p.Code = append(em.p.Code, word.Info(len(vars.localNames), len(vars.globalNames), vars.ginit, len(headArgs)))
+	em.p.Code = append(em.p.Code, word.Info(vars.nLocals, vars.nGlobals, vars.ginit, len(headArgs)))
 	for _, a := range headArgs {
 		w, err := em.argWord(a)
 		if err != nil {
@@ -222,42 +246,55 @@ func (em *emitter) emitClause(headArgs []*term.Term, goals []goal, vars *varSet)
 	return start, nil
 }
 
-// prepareArg emits the skeleton(s) for a compound argument.
+// prepareArg emits the skeleton(s) for a compound argument and queues
+// its offset for the clause proper.
 func (em *emitter) prepareArg(t *term.Term) error {
 	if t.Kind != term.Compound {
 		return nil
 	}
-	_, err := em.emitSkel(t)
-	return err
+	off, err := em.emitSkel(t)
+	if err != nil {
+		return err
+	}
+	em.offs = append(em.offs, off)
+	return nil
 }
 
 // emitSkel writes the skeleton for compound term t (children first) and
-// returns its offset.
+// returns its offset. Each occurrence of a compound gets its own
+// skeleton: within one clause, neither the parser nor the lifting of
+// control constructs shares a subterm.
 func (em *emitter) emitSkel(t *term.Term) (int, error) {
-	if off, ok := em.skels[t]; ok {
-		return off, nil
-	}
 	if len(t.Args) > MaxArity {
 		return 0, errf(em.clause, "functor arity %d exceeds %d", len(t.Args), MaxArity)
 	}
+	base := len(em.offs)
 	for _, a := range t.Args {
 		if a.Kind == term.Compound {
-			if _, err := em.emitSkel(a); err != nil {
+			off, err := em.emitSkel(a)
+			if err != nil {
 				return 0, err
 			}
+			em.offs = append(em.offs, off)
 		}
 	}
 	off := len(em.p.Code)
 	sym := em.p.Syms.Intern(t.Functor)
 	em.p.Code = append(em.p.Code, word.Functor(sym, len(t.Args)))
+	child := base
 	for _, a := range t.Args {
+		if a.Kind == term.Compound {
+			em.p.Code = append(em.p.Code, word.Skel(word.Addr(em.offs[child])))
+			child++
+			continue
+		}
 		w, err := em.argWord(a)
 		if err != nil {
 			return 0, err
 		}
 		em.p.Code = append(em.p.Code, w)
 	}
-	em.skels[t] = off
+	em.offs = em.offs[:base]
 	return off, nil
 }
 
@@ -268,22 +305,23 @@ func (em *emitter) argWord(t *term.Term) (word.Word, error) {
 		if t.Name == "_" {
 			return word.New(word.TagVoid, 0), nil
 		}
+		v := em.cl.lookup(t.Name)
 		var tag word.Tag
-		switch em.vars.kind[t.Name] {
-		case kindVoid:
+		switch {
+		case v == nil || v.kind == kindVoid:
 			return word.New(word.TagVoid, 0), nil
-		case kindLocal:
+		case v.kind == kindLocal:
 			tag = word.TagLocal
 		default:
 			tag = word.TagGlobal
 		}
-		data := uint32(em.vars.index[t.Name])
-		if em.vars.lazy[t.Name] && !em.emitted[t.Name] {
+		data := uint32(v.index)
+		if v.lazy && !v.emitted {
 			// First top-level occurrence of a lazily-materialized
 			// variable: the firmware writes the cell instead of reading
 			// it. (Lazy variables never occur inside skeletons, so code
 			// emission order equals execution order for them.)
-			em.emitted[t.Name] = true
+			v.emitted = true
 			data |= word.FreshBit
 		}
 		return word.New(tag, data), nil
@@ -298,14 +336,9 @@ func (em *emitter) argWord(t *term.Term) (word.Word, error) {
 		}
 		return word.Atom(em.p.Syms.Intern(t.Functor)), nil
 	case term.Compound:
-		off, ok := em.skels[t]
-		if !ok {
-			var err error
-			off, err = em.emitSkel(t)
-			if err != nil {
-				return 0, err
-			}
-		}
+		// A top-level argument: prepareArg emitted its skeleton.
+		off := em.offs[em.next]
+		em.next++
 		return word.Skel(word.Addr(off)), nil
 	}
 	return 0, errf(em.clause, "cannot encode term %s", t)

@@ -11,11 +11,12 @@
 //
 // Variables are classified per clause: a variable occurring inside a
 // compound term is global (it needs a cell in the clause's global frame,
-// which outlives the local frame); a variable occurring as a top-level
-// argument of the last user goal is globalized too (the classical
-// "unsafe variable" rule, required because tail-recursion optimization
-// releases the local frame before the last call); all other variables are
-// local; single-occurrence variables are void and need no cell at all.
+// which outlives the local frame); all other variables are local;
+// single-occurrence variables are void and need no cell at all. The
+// classical "unsafe variable" rule is the machine's, not the
+// compiler's: when tail-recursion optimization releases the local frame
+// before the last call, an unbound local passed to that call moves to
+// the global stack.
 //
 // Control constructs ';', '->' and '\+' are lifted into auxiliary
 // predicates so the firmware only ever sees conjunctions, cut, built-ins
@@ -133,6 +134,40 @@ type Program struct {
 	// code is emitted; read without the lock by running machines (the
 	// sharing contract: compilation happens before concurrent runs).
 	ranges []codeRange
+	// scratch is reused by every clause compiled under mu.
+	scratch scratch
+}
+
+// scratch is a Program's per-clause compile state, reused under mu so
+// that compiling a clause allocates nothing of its own. AddClauses and
+// CompileQuery clear it before they return: the source terms of one
+// parse share slab memory, so a single term left here would keep the
+// whole parse alive for as long as the program.
+type scratch struct {
+	cl classifier
+	// goals and work are stacks: a query's lifted predicates compile
+	// while its own goals wait, and a lifted batch compiles while the
+	// rest of its enclosing batch waits.
+	goals []goal    // normalized bodies
+	work  []pending // clauses of the batches being compiled
+	offs  []int     // skeleton offsets, see emitter
+}
+
+// release drops every reference the scratch holds into source terms.
+// Entries past each slice's length are always zero: the compile paths
+// append to these fields directly and clear what they truncate.
+func (s *scratch) release() {
+	s.cl.reset(false)
+	clear(s.goals)
+	s.goals = s.goals[:0]
+	clear(s.work)
+	s.work = s.work[:0]
+}
+
+// popGoals clears the normalized goals stacked above base.
+func (s *scratch) popGoals(base int) {
+	clear(s.goals[base:])
+	s.goals = s.goals[:base]
 }
 
 // codeRange attributes the code words [start, end) to procedure proc
@@ -275,7 +310,14 @@ type goal struct {
 	isBI    bool
 	proc    int // user proc index when !isBI && !cut
 	args    []*term.Term
-	indic   string
+}
+
+// pending is one clause of a batch, registered and awaiting code.
+type pending struct {
+	src   *term.Term
+	head  *term.Term
+	body  *term.Term
+	owner int
 }
 
 // AddClauses compiles a batch of source clauses into the program. Within
@@ -286,19 +328,15 @@ type goal struct {
 func (p *Program) AddClauses(clauses []*term.Term) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	defer p.scratch.release()
 	return p.addClauses(clauses)
 }
 
 // addClauses is AddClauses without the lock, for the recursive
-// compilation of lifted auxiliary predicates.
+// compilation of lifted auxiliary predicates. A nested batch stacks its
+// clauses above the enclosing batch's in the scratch work list.
 func (p *Program) addClauses(clauses []*term.Term) error {
-	type pending struct {
-		src   *term.Term
-		head  *term.Term
-		body  *term.Term
-		owner int
-	}
-	var work []pending
+	base := len(p.scratch.work)
 
 	// Pass 1: register every defined predicate so bodies can resolve
 	// forward references.
@@ -322,16 +360,19 @@ func (p *Program) addClauses(clauses []*term.Term) error {
 			return errf(c, "cannot redefine built-in %s/%d", head.Functor, head.Arity())
 		}
 		idx := p.ensureProc(head.Functor, head.Arity())
-		work = append(work, pending{src: c, head: head, body: body, owner: idx})
+		p.scratch.work = append(p.scratch.work, pending{src: c, head: head, body: body, owner: idx})
 	}
 
-	// Pass 2: compile.
-	for _, w := range work {
+	// Pass 2: compile. A lifted predicate's batch may grow the work
+	// list, so entries are read by index.
+	for i, end := base, len(p.scratch.work); i < end; i++ {
+		w := p.scratch.work[i]
 		if err := p.compileClause(w.src, w.head, w.body, w.owner); err != nil {
 			return err
 		}
 	}
-
+	clear(p.scratch.work[base:])
+	p.scratch.work = p.scratch.work[:base]
 	return nil
 }
 
@@ -340,63 +381,69 @@ func (p *Program) addClauses(clauses []*term.Term) error {
 func (p *Program) CompileQuery(body *term.Term) (*Query, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	goals, lifted, err := p.normalizeBody(body, body)
-	if err != nil {
+	defer p.scratch.release()
+	base := len(p.scratch.goals)
+	var lifted []*term.Term
+	if err := p.normalizeBody(body, body, &lifted); err != nil {
 		return nil, err
 	}
 	if err := p.compileLifted(lifted); err != nil {
 		return nil, err
 	}
-	cl := newClassifier()
-	cl.forceGlobal = true
+	goals := p.scratch.goals[base:]
+	cl := &p.scratch.cl
+	cl.reset(true)
 	cl.scanGoals(goals)
 	vars := cl.finish(nil)
-	if len(vars.globalNames) > MaxArity {
-		return nil, errf(body, "query has %d variables; at most %d supported", len(vars.globalNames), MaxArity)
+	if vars.nGlobals > MaxArity {
+		return nil, errf(body, "query has %d variables; at most %d supported", vars.nGlobals, MaxArity)
 	}
-	em := &emitter{p: p, vars: vars, clause: body}
+	em := emitter{p: p, cl: cl, clause: body, offs: p.scratch.offs[:0]}
 	start, err := em.emitClause(nil, goals, vars)
+	p.scratch.offs = em.offs[:0]
 	if err != nil {
 		return nil, err
 	}
 	p.ranges = append(p.ranges, codeRange{start: start, end: len(p.Code), proc: -1})
-	return &Query{Start: start, Vars: vars.globalNames, NGlobals: len(vars.globalNames)}, nil
+	return &Query{Start: start, Vars: cl.globalNames(vars), NGlobals: vars.nGlobals}, nil
 }
 
 func (p *Program) compileClause(src, head, body *term.Term, owner int) error {
-	var goals []goal
+	base := len(p.scratch.goals)
 	var lifted []*term.Term
 	if body != nil {
-		var err error
-		goals, lifted, err = p.normalizeBody(body, src)
-		if err != nil {
+		if err := p.normalizeBody(body, src, &lifted); err != nil {
 			return err
 		}
 	}
-	cl := newClassifier()
+	cl := &p.scratch.cl
+	cl.reset(false)
 	var headArgs []*term.Term
 	if head.Kind == term.Compound {
 		headArgs = head.Args
 	}
+	goals := p.scratch.goals[base:]
 	cl.scanArgs(headArgs)
 	cl.scanGoals(goals)
 	vars := cl.finish(src)
 	if vars.err != nil {
 		return vars.err
 	}
-	em := &emitter{p: p, vars: vars, clause: src}
+	em := emitter{p: p, cl: cl, clause: src, offs: p.scratch.offs[:0]}
 	start, err := em.emitClause(headArgs, goals, vars)
+	p.scratch.offs = em.offs[:0]
 	if err != nil {
 		return err
 	}
+	p.scratch.popGoals(base)
 	proc := p.Procs[owner]
 	if proc.nDead > 0 {
 		proc.alive = append(proc.alive, len(proc.Clauses))
 	}
 	proc.Clauses = append(proc.Clauses, ClauseInfo{
 		Start:    start,
-		NLocals:  len(vars.localNames),
-		NGlobals: len(vars.globalNames),
+		NLocals:  vars.nLocals,
+		NGlobals: vars.nGlobals,
 	})
 	p.ranges = append(p.ranges, codeRange{start: start, end: len(p.Code), proc: owner})
 	// Compile any predicates lifted out of control constructs.
@@ -410,32 +457,23 @@ func (p *Program) compileLifted(lifted []*term.Term) error {
 	return p.addClauses(lifted)
 }
 
-// normalizeBody flattens a clause body into a goal sequence, lifting
-// disjunction, if-then-else and negation into fresh auxiliary predicates.
-// It returns the goal list plus the auxiliary clauses to compile.
-func (p *Program) normalizeBody(body, src *term.Term) ([]goal, []*term.Term, error) {
-	var goals []goal
-	var lifted []*term.Term
-	var walk func(t *term.Term) error
-	walk = func(t *term.Term) error {
-		if t.Kind == term.Compound && t.Functor == "," && len(t.Args) == 2 {
-			if err := walk(t.Args[0]); err != nil {
-				return err
-			}
-			return walk(t.Args[1])
-		}
-		g, aux, err := p.normalizeGoal(t, src)
-		if err != nil {
+// normalizeBody flattens a clause body onto the scratch goal stack,
+// lifting disjunction, if-then-else and negation into fresh auxiliary
+// predicates whose clauses it appends to lifted.
+func (p *Program) normalizeBody(t, src *term.Term, lifted *[]*term.Term) error {
+	if t.Kind == term.Compound && t.Functor == "," && len(t.Args) == 2 {
+		if err := p.normalizeBody(t.Args[0], src, lifted); err != nil {
 			return err
 		}
-		lifted = append(lifted, aux...)
-		goals = append(goals, g)
-		return nil
+		return p.normalizeBody(t.Args[1], src, lifted)
 	}
-	if err := walk(body); err != nil {
-		return nil, nil, err
+	g, aux, err := p.normalizeGoal(t, src)
+	if err != nil {
+		return err
 	}
-	return goals, lifted, nil
+	*lifted = append(*lifted, aux...)
+	p.scratch.goals = append(p.scratch.goals, g)
+	return nil
 }
 
 func (p *Program) freshAux() string {
@@ -467,7 +505,7 @@ func (p *Program) normalizeGoal(t *term.Term, src *term.Term) (goal, []*term.Ter
 	switch {
 	case t.Kind == term.Var:
 		// A variable goal is a metacall.
-		return goal{builtin: BCall, isBI: true, args: []*term.Term{t}, indic: "call/1"}, nil, nil
+		return goal{builtin: BCall, isBI: true, args: []*term.Term{t}}, nil, nil
 
 	case t.Kind == term.Int:
 		return goal{}, nil, errf(src, "integer %d cannot be a goal", t.N)
@@ -521,12 +559,12 @@ func (p *Program) normalizeGoal(t *term.Term, src *term.Term) (goal, []*term.Ter
 			return goal{}, nil, errf(src, "goal arity %d exceeds %d", t.Arity(), MaxArity)
 		}
 		if bi, ok := LookupBuiltin(t.Functor, t.Arity()); ok {
-			return goal{builtin: bi, isBI: true, args: t.Args, indic: t.Indicator()}, nil, nil
+			return goal{builtin: bi, isBI: true, args: t.Args}, nil, nil
 		}
 		sym, ok := p.Syms.Lookup(t.Functor)
 		if ok {
 			if idx, ok := p.procIndex[procKey(sym, t.Arity())]; ok {
-				return goal{proc: idx, args: t.Args, indic: t.Indicator()}, nil, nil
+				return goal{proc: idx, args: t.Args}, nil, nil
 			}
 		}
 		return goal{}, nil, errf(src, "call to undefined predicate %s", t.Indicator())

@@ -75,11 +75,21 @@ var prefixOps = map[string]opDef{
 }
 
 // Parser reads a sequence of clauses from source text.
+//
+// The terms it returns come from slabs the parser owns: nodes holds
+// term.Term values and vecs argument vectors, each handed out from
+// chunks that grow with the parse. Terms of one parse therefore share
+// memory, and since clauses straddle chunks, holding any one of them
+// can keep the whole parse alive. Arguments and list elements collect
+// on stack, which is reused for every term the parser reads.
 type Parser struct {
-	lx   *lex.Lexer
-	tok  lex.Token
-	err  error
-	path string
+	lx    *lex.Lexer
+	tok   lex.Token
+	err   error
+	path  string
+	nodes slab[term.Term]
+	vecs  slab[*term.Term]
+	stack []*term.Term
 }
 
 // New returns a parser over src. path is used in error messages.
@@ -87,6 +97,77 @@ func New(path, src string) *Parser {
 	p := &Parser{lx: lex.New(src), path: path}
 	p.next()
 	return p
+}
+
+// Slab chunks start at minChunk values, so a one-term parse stays
+// small, and double up to maxChunk, so a large program costs a few
+// allocations per thousand terms.
+const (
+	minChunk = 8
+	maxChunk = 1024
+)
+
+// slab hands out values from chunks that are filled front to back and
+// never reused: the values escape to the caller.
+type slab[T any] struct {
+	free []T // the unused tail of the current chunk
+	size int // length of the current chunk
+}
+
+// take returns n fresh values whose slice cannot grow into its
+// neighbours.
+func (s *slab[T]) take(n int) []T {
+	if n > len(s.free) {
+		s.size = min(max(2*s.size, minChunk), maxChunk)
+		s.free = make([]T, max(s.size, n))
+	}
+	v := s.free[:n:n]
+	s.free = s.free[n:]
+	return v
+}
+
+// node returns a slab copy of t.
+func (p *Parser) node(t term.Term) *term.Term {
+	n := &p.nodes.take(1)[0]
+	*n = t
+	return n
+}
+
+func (p *Parser) atom(name string) *term.Term {
+	return p.node(term.Term{Kind: term.Atom, Functor: name})
+}
+
+func (p *Parser) integer(v int64) *term.Term {
+	return p.node(term.Term{Kind: term.Int, N: v})
+}
+
+// apply returns the compound functor(args...) with a slab copy of args.
+func (p *Parser) apply(functor string, args ...*term.Term) *term.Term {
+	vec := p.vecs.take(len(args))
+	copy(vec, args)
+	return p.node(term.Term{Kind: term.Compound, Functor: functor, Args: vec})
+}
+
+// pop truncates the stack to base, the depth before the caller pushed.
+func (p *Parser) pop(base int) { p.stack = p.stack[:base] }
+
+// list builds the list of the elements stacked above base, ending in
+// tail, and pops them.
+func (p *Parser) list(base int, tail *term.Term) *term.Term {
+	for i := len(p.stack) - 1; i >= base; i-- {
+		tail = p.apply(".", p.stack[i], tail)
+	}
+	p.pop(base)
+	return tail
+}
+
+// top reads one term of precedence at most 1200. A parse that fails
+// midway abandons the frames that pushed onto the stack; top drops what
+// they pushed.
+func (p *Parser) top() (*term.Term, error) {
+	t, err := p.parse(1200)
+	p.pop(0)
+	return t, err
 }
 
 // Error is a syntax error with position information.
@@ -125,7 +206,7 @@ func (p *Parser) ReadClause() (*term.Term, error) {
 	if p.tok.Kind == lex.EOF {
 		return nil, nil
 	}
-	t, err := p.parse(1200)
+	t, err := p.top()
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +241,7 @@ func (p *Parser) ReadAll() ([]*term.Term, error) {
 // Term parses a single term from src (no trailing '.').
 func Term(src string) (*term.Term, error) {
 	p := New("<term>", src)
-	t, err := p.parse(1200)
+	t, err := p.top()
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +313,7 @@ func (p *Parser) parseInfix(left *term.Term, leftPrec, maxPrec int) (*term.Term,
 		if err != nil {
 			return nil, err
 		}
-		left = term.NewCompound(name, left, right)
+		left = p.apply(name, left, right)
 		leftPrec = op.prec
 	}
 }
@@ -256,19 +337,19 @@ func (p *Parser) parsePrimary(maxPrec int) (*term.Term, int, error) {
 	switch tok.Kind {
 	case lex.IntTok:
 		p.next()
-		return term.NewInt(tok.Int), 0, nil
+		return p.integer(tok.Int), 0, nil
 
 	case lex.VarTok:
 		p.next()
-		return term.NewVar(tok.Text), 0, nil
+		return p.node(term.Term{Kind: term.Var, Name: tok.Text}), 0, nil
 
 	case lex.StrTok:
 		p.next()
-		codes := make([]int64, 0, len(tok.Text))
+		base := len(p.stack)
 		for _, r := range tok.Text {
-			codes = append(codes, int64(r))
+			p.stack = append(p.stack, p.integer(int64(r)))
 		}
-		return term.IntList(codes...), 0, nil
+		return p.list(base, p.atom("[]")), 0, nil
 
 	case lex.FunctTok:
 		p.next() // functor; current token is '('
@@ -276,13 +357,13 @@ func (p *Parser) parsePrimary(maxPrec int) (*term.Term, int, error) {
 			return nil, 0, p.errf("internal: functor token not followed by '('")
 		}
 		p.next()
-		var args []*term.Term
+		base := len(p.stack)
 		for {
 			a, err := p.parse(999)
 			if err != nil {
 				return nil, 0, err
 			}
-			args = append(args, a)
+			p.stack = append(p.stack, a)
 			if p.tok.Kind == lex.PunctTok && p.tok.Text == "," {
 				p.next()
 				continue
@@ -293,7 +374,9 @@ func (p *Parser) parsePrimary(maxPrec int) (*term.Term, int, error) {
 			return nil, 0, p.errf("expected ')' in arguments of %s, found %q", tok.Text, p.tok.String())
 		}
 		p.next()
-		return term.NewCompound(tok.Text, args...), 0, nil
+		t := p.apply(tok.Text, p.stack[base:]...)
+		p.pop(base)
+		return t, 0, nil
 
 	case lex.AtomTok:
 		name := tok.Text
@@ -307,7 +390,7 @@ func (p *Parser) parsePrimary(maxPrec int) (*term.Term, int, error) {
 				if name == "-" {
 					v = -v
 				}
-				return term.NewInt(v), 0, nil
+				return p.integer(v), 0, nil
 			}
 			argMax := op.prec
 			if op.typ == fx {
@@ -317,14 +400,14 @@ func (p *Parser) parsePrimary(maxPrec int) (*term.Term, int, error) {
 			if err != nil {
 				return nil, 0, err
 			}
-			return term.NewCompound(name, arg), op.prec, nil
+			return p.apply(name, arg), op.prec, nil
 		}
 		// Plain atom. An atom that is also an operator keeps its
 		// precedence so that (a :- b) :- c parses correctly.
 		if op, ok := infixOps[name]; ok {
-			return term.NewAtom(name), op.prec, nil
+			return p.atom(name), op.prec, nil
 		}
-		return term.NewAtom(name), 0, nil
+		return p.atom(name), 0, nil
 
 	case lex.PunctTok:
 		switch tok.Text {
@@ -346,7 +429,7 @@ func (p *Parser) parsePrimary(maxPrec int) (*term.Term, int, error) {
 			p.next()
 			if p.tok.Kind == lex.PunctTok && p.tok.Text == "}" {
 				p.next()
-				return term.NewAtom("{}"), 0, nil
+				return p.atom("{}"), 0, nil
 			}
 			t, err := p.parse(1200)
 			if err != nil {
@@ -356,7 +439,7 @@ func (p *Parser) parsePrimary(maxPrec int) (*term.Term, int, error) {
 				return nil, 0, p.errf("expected '}', found %q", p.tok.String())
 			}
 			p.next()
-			return term.NewCompound("{}", t), 0, nil
+			return p.apply("{}", t), 0, nil
 		}
 	}
 	return nil, 0, p.errf("unexpected token %q", tok.String())
@@ -365,22 +448,22 @@ func (p *Parser) parsePrimary(maxPrec int) (*term.Term, int, error) {
 func (p *Parser) parseList() (*term.Term, int, error) {
 	if p.tok.Kind == lex.PunctTok && p.tok.Text == "]" {
 		p.next()
-		return term.EmptyList(), 0, nil
+		return p.atom("[]"), 0, nil
 	}
-	var elems []*term.Term
+	base := len(p.stack)
 	for {
 		e, err := p.parse(999)
 		if err != nil {
 			return nil, 0, err
 		}
-		elems = append(elems, e)
+		p.stack = append(p.stack, e)
 		if p.tok.Kind == lex.PunctTok && p.tok.Text == "," {
 			p.next()
 			continue
 		}
 		break
 	}
-	tail := term.EmptyList()
+	var tail *term.Term
 	if p.tok.Kind == lex.PunctTok && p.tok.Text == "|" {
 		p.next()
 		t, err := p.parse(999)
@@ -393,8 +476,8 @@ func (p *Parser) parseList() (*term.Term, int, error) {
 		return nil, 0, p.errf("expected ']', found %q", p.tok.String())
 	}
 	p.next()
-	for i := len(elems) - 1; i >= 0; i-- {
-		tail = term.Cons(elems[i], tail)
+	if tail == nil {
+		tail = p.atom("[]")
 	}
-	return tail, 0, nil
+	return p.list(base, tail), 0, nil
 }

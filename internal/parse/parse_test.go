@@ -261,3 +261,97 @@ func TestRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestErrorMessages pins the text and line of every syntax error the
+// reader reports: one case per parser error path and per lexer error.
+// (The parser's "functor token not followed by '('" check is
+// unreachable: the lexer emits a functor token only before '('.) A
+// lexer error is reported at the line of the last good token, which is
+// 0 when the very first token fails.
+func TestErrorMessages(t *testing.T) {
+	cases := []struct {
+		src  string
+		term bool // read with Term rather than Clauses
+		line int
+		msg  string
+	}{
+		// Parser errors.
+		{src: "a :- b c.", line: 1, msg: `t:1: expected '.' after clause, found "c"`},
+		{src: "a", line: 1, msg: `t:1: expected '.' after clause, found "<eof>"`},
+		{src: "a b", term: true, line: 1, msg: `<term>:1: trailing input "b"`},
+		{src: "f(a)) ", term: true, line: 1, msg: `<term>:1: trailing input ")"`},
+		{src: "f(a b).", line: 1, msg: `t:1: expected ')' in arguments of f, found "b"`},
+		{src: "f(a\n.", line: 2, msg: `t:2: expected ')' in arguments of f, found "."`},
+		{src: "x :- (a, b.", line: 1, msg: `t:1: expected ')', found "."`},
+		{src: "x :- {a, b.", line: 1, msg: `t:1: expected '}', found "."`},
+		{src: "{a", term: true, line: 1, msg: `<term>:1: expected '}', found "<eof>"`},
+		{src: "x :- ).", line: 1, msg: `t:1: unexpected token ")"`},
+		{src: "f(a,).", line: 1, msg: `t:1: unexpected token ")"`},
+		{src: ", a", term: true, line: 1, msg: `<term>:1: unexpected token ","`},
+		{src: "", term: true, line: 1, msg: `<term>:1: unexpected token "<eof>"`},
+		{src: "p([a, b c]).", line: 1, msg: `t:1: expected ']', found "c"`},
+		{src: "p :- X = [1, 2 | T W].", line: 1, msg: `t:1: expected ']', found "W"`},
+		{src: "[a, b", line: 1, msg: `t:1: expected ']', found "<eof>"`},
+		// Errors after good clauses, and nested inside argument lists
+		// and lists: the reader unwinds several open frames.
+		{src: "a.\nb(1).\nc([x, y]).\nd(e(f, g h)).", line: 4, msg: `t:4: expected ')' in arguments of e, found "h"`},
+		{src: "a.\np([1, f(2, [3, 4 5])]).", line: 2, msg: `t:2: expected ']', found "5"`},
+		{src: "a.\n\nq(f(x, [y | Z], g(w v))).", line: 3, msg: `t:3: expected ')' in arguments of g, found "v"`},
+		// Lexer errors.
+		{src: "/* open", line: 0, msg: "t:0: line 1: unterminated block comment"},
+		{src: "a.\nb :- c.\n/* open\n", line: 2, msg: "t:2: line 3: unterminated block comment"},
+		{src: "s(\"abc).", line: 1, msg: "t:1: line 1: unterminated string"},
+		{src: "x :- `.", line: 1, msg: "t:1: line 1: unexpected character '`'"},
+		{src: "x :- \x01.", line: 1, msg: "t:1: line 1: unexpected byte 0x1"},
+		{src: "x(0'", line: 1, msg: "t:1: line 1: unterminated character code"},
+		{src: "x(0''a).", line: 1, msg: "t:1: line 1: expected doubled quote in 0''' character code"},
+		{src: "x(99999999999999).", line: 1, msg: "t:1: line 1: integer literal 99999999999999 out of range"},
+		{src: "x('abc).", line: 1, msg: "t:1: line 1: unterminated quoted atom"},
+		{src: "a.\nx('abc", line: 2, msg: "t:2: line 2: unterminated quoted atom"},
+		{src: "'x", term: true, line: 0, msg: "<term>:0: line 1: unterminated quoted atom"},
+		{src: "x('a\\", line: 1, msg: "t:1: line 1: unterminated escape"},
+		{src: "x('a\\\nb').", line: 1, msg: "t:1: line 2: line continuation escapes are not supported"},
+		{src: "x('a\\qb').", line: 1, msg: `t:1: line 1: unknown escape \q`},
+	}
+	for _, tc := range cases {
+		var got any
+		var err error
+		if tc.term {
+			got, err = Term(tc.src)
+		} else {
+			got, err = Clauses("t", tc.src)
+		}
+		e, ok := err.(*Error)
+		if !ok {
+			t.Errorf("%q: error %v, want a *parse.Error", tc.src, err)
+			continue
+		}
+		if e.Line != tc.line || e.Error() != tc.msg {
+			t.Errorf("%q: line %d %q, want line %d %q", tc.src, e.Line, e.Error(), tc.line, tc.msg)
+		}
+		if tc.term && got.(*term.Term) != nil || !tc.term && got.([]*term.Term) != nil {
+			t.Errorf("%q: a failed parse returned %v", tc.src, got)
+		}
+	}
+}
+
+// TestErrorAfterGoodClauses reads clause by clause up to a syntax error
+// nested inside a list inside an argument list: the good clauses come
+// back intact, the failed read returns no term, and the frames the
+// error abandoned leave nothing on the argument stack.
+func TestErrorAfterGoodClauses(t *testing.T) {
+	p := New("t", "a.\nb(1, [2]).\nc(x, [y, f(z, [w v])]).\n")
+	for _, want := range []string{"a", "b(1,[2])"} {
+		c, err := p.ReadClause()
+		if err != nil || c.String() != want {
+			t.Fatalf("ReadClause = %v, %v; want %s", c, err, want)
+		}
+	}
+	c, err := p.ReadClause()
+	if c != nil || err == nil || err.Error() != `t:3: expected ']', found "v"` {
+		t.Fatalf("ReadClause = %v, %v; want the line-3 error", c, err)
+	}
+	if len(p.stack) != 0 {
+		t.Errorf("%d terms left on the argument stack after the error", len(p.stack))
+	}
+}

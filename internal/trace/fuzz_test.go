@@ -37,10 +37,10 @@ func validTraceBytes(tb testing.TB, n int) []byte {
 func FuzzTraceRead(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("NOTATRACE-------"))
-	f.Add([]byte(magic))               // header only, count missing
-	f.Add(validTraceBytes(f, 0))       // empty log
-	f.Add(validTraceBytes(f, 3))       // small valid log
-	f.Add(validTraceBytes(f, 3)[:25])  // truncated mid-record
+	f.Add([]byte(magic))              // header only, count missing
+	f.Add(validTraceBytes(f, 0))      // empty log
+	f.Add(validTraceBytes(f, 3))      // small valid log
+	f.Add(validTraceBytes(f, 3)[:25]) // truncated mid-record
 	lying := validTraceBytes(f, 1)
 	binary.LittleEndian.PutUint64(lying[len(magic):], 1<<33) // count >> body
 	f.Add(lying)
