@@ -18,20 +18,28 @@ import (
 // buildCLIs compiles both binaries once into a shared temp dir.
 func buildCLIs(t *testing.T) (psiBin, benchBin string) {
 	t.Helper()
+	bins := buildCmds(t, "psi", "psibench")
+	return bins[0], bins[1]
+}
+
+// buildCmds compiles the named ./cmd packages into a shared temp dir and
+// returns the binaries in argument order.
+func buildCmds(t *testing.T, names ...string) []string {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("short mode: skipping CLI binary builds")
 	}
 	dir := t.TempDir()
-	psiBin = filepath.Join(dir, "psi")
-	benchBin = filepath.Join(dir, "psibench")
-	for bin, pkg := range map[string]string{psiBin: "./cmd/psi", benchBin: "./cmd/psibench"} {
-		cmd := exec.Command("go", "build", "-o", bin, pkg)
-		cmd.Dir = "."
+	bins := make([]string, len(names))
+	for i, name := range names {
+		bins[i] = filepath.Join(dir, name)
+		pkg := "./cmd/" + name
+		cmd := exec.Command("go", "build", "-o", bins[i], pkg)
 		if out, err := cmd.CombinedOutput(); err != nil {
 			t.Fatalf("go build %s: %v\n%s", pkg, err, out)
 		}
 	}
-	return psiBin, benchBin
+	return bins
 }
 
 // runCLI executes a built binary and returns its exit code and stderr.
