@@ -222,8 +222,8 @@ func BenchmarkCacheAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkPMMSReplay measures trace-replay throughput (cycles/op scales
-// with the traced run).
+// BenchmarkPMMSReplay measures trace-replay throughput through a one-lane
+// Sweeper (cycles/op scales with the traced run).
 func BenchmarkPMMSReplay(b *testing.B) {
 	r, err := harness.RunPSI(progs.NReverse, true)
 	if err != nil {
@@ -231,7 +231,7 @@ func BenchmarkPMMSReplay(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pmms.Replay(r.Trace, cache.PSI)
+		pmms.NewSweeper([]cache.Config{cache.PSI}).ReplayLog(r.Trace)
 	}
 }
 

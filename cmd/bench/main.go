@@ -10,9 +10,9 @@
 //     (overhead <= 10%), and the sampler's per-predicate shares against
 //     the exact profiler on every Table 1 program (within
 //     telemetry.ShareTolerance);
-//   - pmms: the Figure 1 lanes through one streaming Sweeper pass vs one
-//     pmms.Replay per configuration vs the classified policy grid, on
-//     the quick sort trace (grid cost per lane <= 1.3x streaming).
+//   - pmms: the Figure 1 lanes through one streaming Sweeper pass vs the
+//     classified policy grid, on the quick sort trace (grid cost per
+//     lane <= 1.3x streaming).
 //
 // Usage:
 //
@@ -464,12 +464,6 @@ func benchPMMS() (record, error) {
 			pmms.NewSweeper(legacy).ReplayLog(l)
 			return nil
 		}},
-		lane{"per_config", func() error {
-			for _, cfg := range legacy {
-				pmms.Replay(l, cfg)
-			}
-			return nil
-		}},
 		lane{"grid", func() error {
 			s := pmms.NewSweeper(grid)
 			s.Classify(ref)
@@ -481,8 +475,8 @@ func benchPMMS() (record, error) {
 	}
 	perLane := func(name string, n int) float64 { return float64(lanes[name]) / float64(n) }
 	return newRecord(
-		"PMMS cache replay: streaming single pass vs one replay per configuration vs the classified policy grid",
-		fmt.Sprintf("best of %d interleaved rounds over the %s trace (%d records); streaming = one pmms.Sweeper pass over the %d Figure 1 lanes (11 capacities + PSI + one-set + store-through), per_config = pmms.Replay per lane, grid = one classified Sweeper pass over the %d-lane default policy grid (lru/fifo/random/plru x 3 capacities x 3 way counts, every miss classified); the check compares cost per lane, grid vs streaming",
+		"PMMS cache replay: the Figure 1 lanes vs the classified policy grid, each in one streaming pass",
+		fmt.Sprintf("best of %d interleaved rounds over the %s trace (%d records); streaming = one pmms.Sweeper pass over the %d Figure 1 lanes (11 capacities + PSI + one-set + store-through), grid = one classified Sweeper pass over the %d-lane default policy grid (lru/fifo/random/plru x 3 capacities x 3 way counts, every miss classified); the check compares cost per lane, grid vs streaming",
 			rounds, b.Name, l.Len(), len(legacy), len(grid)),
 		lanes,
 		atMost("grid_per_lane_ratio", perLane("grid", len(grid))/perLane("streaming", len(legacy)), 1.3),

@@ -1,14 +1,12 @@
 // Command pmms is the cache memory simulator: it replays a COLLECT trace
 // through arbitrary cache configurations, reporting hit ratios and the
-// Figure 1 performance improvement ratio. Sweeps, ablations and policy
-// grids replay every configuration in one pass over the trace, and
-// -stream feeds the pass straight from the file without materializing
-// the records.
+// Figure 1 performance improvement ratio. Every mode replays all its
+// configurations through one pmms.Sweeper in a single pass, fed as the
+// records decode from the file, so the trace is never held in memory.
 //
 // Usage:
 //
 //	pmms trace.bin                  # the Figure 1 capacity sweep
-//	pmms -stream trace.bin          # same, in O(1) memory
 //	pmms -words 4096 -sets 1 trace.bin
 //	pmms -words 4096 -policy plru -victims 4 trace.bin
 //	pmms -ablate trace.bin          # the paper's set/policy ablations
@@ -35,7 +33,6 @@ func main() {
 	ablate := flag.Bool("ablate", false, "run the one-set and store-through ablations")
 	gridSpec := flag.String("grid", "", "replay a policy grid, e.g. 'caps=1024,4096;assoc=1,2;repl=lru,fifo' ('default' = the full lab grid)")
 	why := flag.Bool("why", false, "classify every miss: first-touch / capacity / conflict")
-	stream := flag.Bool("stream", false, "replay straight from the file without loading the trace into memory")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: pmms [flags] trace.bin")
@@ -50,11 +47,9 @@ func main() {
 		die(err)
 		cfgs = g.Configs()
 	case *ablate:
-		cfgs = []cache.Config{cache.PSI, pmms.OneSetConfig, pmms.StoreThroughConfig}
+		cfgs = pmms.LegacyLanes()[pmms.LanePSI:]
 	case *words == 0:
-		for _, w := range pmms.DefaultSizes() {
-			cfgs = append(cfgs, pmms.SweepConfig(w))
-		}
+		cfgs = pmms.LegacyLanes()[:pmms.SweepLanes]
 	default:
 		repl, err := cache.ParseReplacement(*policy)
 		die(err)
@@ -84,18 +79,10 @@ func main() {
 	}
 	f, err := os.Open(flag.Arg(0))
 	die(err)
-	if *stream {
-		// Single pass over the file: every configuration replays as the
-		// records decode; the trace is never held in memory.
-		die(trace.ReadStream(f, func(r trace.Rec) bool {
-			s.Record(r)
-			return true
-		}))
-	} else {
-		log, err := trace.Read(f)
-		die(err)
-		s.ReplayLog(log)
-	}
+	die(trace.ReadStream(f, func(r trace.Rec) bool {
+		s.Record(r)
+		return true
+	}))
 	f.Close()
 	fmt.Printf("trace: %d cycles, %d memory accesses\n", s.Cycles(), s.MemoryAccesses())
 

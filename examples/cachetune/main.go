@@ -9,7 +9,6 @@ import (
 	"log"
 
 	"repro"
-	"repro/internal/cache"
 	"repro/internal/pmms"
 )
 
@@ -36,24 +35,19 @@ func main() {
 
 	// One streaming pass replays the trace through every capacity and
 	// ablation configuration at once.
-	var cfgs []cache.Config
-	for _, w := range pmms.DefaultSizes() {
-		cfgs = append(cfgs, pmms.SweepConfig(w))
-	}
-	nSweep := len(cfgs)
-	cfgs = append(cfgs, cache.PSI, pmms.OneSetConfig, pmms.StoreThroughConfig)
+	cfgs := pmms.LegacyLanes()
 	s := pmms.NewSweeper(cfgs)
 	s.ReplayLog(m.Trace())
 
 	fmt.Println("capacity sweep (performance improvement ratio, Figure 1 style):")
 	fmt.Printf("%10s %14s %10s\n", "words", "improvement(%)", "hit-ratio")
-	for i := 0; i < nSweep; i++ {
+	for i := 0; i < pmms.SweepLanes; i++ {
 		p := s.PointAt(i)
 		fmt.Printf("%10d %14.1f %10.4f\n", p.Words, p.Improvement, p.HitRatio)
 	}
 
 	fmt.Println("\npolicy and associativity ablations at the PSI's geometry:")
-	for i := nSweep; i < len(cfgs); i++ {
+	for i := pmms.SweepLanes; i < len(cfgs); i++ {
 		fmt.Printf("  %-32s improvement %6.1f%%\n", cfgs[i], s.Improvement(i))
 	}
 }

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/mapper"
 	"repro/internal/micro"
@@ -200,29 +199,18 @@ func Figure1() (*Fig1, error) { return Figure1With(Options{}) }
 func Figure1With(o Options) (*Fig1, error) { return onPlan(o, planFigure1) }
 
 func planFigure1(p *plan) func() (*Fig1, error) {
-	var sizes []int
-	for _, w := range pmms.DefaultSizes() {
-		if w >= 8 {
-			sizes = append(sizes, w)
-		}
-	}
-	// WINDOW's lane plan: the capacity sweep, then the three ablation
-	// configurations the paper discusses alongside it.
-	fullCfgs := make([]cache.Config, 0, len(sizes)+3)
-	for _, w := range sizes {
-		fullCfgs = append(fullCfgs, pmms.SweepConfig(w))
-	}
-	fullCfgs = append(fullCfgs, cache.PSI, pmms.OneSetConfig, pmms.StoreThroughConfig)
-	iTwoSet, iOneSet, iThrough := len(sizes), len(sizes)+1, len(sizes)+2
-
+	// WINDOW replays the whole Figure 1 lane plan (the capacity sweep,
+	// then the ablations); the penalty workloads only the machine's
+	// configuration and the one-set ablation.
+	lanes := pmms.LegacyLanes()
 	penaltyBenchmarks := []progs.Benchmark{progs.Window1, progs.Puzzle8, progs.BUP3}
 	cells := make([]string, len(penaltyBenchmarks))
 	runs := make([]*planRun, len(penaltyBenchmarks))
 	sweeps := make([]*pmms.Sweeper, len(penaltyBenchmarks))
 	for i, b := range penaltyBenchmarks {
-		cfgs := []cache.Config{cache.PSI, pmms.OneSetConfig}
+		cfgs := lanes[pmms.LanePSI : pmms.LaneOneSet+1]
 		if i == 0 {
-			cfgs = fullCfgs
+			cfgs = lanes
 		}
 		cells[i] = "fig1/" + b.Name
 		runs[i] = p.psi(cells[i], b, core.Features{})
@@ -242,14 +230,14 @@ func planFigure1(p *plan) func() (*Fig1, error) {
 		}
 		win := sweeps[0]
 		f := &Fig1{Workload: progs.Window1.Name}
-		for i := range sizes {
+		for i := 0; i < pmms.SweepLanes; i++ {
 			f.Points = append(f.Points, win.PointAt(i))
 		}
-		f.TwoSet8K = win.Improvement(iTwoSet)
+		f.TwoSet8K = win.Improvement(pmms.LanePSI)
 		// The paper compares "two 4K-word sets" (the machine) against
 		// "one 4K-word set": half the capacity, direct-mapped.
-		f.OneSet8K = win.Improvement(iOneSet)
-		f.StoreThrough = win.Improvement(iThrough)
+		f.OneSet8K = win.Improvement(pmms.LaneOneSet)
+		f.StoreThrough = win.Improvement(pmms.LaneStoreThrough)
 
 		// A degraded penalty workload is skipped: the curve survives
 		// without it.
@@ -258,7 +246,7 @@ func planFigure1(p *plan) func() (*Fig1, error) {
 			s := sweeps[i]
 			two, one := s.Improvement(0), s.Improvement(1)
 			if i == 0 {
-				two, one = s.Improvement(iTwoSet), s.Improvement(iOneSet)
+				two, one = s.Improvement(pmms.LanePSI), s.Improvement(pmms.LaneOneSet)
 			}
 			name := penaltyBenchmarks[i].Name
 			f.OneSetPenalty[name] = two - one

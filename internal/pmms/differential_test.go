@@ -3,8 +3,9 @@ package pmms_test
 // Differential lockdown of the streaming fan-out: for every Figure 1
 // capacity and every ablation configuration, one single-pass Sweeper
 // over a real benchmark trace must produce per-area statistics, stall
-// times, traffic counters and improvement ratios identical to a fresh
-// legacy Replay of the same trace. The traces come from actual Table 1 /
+// times, traffic counters and improvement ratios identical to
+// pmms.FreshReplay of the same trace: one configuration, its own
+// translation table, every access through cache.Access. The traces come from actual Table 1 /
 // hardware-evaluation workloads (a small subset always, a medium subset
 // unless -short), so the comparison covers the real access patterns the
 // goldens are computed from.
@@ -14,17 +15,11 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/harness"
+	"repro/internal/micro"
 	"repro/internal/pmms"
 	"repro/internal/progs"
 	"repro/internal/trace"
 )
-
-// sweepAndAblationConfigs is the full Figure 1 lane plan: every sweep
-// capacity plus the three ablation configurations — since the grid
-// refactor, exactly pmms.LegacyLanes (TestLegacyLanes pins the shape).
-func sweepAndAblationConfigs() []cache.Config {
-	return pmms.LegacyLanes()
-}
 
 // diffBenchmarks picks the trace sample: small benchmarks always, the
 // medium tier only without -short. All are members of the paper's
@@ -43,40 +38,47 @@ func diffBenchmarks(t *testing.T) []progs.Benchmark {
 	return bs
 }
 
+// compareLane checks lane i of a finished Sweeper against a fresh replay
+// of cfg over the same log.
 func compareLane(t *testing.T, l *trace.Log, s *pmms.Sweeper, i int, cfg cache.Config) {
 	t.Helper()
-	legacy := pmms.Replay(l, cfg)
+	fresh := pmms.FreshReplay(l, cfg)
 	got := s.Cache(i)
-	if got.Total != legacy.Total {
-		t.Errorf("total stats: streaming %+v, legacy %+v", got.Total, legacy.Total)
+	if got.Total != fresh.Total {
+		t.Errorf("total stats: streaming %+v, fresh %+v", got.Total, fresh.Total)
 	}
-	if got.Area != legacy.Area {
-		t.Errorf("area stats: streaming %+v, legacy %+v", got.Area, legacy.Area)
+	if got.Area != fresh.Area {
+		t.Errorf("area stats: streaming %+v, fresh %+v", got.Area, fresh.Area)
 	}
-	if got.StallNS != legacy.StallNS {
-		t.Errorf("stall: streaming %d, legacy %d", got.StallNS, legacy.StallNS)
+	if got.StallNS != fresh.StallNS {
+		t.Errorf("stall: streaming %d, fresh %d", got.StallNS, fresh.StallNS)
 	}
-	if got.Fills != legacy.Fills || got.WriteBacks != legacy.WriteBacks || got.WriteThroughs != legacy.WriteThroughs {
-		t.Errorf("traffic: streaming fills=%d wb=%d wt=%d, legacy fills=%d wb=%d wt=%d",
+	if got.Fills != fresh.Fills || got.WriteBacks != fresh.WriteBacks || got.WriteThroughs != fresh.WriteThroughs {
+		t.Errorf("traffic: streaming fills=%d wb=%d wt=%d, fresh fills=%d wb=%d wt=%d",
 			got.Fills, got.WriteBacks, got.WriteThroughs,
-			legacy.Fills, legacy.WriteBacks, legacy.WriteThroughs)
+			fresh.Fills, fresh.WriteBacks, fresh.WriteThroughs)
 	}
-	if got.HitRatio() != legacy.HitRatio() {
-		t.Errorf("hit ratio: streaming %v, legacy %v", got.HitRatio(), legacy.HitRatio())
+	if got.VictimHits != fresh.VictimHits {
+		t.Errorf("victim hits: streaming %d, fresh %d", got.VictimHits, fresh.VictimHits)
 	}
-	if s.TimeNS(i) != pmms.TimeNS(l, legacy) {
-		t.Errorf("time: streaming %d, legacy %d", s.TimeNS(i), pmms.TimeNS(l, legacy))
+	if got.HitRatio() != fresh.HitRatio() {
+		t.Errorf("hit ratio: streaming %v, fresh %v", got.HitRatio(), fresh.HitRatio())
 	}
-	if s.Improvement(i) != pmms.Improvement(l, cfg) {
-		t.Errorf("improvement: streaming %v, legacy %v", s.Improvement(i), pmms.Improvement(l, cfg))
+	tc := int64(l.Len())*micro.CycleNS + fresh.StallNS
+	if s.TimeNS(i) != tc {
+		t.Errorf("time: streaming %d, fresh %d", s.TimeNS(i), tc)
+	}
+	want := (float64(s.TimeNoCacheNS())/float64(tc) - 1) * 100
+	if s.Improvement(i) != want {
+		t.Errorf("improvement: streaming %v, fresh %v", s.Improvement(i), want)
 	}
 }
 
 // TestStreamingMatchesLegacyReplay is the core differential: one
-// single-pass fan-out over each benchmark trace versus a fresh legacy
-// replay per configuration.
+// single-pass fan-out over each benchmark trace, across the whole
+// Figure 1 lane plan, versus a fresh replay per configuration.
 func TestStreamingMatchesLegacyReplay(t *testing.T) {
-	cfgs := sweepAndAblationConfigs()
+	cfgs := pmms.LegacyLanes()
 	for _, b := range diffBenchmarks(t) {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
@@ -93,8 +95,8 @@ func TestStreamingMatchesLegacyReplay(t *testing.T) {
 			if s.MemoryAccesses() != int64(l.MemoryAccesses()) {
 				t.Errorf("accesses: streaming %d, log %d", s.MemoryAccesses(), l.MemoryAccesses())
 			}
-			if s.TimeNoCacheNS() != pmms.TimeNoCacheNS(l) {
-				t.Errorf("no-cache time: streaming %d, legacy %d", s.TimeNoCacheNS(), pmms.TimeNoCacheNS(l))
+			if tnc := int64(l.Len())*micro.CycleNS + int64(l.MemoryAccesses())*cache.MissExtraNS; s.TimeNoCacheNS() != tnc {
+				t.Errorf("no-cache time: streaming %d, log %d", s.TimeNoCacheNS(), tnc)
 			}
 			for i, cfg := range cfgs {
 				i, cfg := i, cfg

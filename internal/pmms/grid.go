@@ -63,13 +63,22 @@ func (g Grid) Configs() []cache.Config {
 	return out
 }
 
-// LegacyLanes is the fixed 14-lane Figure 1 plan the Sweeper carried
-// before the grid existed: the 11-capacity sweep, the machine's
-// configuration and the one-set / store-through ablations, in that
-// order. Figure1With and the differential suite replay exactly these.
+// Lane indices into LegacyLanes: the capacity sweep fills lanes
+// [0, SweepLanes), 8 words to 8K words; the ablations follow.
+const (
+	SweepLanes       = len(sweepSizes)
+	LanePSI          = SweepLanes     // cache.PSI: two 4K-word sets, store-in
+	LaneOneSet       = SweepLanes + 1 // OneSetConfig
+	LaneStoreThrough = SweepLanes + 2 // StoreThroughConfig
+)
+
+// LegacyLanes is the one 14-lane Figure 1 plan: the 11-capacity sweep,
+// the machine's configuration and the one-set / store-through
+// ablations, in that order. Figure1With, cmd/pmms, examples/cachetune
+// and the differential suite replay exactly these.
 func LegacyLanes() []cache.Config {
-	var cfgs []cache.Config
-	for _, w := range DefaultSizes() {
+	cfgs := make([]cache.Config, 0, LaneStoreThrough+1)
+	for _, w := range sweepSizes {
 		cfgs = append(cfgs, SweepConfig(w))
 	}
 	return append(cfgs, cache.PSI, OneSetConfig, StoreThroughConfig)

@@ -61,17 +61,18 @@ func TestGridSkipsInvalidCombos(t *testing.T) {
 	}
 }
 
-// TestLegacyLanes pins the pre-grid 14-lane Figure 1 plan.
+// TestLegacyLanes pins the 14-lane Figure 1 plan and its lane indices.
 func TestLegacyLanes(t *testing.T) {
 	lanes := pmms.LegacyLanes()
-	if len(lanes) != 14 {
-		t.Fatalf("LegacyLanes has %d lanes, want 14", len(lanes))
+	sizes := []int{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192}
+	if len(lanes) != 14 || pmms.SweepLanes != len(sizes) {
+		t.Fatalf("LegacyLanes has %d lanes (%d sweep), want 14 (%d)", len(lanes), pmms.SweepLanes, len(sizes))
 	}
-	n := len(lanes)
-	if lanes[n-3] != cache.PSI || lanes[n-2] != pmms.OneSetConfig || lanes[n-1] != pmms.StoreThroughConfig {
+	if lanes[pmms.LanePSI] != cache.PSI || lanes[pmms.LaneOneSet] != pmms.OneSetConfig ||
+		lanes[pmms.LaneStoreThrough] != pmms.StoreThroughConfig || pmms.LaneStoreThrough != len(lanes)-1 {
 		t.Error("LegacyLanes ablation tail is wrong")
 	}
-	for i, w := range pmms.DefaultSizes() {
+	for i, w := range sizes {
 		if lanes[i] != pmms.SweepConfig(w) {
 			t.Errorf("lane %d = %v, want SweepConfig(%d)", i, lanes[i], w)
 		}
@@ -105,9 +106,9 @@ func TestParseGrid(t *testing.T) {
 
 // TestGridLanesMatchFreshReplay is the lab differential: every grid
 // lane — all four policies, the victim buffer, seeded random under
-// store-through — must equal a fresh standalone Replay of the same
-// configuration over the same real trace, and a fresh ReplayMulti must
-// agree too. Classification being on must not perturb any statistic.
+// store-through — must equal pmms.FreshReplay of the same configuration
+// over the same real trace, and an unclassified Sweeper must agree too:
+// classification being on must not perturb any statistic.
 func TestGridLanesMatchFreshReplay(t *testing.T) {
 	cfgs := labConfigs()
 	for _, b := range []progs.Benchmark{progs.QuickSort, progs.BUP1, progs.QueensFirst} {
@@ -121,16 +122,15 @@ func TestGridLanesMatchFreshReplay(t *testing.T) {
 			s := pmms.NewSweeper(cfgs)
 			s.Classify(0)
 			s.ReplayLog(l)
-			fresh := pmms.ReplayMulti(l, cfgs)
+			plain := pmms.NewSweeper(cfgs)
+			plain.ReplayLog(l)
 			for i, cfg := range cfgs {
 				i, cfg := i, cfg
 				t.Run(cfg.String(), func(t *testing.T) {
 					compareLane(t, l, s, i, cfg)
-					if got, want := *s.Cache(i), *fresh[i]; got.Total != want.Total || got.StallNS != want.StallNS {
-						t.Errorf("classified sweep diverged from fresh ReplayMulti: %+v vs %+v", got.Total, want.Total)
-					}
-					if s.Cache(i).VictimHits != fresh[i].VictimHits {
-						t.Errorf("victim hits: %d vs %d", s.Cache(i).VictimHits, fresh[i].VictimHits)
+					if got, want := s.Cache(i), plain.Cache(i); got.Total != want.Total || got.StallNS != want.StallNS ||
+						got.VictimHits != want.VictimHits {
+						t.Errorf("classified sweep diverged from the unclassified one: %+v vs %+v", got.Total, want.Total)
 					}
 				})
 			}

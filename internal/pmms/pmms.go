@@ -7,56 +7,9 @@
 //
 // where Tnc is the execution time without a cache (every access pays the
 // full main-memory latency) and Tc the time with the candidate cache.
+// The Sweeper is the one replay path: it fans a single pass over the
+// stream out to every configuration.
 package pmms
-
-import (
-	"repro/internal/cache"
-	"repro/internal/mem"
-	"repro/internal/micro"
-	"repro/internal/trace"
-	"repro/internal/word"
-)
-
-// Replay runs the trace's memory accesses through a fresh cache of the
-// given configuration. Address translation is reproduced by a fresh
-// translation table: pages are assigned in first-touch order, exactly as
-// during the original run.
-func Replay(l *trace.Log, cfg cache.Config) *cache.Cache {
-	c := cache.New(cfg)
-	atu := mem.New(3)
-	for _, r := range l.Recs {
-		op := micro.CacheOp(r.Cache)
-		if op == micro.OpNone {
-			continue
-		}
-		a := word.Addr(r.Addr)
-		c.Access(op, atu.Translate(a), a.Area())
-	}
-	return c
-}
-
-// TimeNS reports the simulated execution time of the traced run when its
-// accesses stall as the given (already replayed) cache computed.
-func TimeNS(l *trace.Log, c *cache.Cache) int64 {
-	return int64(l.Len())*micro.CycleNS + c.StallNS
-}
-
-// TimeNoCacheNS reports the simulated time with the cache absent.
-func TimeNoCacheNS(l *trace.Log) int64 {
-	return int64(l.Len())*micro.CycleNS + int64(l.MemoryAccesses())*cache.MissExtraNS
-}
-
-// Improvement computes the Figure 1 performance improvement ratio (in
-// percent) of a cache configuration for the traced run.
-func Improvement(l *trace.Log, cfg cache.Config) float64 {
-	c := Replay(l, cfg)
-	tc := TimeNS(l, c)
-	tnc := TimeNoCacheNS(l)
-	if tc == 0 {
-		return 0
-	}
-	return (float64(tnc)/float64(tc) - 1) * 100
-}
 
 // Point is one Figure 1 sample.
 type Point struct {
@@ -65,36 +18,5 @@ type Point struct {
 	HitRatio    float64 `json:"hit_ratio"`
 }
 
-// PointAt replays the trace against one cache capacity (same
-// associativity, block size and policy as the PSI cache) and returns the
-// Figure 1 sample. Replays are pure functions of the (read-only) trace,
-// so samples for different sizes can be computed concurrently.
-func PointAt(l *trace.Log, w int) Point {
-	cfg := cache.Config{Words: w, Assoc: 2, BlockWords: 4, Policy: cache.StoreIn}
-	c := Replay(l, cfg)
-	tc := TimeNS(l, c)
-	tnc := TimeNoCacheNS(l)
-	return Point{
-		Words:       w,
-		Improvement: (float64(tnc)/float64(tc) - 1) * 100,
-		HitRatio:    c.HitRatio(),
-	}
-}
-
-// Sweep replays the trace over a range of cache capacities (same
-// associativity, block size and policy as the PSI cache).
-func Sweep(l *trace.Log, sizes []int) []Point {
-	out := make([]Point, 0, len(sizes))
-	for _, w := range sizes {
-		if w < 8 {
-			continue
-		}
-		out = append(out, PointAt(l, w))
-	}
-	return out
-}
-
-// DefaultSizes is the Figure 1 sweep: 8 words to 8K words.
-func DefaultSizes() []int {
-	return []int{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192}
-}
+// sweepSizes is the Figure 1 capacity sweep: 8 words to 8K words.
+var sweepSizes = [...]int{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192}

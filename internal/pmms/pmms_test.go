@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/mem"
 	"repro/internal/micro"
 	"repro/internal/trace"
 	"repro/internal/word"
@@ -33,23 +34,32 @@ func synthLog(n int) *trace.Log {
 	return &l
 }
 
-func TestReplayHitRatio(t *testing.T) {
-	l := synthLog(4000)
-	big := Replay(l, cache.Config{Words: 8192, Assoc: 2, BlockWords: 4, Policy: cache.StoreIn})
-	small := Replay(l, cache.Config{Words: 16, Assoc: 2, BlockWords: 4, Policy: cache.StoreIn})
-	if big.HitRatio() <= small.HitRatio() {
-		t.Errorf("bigger cache should hit more: %v vs %v", big.HitRatio(), small.HitRatio())
+// FreshReplay is the reference the Sweeper is checked against: one
+// configuration, its own first-touch translation table, and every access
+// through cache.Access (the Sweeper shares one table across lanes and
+// calls cache.AccessBlock).
+func FreshReplay(l *trace.Log, cfg cache.Config) *cache.Cache {
+	c := cache.New(cfg)
+	atu := mem.New(3)
+	for _, r := range l.Recs {
+		op := micro.CacheOp(r.Cache)
+		if op == micro.OpNone {
+			continue
+		}
+		a := word.Addr(r.Addr)
+		c.Access(op, atu.Translate(a), a.Area())
 	}
-	if big.Total.Accesses != int64(l.MemoryAccesses()) {
-		t.Errorf("access count %d vs %d", big.Total.Accesses, l.MemoryAccesses())
-	}
+	return c
 }
 
+// TestTimes checks the simulated times: with a cache the run beats the
+// cacheless run but never the bare cycle floor, and without one every
+// access pays the full miss latency.
 func TestTimes(t *testing.T) {
 	l := synthLog(1000)
-	c := Replay(l, cache.PSI)
-	tc := TimeNS(l, c)
-	tnc := TimeNoCacheNS(l)
+	s := NewSweeper([]cache.Config{cache.PSI})
+	s.ReplayLog(l)
+	tc, tnc := s.TimeNS(0), s.TimeNoCacheNS()
 	if tc >= tnc {
 		t.Errorf("cached time %d should beat uncached %d", tc, tnc)
 	}
@@ -62,40 +72,33 @@ func TestTimes(t *testing.T) {
 	}
 }
 
+// TestImprovementMonotone replays the Figure 1 capacity sweep: the
+// improvement grows with capacity and the largest cache pays off.
 func TestImprovementMonotone(t *testing.T) {
 	l := synthLog(8000)
-	pts := Sweep(l, DefaultSizes())
-	if len(pts) != len(DefaultSizes()) {
-		t.Fatalf("points = %d", len(pts))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Improvement < pts[i-1].Improvement-0.5 {
+	s := NewSweeper(LegacyLanes()[:SweepLanes])
+	s.ReplayLog(l)
+	for i := 1; i < SweepLanes; i++ {
+		if s.Improvement(i) < s.Improvement(i-1)-0.5 {
 			t.Errorf("improvement dropped at %d words: %v -> %v",
-				pts[i].Words, pts[i-1].Improvement, pts[i].Improvement)
+				s.Cache(i).Config().Words, s.Improvement(i-1), s.Improvement(i))
 		}
 	}
-	if pts[len(pts)-1].Improvement <= 0 {
+	if s.Improvement(SweepLanes-1) <= 0 {
 		t.Error("large cache should improve over no cache")
 	}
 }
 
+// TestImprovementDefinition pins the Figure 1 formula on every lane:
+// (Tnc/Tc - 1) * 100.
 func TestImprovementDefinition(t *testing.T) {
 	l := synthLog(1000)
-	cfg := cache.PSI
-	c := Replay(l, cfg)
-	want := (float64(TimeNoCacheNS(l))/float64(TimeNS(l, c)) - 1) * 100
-	if got := Improvement(l, cfg); got != want {
-		t.Errorf("Improvement = %v, want %v", got, want)
-	}
-}
-
-func TestTranslationReproducibility(t *testing.T) {
-	// Replaying the same trace twice must give identical hit counts (the
-	// first-touch translation is deterministic).
-	l := synthLog(3000)
-	a := Replay(l, cache.PSI)
-	b := Replay(l, cache.PSI)
-	if a.Total != b.Total {
-		t.Errorf("replays differ: %+v vs %+v", a.Total, b.Total)
+	s := NewSweeper(LegacyLanes())
+	s.ReplayLog(l)
+	for i := 0; i < s.Lanes(); i++ {
+		want := (float64(s.TimeNoCacheNS())/float64(s.TimeNS(i)) - 1) * 100
+		if got := s.Improvement(i); got != want {
+			t.Errorf("lane %d: Improvement = %v, want %v", i, got, want)
+		}
 	}
 }

@@ -42,8 +42,8 @@ type laneGroup struct {
 // own table: page assignment is a pure function of the logical access
 // stream (first-touch order), and every lane sees the same stream, so N
 // private tables would all compute the same mapping — the Sweeper just
-// computes it once. The differential tests check this against the
-// fresh-table legacy Replay for every configuration.
+// computes it once. The differential tests check every lane against a
+// fresh-table, one-configuration replay kept in the test code.
 //
 // A Sweeper implements micro.Sink, so it can tap a machine's cycle
 // stream directly while the program runs (COLLECT without the O(trace)
@@ -57,7 +57,7 @@ type Sweeper struct {
 	atu      *mem.Memory
 	cycles   int64
 	accesses int64
-	class    *classifier // nil = no per-miss classification (the legacy path)
+	class    *classifier // nil = no per-miss classification
 	curPred  int         // predicate executing now (micro.NoPredicate off-predicate)
 }
 
@@ -174,8 +174,8 @@ func (s *Sweeper) Cycles() int64 { return s.cycles }
 // command.
 func (s *Sweeper) MemoryAccesses() int64 { return s.accesses }
 
-// TimeNS reports the simulated execution time of the fed stream with
-// lane i's cache, exactly as TimeNS reports it for a legacy replay.
+// TimeNS reports the simulated execution time of the fed stream when its
+// accesses stall as lane i's cache computed.
 func (s *Sweeper) TimeNS(i int) int64 {
 	return s.cycles*micro.CycleNS + s.caches[i].StallNS
 }
@@ -187,7 +187,8 @@ func (s *Sweeper) TimeNoCacheNS() int64 {
 }
 
 // Improvement computes the Figure 1 performance improvement ratio (in
-// percent) for lane i.
+// percent) for lane i, (Tnc/Tc - 1) * 100. An empty stream (Tc = 0)
+// gives 0.
 func (s *Sweeper) Improvement(i int) float64 {
 	tc := s.TimeNS(i)
 	if tc == 0 {
@@ -203,14 +204,4 @@ func (s *Sweeper) PointAt(i int) Point {
 		Improvement: s.Improvement(i),
 		HitRatio:    s.caches[i].HitRatio(),
 	}
-}
-
-// ReplayMulti replays a materialized trace against every configuration
-// in one pass over the records, returning the caches in configuration
-// order. It computes exactly what calling Replay once per configuration
-// computes, traversing the trace once instead of len(cfgs) times.
-func ReplayMulti(l *trace.Log, cfgs []cache.Config) []*cache.Cache {
-	s := NewSweeper(cfgs)
-	s.ReplayLog(l)
-	return s.caches
 }

@@ -10,39 +10,14 @@ import (
 	"repro/internal/word"
 )
 
-func allConfigs() []cache.Config {
-	var cfgs []cache.Config
-	for _, w := range DefaultSizes() {
-		cfgs = append(cfgs, SweepConfig(w))
-	}
-	return append(cfgs, cache.PSI, OneSetConfig, StoreThroughConfig)
-}
-
-// TestReplayMultiMatchesReplay pins the single-pass fan-out to the
-// per-config legacy replay on a synthetic stream.
-func TestReplayMultiMatchesReplay(t *testing.T) {
-	l := synthLog(6000)
-	cfgs := allConfigs()
-	caches := ReplayMulti(l, cfgs)
-	if len(caches) != len(cfgs) {
-		t.Fatalf("lanes = %d, want %d", len(caches), len(cfgs))
-	}
-	for i, cfg := range cfgs {
-		legacy := Replay(l, cfg)
-		if caches[i].Total != legacy.Total || caches[i].Area != legacy.Area ||
-			caches[i].StallNS != legacy.StallNS {
-			t.Errorf("%s: streaming %+v/%d, legacy %+v/%d",
-				cfg, caches[i].Total, caches[i].StallNS, legacy.Total, legacy.StallNS)
-		}
-	}
-}
-
 // TestSweeperCountsStream checks the clock and access accounting: every
 // fed cycle advances Cycles, only cache commands advance MemoryAccesses,
-// and both agree with the equivalent materialized log.
+// both agree with the equivalent materialized log, and every lane sees
+// every access — the 8K-word lane hitting more often than the 16-word
+// one.
 func TestSweeperCountsStream(t *testing.T) {
-	l := synthLog(500)
-	s := NewSweeper([]cache.Config{cache.PSI})
+	l := synthLog(4000)
+	s := NewSweeper([]cache.Config{SweepConfig(8192), SweepConfig(16)})
 	for _, r := range l.Recs {
 		s.Record(r)
 	}
@@ -52,14 +27,25 @@ func TestSweeperCountsStream(t *testing.T) {
 	if s.MemoryAccesses() != int64(l.MemoryAccesses()) {
 		t.Errorf("accesses = %d, want %d", s.MemoryAccesses(), l.MemoryAccesses())
 	}
-	if s.TimeNoCacheNS() != TimeNoCacheNS(l) {
-		t.Errorf("no-cache time = %d, want %d", s.TimeNoCacheNS(), TimeNoCacheNS(l))
+	want := int64(l.Len())*micro.CycleNS + int64(l.MemoryAccesses())*cache.MissExtraNS
+	if s.TimeNoCacheNS() != want {
+		t.Errorf("no-cache time = %d, want %d", s.TimeNoCacheNS(), want)
+	}
+	for i := 0; i < s.Lanes(); i++ {
+		if got := s.Cache(i).Total.Accesses; got != s.MemoryAccesses() {
+			t.Errorf("lane %d accesses = %d, want %d", i, got, s.MemoryAccesses())
+		}
+	}
+	if big, small := s.Cache(0).HitRatio(), s.Cache(1).HitRatio(); big <= small {
+		t.Errorf("bigger cache should hit more: %v vs %v", big, small)
 	}
 }
 
 // TestSweeperFeedsAgree feeds the identical stream three ways — as
 // micro.Cycle values (the machine tap), as a materialized log, and as a
-// decoded trace file — and demands identical lane statistics.
+// decoded trace file — and demands identical lane statistics. Each feed
+// has its own Sweeper, so this also checks that the first-touch
+// translation reproduces across replays.
 func TestSweeperFeedsAgree(t *testing.T) {
 	l := synthLog(3000)
 	cfgs := []cache.Config{SweepConfig(64), cache.PSI, OneSetConfig, StoreThroughConfig}
@@ -109,7 +95,7 @@ func TestSweeperSinglePass(t *testing.T) {
 	}
 	// A sweeper over many lanes still consumes each record once: its
 	// cycle count equals the record count, not lanes x records.
-	s := NewSweeper(allConfigs())
+	s := NewSweeper(LegacyLanes())
 	s.ReplayLog(l)
 	if s.Cycles() != int64(l.Len()) {
 		t.Errorf("sweeper consumed %d records for %d-record trace (lanes %d)",
@@ -117,33 +103,41 @@ func TestSweeperSinglePass(t *testing.T) {
 	}
 }
 
-// TestSweeperPointAt checks the Figure 1 sample rendering against the
-// legacy PointAt for a sweep capacity.
+// TestSweeperPointAt checks the Figure 1 sample rendering of a sweep
+// capacity against a fresh replay of that configuration.
 func TestSweeperPointAt(t *testing.T) {
 	l := synthLog(4000)
 	s := NewSweeper([]cache.Config{SweepConfig(256)})
 	s.ReplayLog(l)
-	want := PointAt(l, 256)
+	fresh := FreshReplay(l, SweepConfig(256))
+	base := int64(l.Len()) * micro.CycleNS
+	tnc := base + int64(l.MemoryAccesses())*cache.MissExtraNS
+	want := Point{
+		Words:       256,
+		Improvement: (float64(tnc)/float64(base+fresh.StallNS) - 1) * 100,
+		HitRatio:    fresh.HitRatio(),
+	}
 	if got := s.PointAt(0); got != want {
 		t.Errorf("PointAt = %+v, want %+v", got, want)
 	}
 }
 
-// TestSweeperMixedBlockSizes exercises the lane grouping: configurations
-// with different block sizes replay correctly side by side.
+// TestSweeperMixedBlockSizes exercises the lane grouping: the Figure 1
+// lanes and configurations with other block sizes replay side by side,
+// each lane equal to a fresh replay of its configuration.
 func TestSweeperMixedBlockSizes(t *testing.T) {
-	l := synthLog(4000)
-	cfgs := []cache.Config{
-		{Words: 256, Assoc: 2, BlockWords: 4, Policy: cache.StoreIn},
-		{Words: 256, Assoc: 2, BlockWords: 8, Policy: cache.StoreIn},
-		{Words: 256, Assoc: 1, BlockWords: 2, Policy: cache.StoreThrough},
-	}
-	caches := ReplayMulti(l, cfgs)
+	l := synthLog(6000)
+	cfgs := append(LegacyLanes(),
+		cache.Config{Words: 256, Assoc: 2, BlockWords: 8, Policy: cache.StoreIn},
+		cache.Config{Words: 256, Assoc: 1, BlockWords: 2, Policy: cache.StoreThrough},
+	)
+	s := NewSweeper(cfgs)
+	s.ReplayLog(l)
 	for i, cfg := range cfgs {
-		legacy := Replay(l, cfg)
-		if caches[i].Total != legacy.Total || caches[i].StallNS != legacy.StallNS {
-			t.Errorf("%s: streaming %+v/%d, legacy %+v/%d",
-				cfg, caches[i].Total, caches[i].StallNS, legacy.Total, legacy.StallNS)
+		got, want := s.Cache(i), FreshReplay(l, cfg)
+		if got.Total != want.Total || got.Area != want.Area || got.StallNS != want.StallNS {
+			t.Errorf("%s: streaming %+v/%d, fresh %+v/%d",
+				cfg, got.Total, got.StallNS, want.Total, want.StallNS)
 		}
 	}
 }
