@@ -201,7 +201,7 @@ type Cache struct {
 
 // SetInjector attaches (or with nil detaches) the fault injector whose
 // CacheAccess hook models the tag-store parity checker. Wired by the
-// machine on New/Reset; Clone never copies it.
+// machine on New/Reset.
 func (c *Cache) SetInjector(inj *fault.Injector) { c.inj = inj }
 
 // New builds a cache; the configuration must validate (callers on user
@@ -240,27 +240,6 @@ func (c *Cache) Config() Config { return c.cfg }
 // the block number AccessBlock takes. Fan-out replay groups caches of
 // equal block size so the shift is computed once per access.
 func (c *Cache) BlockShift() uint32 { return c.rowShift }
-
-// Clone deep-copies the cache: geometry, contents, statistics and the
-// full replacement-policy state (LRU order, PLRU bits, FIFO cursors,
-// the random draw position, the victim buffer). The clone and the
-// original then evolve independently — accesses to one never disturb
-// the other. The fault injector is never copied (injection state is
-// per-machine). For a fresh, empty instance of the same configuration,
-// Clone then Reset (or cache.New again).
-func (c *Cache) Clone() *Cache {
-	n := *c
-	n.lines = append([]line(nil), c.lines...)
-	n.lru = append([]uint8(nil), c.lru...)
-	if c.rep != nil {
-		n.rep = c.rep.Clone()
-	}
-	if c.vb != nil {
-		n.vb = c.vb.clone()
-	}
-	n.inj = nil
-	return &n
-}
 
 // Access performs one cache command against physical word address phys;
 // kind attributes the access to an area for the statistics. It returns

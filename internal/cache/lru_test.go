@@ -220,39 +220,3 @@ func TestAccessBlockMatchesAccess(t *testing.T) {
 		t.Errorf("stats diverged: %+v/%d vs %+v/%d", a.Total, a.StallNS, b.Total, b.StallNS)
 	}
 }
-
-// TestClone checks that a clone carries the prototype's contents and
-// statistics, shares the geometry, and replays independently of its
-// prototype.
-func TestClone(t *testing.T) {
-	proto := mk(t, Config{Words: 64, Assoc: 2, BlockWords: 4, Policy: StoreIn})
-	proto.Access(micro.OpWrite, 0, word.AreaHeap)
-	c := proto.Clone()
-	if c.Config() != proto.Config() || c.BlockShift() != proto.BlockShift() {
-		t.Fatal("clone geometry differs")
-	}
-	if c.Total != proto.Total || c.StallNS != proto.StallNS {
-		t.Errorf("clone statistics differ: %+v/%d vs %+v/%d", c.Total, c.StallNS, proto.Total, proto.StallNS)
-	}
-	if hit, _ := c.Access(micro.OpRead, 0, word.AreaHeap); !hit {
-		t.Error("clone should carry the prototype's contents")
-	}
-	// The clone's accesses never disturb the prototype: load a block
-	// only into the clone and check the prototype still misses it.
-	c.Access(micro.OpRead, 4, word.AreaHeap)
-	if proto.Total.Accesses != 1 {
-		t.Errorf("prototype accesses = %d after touching only the clone, want 1", proto.Total.Accesses)
-	}
-	if hit, _ := proto.Access(micro.OpRead, 4, word.AreaHeap); hit {
-		t.Error("prototype unexpectedly hit a block only the clone loaded")
-	}
-	// Reset on the clone yields a fresh, empty instance; the prototype
-	// again keeps its state.
-	c.Reset()
-	if c.Total.Accesses != 0 {
-		t.Error("reset clone should have empty statistics")
-	}
-	if hit, _ := proto.Access(micro.OpRead, 0, word.AreaHeap); !hit {
-		t.Error("prototype lost its contents")
-	}
-}

@@ -62,8 +62,6 @@ type Replacer interface {
 	// Victim chooses the way of row to evict. Only called when every
 	// way of the row holds a valid block.
 	Victim(row uint32) int
-	// Clone deep-copies the replacement state (for Cache.Clone).
-	Clone() Replacer
 	// Reset restores the initial state (for Cache.Reset).
 	Reset()
 }
@@ -129,10 +127,6 @@ func (l *trueLRU) Victim(row uint32) int {
 	return vi
 }
 
-func (l *trueLRU) Clone() Replacer {
-	return &trueLRU{rank: append([]uint8(nil), l.rank...), assoc: l.assoc}
-}
-
 func (l *trueLRU) Reset() {
 	for i := range l.rank {
 		l.rank[i] = 0
@@ -159,10 +153,6 @@ func (f *fifoReplacer) Fill(row uint32, way int) {
 }
 
 func (f *fifoReplacer) Victim(row uint32) int { return int(f.cursor[row]) }
-
-func (f *fifoReplacer) Clone() Replacer {
-	return &fifoReplacer{cursor: append([]uint8(nil), f.cursor...), assoc: f.assoc}
-}
 
 func (f *fifoReplacer) Reset() {
 	for i := range f.cursor {
@@ -207,11 +197,6 @@ func (r *randomReplacer) Fill(uint32, int)  {}
 
 func (r *randomReplacer) Victim(uint32) int {
 	return int(r.next() % uint64(r.assoc))
-}
-
-func (r *randomReplacer) Clone() Replacer {
-	c := *r
-	return &c
 }
 
 func (r *randomReplacer) Reset() { r.state = r.seed }
@@ -259,10 +244,6 @@ func (p *plruReplacer) Victim(row uint32) int {
 		n = n*2 + branch
 	}
 	return n - p.assoc
-}
-
-func (p *plruReplacer) Clone() Replacer {
-	return &plruReplacer{bits: append([]uint64(nil), p.bits...), assoc: p.assoc}
 }
 
 func (p *plruReplacer) Reset() {

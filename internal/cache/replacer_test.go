@@ -303,77 +303,6 @@ func TestReplacerPropertyVsReference(t *testing.T) {
 	}
 }
 
-// TestCloneDeepCopiesReplacerState proves Clone shares nothing mutable:
-// for every policy, a warmed cache is cloned, the clone alone absorbs a
-// divergent stream, and the original must then behave identically to a
-// control cache that only ever saw the warm-up. Any shared LRU order,
-// PLRU bits, FIFO cursor, random draw position, victim-buffer slot or
-// line state makes the original and the control disagree.
-func TestCloneDeepCopiesReplacerState(t *testing.T) {
-	cfgs := []Config{
-		{Words: 64, Assoc: 4, BlockWords: 4, Replacement: ReplaceLRU},
-		{Words: 64, Assoc: 4, BlockWords: 4, Replacement: ReplaceFIFO},
-		{Words: 64, Assoc: 4, BlockWords: 4, Replacement: ReplaceRandom, Seed: 99},
-		{Words: 64, Assoc: 4, BlockWords: 4, Replacement: ReplacePLRU},
-		{Words: 8, Assoc: 2, BlockWords: 4},              // inlined-LRU path
-		{Words: 64, Assoc: 4, BlockWords: 4, Victims: 4}, // victim buffer
-	}
-	stream := func(seed int64, n int) []struct {
-		op    micro.CacheOp
-		block uint32
-	} {
-		r := rand.New(rand.NewSource(seed))
-		out := make([]struct {
-			op    micro.CacheOp
-			block uint32
-		}, n)
-		for i := range out {
-			out[i].op = propertyOps[r.Intn(len(propertyOps))]
-			out[i].block = uint32(r.Intn(48))
-		}
-		return out
-	}
-	for _, cfg := range cfgs {
-		t.Run(cfg.String(), func(t *testing.T) {
-			warm, diverge, tail := stream(1, 500), stream(2, 500), stream(3, 500)
-			feed := func(c *Cache, s []struct {
-				op    micro.CacheOp
-				block uint32
-			}) {
-				for _, a := range s {
-					c.AccessBlock(a.op, a.block, word.AreaHeap)
-				}
-			}
-			orig := New(cfg)
-			feed(orig, warm)
-			clone := orig.Clone()
-			feed(clone, diverge) // must not leak into orig
-			control := New(cfg)
-			feed(control, warm)
-			for i, a := range tail {
-				h1, s1 := orig.AccessBlock(a.op, a.block, word.AreaHeap)
-				h2, s2 := control.AccessBlock(a.op, a.block, word.AreaHeap)
-				if h1 != h2 || s1 != s2 {
-					t.Fatalf("tail access %d: original=(%v,%d) control=(%v,%d) — clone leaked state",
-						i, h1, s1, h2, s2)
-				}
-			}
-			if orig.Total != control.Total || orig.StallNS != control.StallNS ||
-				orig.Fills != control.Fills || orig.WriteBacks != control.WriteBacks ||
-				orig.VictimHits != control.VictimHits {
-				t.Error("original counters diverged from control after clone-only accesses")
-			}
-			// And the clone itself must equal a fresh replay of warm+diverge.
-			control2 := New(cfg)
-			feed(control2, warm)
-			feed(control2, diverge)
-			if clone.Total != control2.Total || clone.StallNS != control2.StallNS {
-				t.Error("clone diverged from a fresh replay of its stream")
-			}
-		})
-	}
-}
-
 // TestPLRUEqualsLRUAtTwoWays pins the PLRU tree to exact LRU where they
 // provably coincide (one tree bit is the LRU bit).
 func TestPLRUEqualsLRUAtTwoWays(t *testing.T) {

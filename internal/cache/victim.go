@@ -65,13 +65,6 @@ func (v *victimBuffer) insert(block uint32, dirty bool) (evictedDirty bool) {
 	return evictedDirty
 }
 
-func (v *victimBuffer) clone() *victimBuffer {
-	return &victimBuffer{
-		entries: append([]victimEntry(nil), v.entries...),
-		order:   v.order.Clone().(*trueLRU),
-	}
-}
-
 func (v *victimBuffer) reset() {
 	for i := range v.entries {
 		v.entries[i] = victimEntry{}

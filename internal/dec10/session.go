@@ -2,78 +2,24 @@ package dec10
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/engine"
-	"repro/internal/parse"
 	"repro/internal/term"
 )
 
-// EngineName is the DEC-10 baseline's identity in engine metrics, run
-// reports and CLI messages.
+// EngineName is the DEC-10 baseline's identity in run reports and CLI
+// messages.
 const EngineName = "dec10"
-
-// Eng implements engine.Engine for the DEC-10 baseline. Cfg is the
-// machine configuration template each session's machine is built from
-// (its Out and MaxUnits are overridden by the session options).
-type Eng struct{ Cfg Config }
-
-// Name identifies the engine.
-func (Eng) Name() string { return EngineName }
-
-// Compiled is a compiled program plus query, ready to open sessions on.
-type Compiled struct {
-	Prog  *Program
-	Query *Query
-}
-
-// Engine names the engine that compiled the program.
-func (*Compiled) Engine() string { return EngineName }
-
-// Compile parses and compiles source and query for the DEC-10 baseline.
-func (Eng) Compile(name, source, query string) (engine.Program, error) {
-	prog := NewProgram(nil)
-	cs, err := parse.Clauses(name, source)
-	if err != nil {
-		return nil, err
-	}
-	if err := prog.AddClauses(cs); err != nil {
-		return nil, err
-	}
-	g, err := parse.Term(query)
-	if err != nil {
-		return nil, err
-	}
-	q, err := prog.CompileQueryHandle(g)
-	if err != nil {
-		return nil, err
-	}
-	return &Compiled{Prog: prog, Query: q}, nil
-}
-
-// NewSession builds a fresh machine for the program and starts the
-// compiled query on it.
-func (e Eng) NewSession(p engine.Program, opts engine.Options) (engine.Session, error) {
-	c, ok := p.(*Compiled)
-	if !ok {
-		return nil, fmt.Errorf("dec10: program %T was not compiled by the dec10 engine", p)
-	}
-	cfg := e.Cfg
-	cfg.Out = opts.Out
-	cfg.MaxUnits = opts.MaxSteps
-	return NewSession(New(c.Prog.Snapshot(), cfg), c.Query), nil
-}
 
 // NewSession opens an engine.Session driving a precompiled query on an
 // existing machine — the path the harness uses with pooled machines and
 // shared read-only program images.
 func NewSession(m *Machine, q *Query) engine.Session {
-	return &session{m: m, sols: m.SolveQuery(q)}
+	return &session{sols: m.SolveQuery(q)}
 }
 
 // session adapts Solutions to engine.Session.
 type session struct {
-	m    *Machine
 	sols *Solutions
 }
 
@@ -90,13 +36,3 @@ func (s *session) Next(ctx context.Context) (engine.Status, error) {
 }
 
 func (s *session) Bindings() map[string]*term.Term { return s.sols.Bindings() }
-
-func (s *session) Metrics() engine.Metrics {
-	return engine.Metrics{
-		Engine:     EngineName,
-		Steps:      s.m.Units(),
-		TimeNS:     s.m.TimeNS(),
-		Inferences: s.m.Calls(),
-		Mode:       engine.ModeExact,
-	}
-}

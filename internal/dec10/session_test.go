@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/parse"
 )
 
 const sessionSrc = `
@@ -17,19 +18,37 @@ loop :- loop.
 boom :- X is 1 // 0, X = X.
 `
 
+// compileSession compiles sessionSrc and query the way the harness
+// does: parse, AddClauses, then a query handle.
+func compileSession(t *testing.T, query string) (*Program, *Query) {
+	t.Helper()
+	prog := NewProgram(nil)
+	cs, err := parse.Clauses("session", sessionSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := prog.AddClauses(cs); err != nil {
+		t.Fatal(err)
+	}
+	g, err := parse.Term(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := prog.CompileQueryHandle(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog, q
+}
+
 // TestSteppedExecutionMatchesUnbounded slices one query into small unit
 // budgets and checks the answer stream and unit count are identical to
 // an unbounded run.
 func TestSteppedExecutionMatchesUnbounded(t *testing.T) {
-	eng := Eng{}
-	p, err := eng.Compile("session", sessionSrc, "app(X, Y, [1,2,3,4])")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := p.(*Compiled)
+	prog, q := compileSession(t, "app(X, Y, [1,2,3,4])")
 
-	whole := New(c.Prog.Snapshot(), Config{MaxUnits: 1_000_000})
-	ws := whole.SolveQuery(c.Query)
+	whole := New(prog.Snapshot(), Config{MaxUnits: 1_000_000})
+	ws := whole.SolveQuery(q)
 	var wantAns []string
 	for {
 		ans, ok := ws.Next()
@@ -42,8 +61,8 @@ func TestSteppedExecutionMatchesUnbounded(t *testing.T) {
 		t.Fatal(ws.Err())
 	}
 
-	sliced := New(c.Prog.Snapshot(), Config{MaxUnits: 1_000_000})
-	ss := sliced.SolveQuery(c.Query)
+	sliced := New(prog.Snapshot(), Config{MaxUnits: 1_000_000})
+	ss := sliced.SolveQuery(q)
 	var gotAns []string
 	yields := 0
 	for {
@@ -76,18 +95,10 @@ func TestSteppedExecutionMatchesUnbounded(t *testing.T) {
 // TestSessionErrorClasses checks each abnormal termination carries its
 // engine error class on the baseline too.
 func TestSessionErrorClasses(t *testing.T) {
-	eng := Eng{}
 	newSess := func(t *testing.T, query string, units int64) engine.Session {
 		t.Helper()
-		p, err := eng.Compile("session", sessionSrc, query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess, err := eng.NewSession(p, engine.Options{MaxSteps: units})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sess
+		prog, q := compileSession(t, query)
+		return NewSession(New(prog.Snapshot(), Config{MaxUnits: units}), q)
 	}
 	t.Run("step-limit", func(t *testing.T) {
 		st, err := newSess(t, "loop", 1000).Next(nil)

@@ -4,13 +4,14 @@
 // and everything that drives them: the harness, the CLIs and any future
 // serving layer.
 //
-// The seam is deliberately small. An Engine compiles source into a
-// Program and opens Sessions on it; a Session is a resumable search that
-// advances in bounded steps. Step(budget) runs at most ~budget machine
-// steps (microcycles on the PSI, cost units on the DEC-10) and reports a
-// Status; Next(ctx) drives Step in CheckEvery-sized slices, polling the
-// context between slices, so cancellation and deadlines are honoured
-// with bounded overhead instead of a per-cycle check.
+// The seam is deliberately small: a Session is a resumable search that
+// advances in bounded steps, opened on a machine and a precompiled query
+// by core.NewSession or dec10.NewSession. Step(budget) runs at most
+// ~budget machine steps (microcycles on the PSI, cost units on the
+// DEC-10) and reports a Status; Next(ctx) drives Step in
+// CheckEvery-sized slices, polling the context between slices, so
+// cancellation and deadlines are honoured with bounded overhead instead
+// of a per-cycle check.
 //
 // All abnormal terminations map onto a small typed taxonomy —
 // ErrStepLimit, ErrCanceled, ErrDeadline, ErrMalformed, ErrFault,
@@ -27,7 +28,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/term"
 )
@@ -138,33 +138,12 @@ type Session interface {
 	Next(ctx context.Context) (Status, error)
 	// Bindings returns the current answer after a Solution status.
 	Bindings() map[string]*term.Term
-	// Metrics reports the accumulated work of the underlying machine.
-	Metrics() Metrics
 }
 
-// Metrics is a machine-neutral snapshot of a session's accumulated work.
-type Metrics struct {
-	Engine     string // engine identity: "psi" or "dec10"
-	Steps      int64  // microcycles (PSI) or cost units (DEC-10)
-	TimeNS     int64  // simulated time
-	Inferences int64  // logical inferences (calls)
-	Mode       string // effective accounting mode (ModeExact or ModeFast)
-}
-
-// Options configures a new session.
-type Options struct {
-	// Out receives output from write/1 and friends (nil = discard).
-	Out io.Writer
-	// MaxSteps aborts the run with ErrStepLimit after this many machine
-	// steps (0 = no bound).
-	MaxSteps int64
-}
-
-// Accounting modes, as reported in Metrics.Mode and run reports. The
-// PSI core reports ModeExact while a per-cycle tap (trace, per-cycle
-// profiler, fault injector) receives every cycle and ModeFast
-// otherwise; statistics are identical either way. Engines without
-// per-cycle taps report ModeExact.
+// Accounting modes, as reported in run reports. The PSI core reports
+// ModeExact while a per-cycle tap (trace, per-cycle profiler, fault
+// injector) receives every cycle and ModeFast otherwise; statistics are
+// identical either way. Engines without per-cycle taps report ModeExact.
 const (
 	ModeExact = "exact"
 	ModeFast  = "fast"
@@ -179,23 +158,6 @@ func ParseMode(s string) (string, error) {
 		return ModeFast, nil
 	}
 	return "", fmt.Errorf("engine: unknown mode %q (want %q or %q)", s, ModeExact, ModeFast)
-}
-
-// Program is a compiled artifact an Engine can open sessions on.
-type Program interface {
-	// Engine names the engine that compiled the program.
-	Engine() string
-}
-
-// Engine compiles programs and opens sessions; internal/core and
-// internal/dec10 each provide one.
-type Engine interface {
-	Name() string
-	// Compile parses source and query and compiles both.
-	Compile(name, source, query string) (Program, error)
-	// NewSession builds a fresh machine for the program and starts the
-	// compiled query on it.
-	NewSession(p Program, opts Options) (Session, error)
 }
 
 // Drive implements Session.Next over a Step function: it advances in

@@ -178,7 +178,7 @@ func (c *Compiled) run(ro runOpts) (*PSIRun, error) {
 	if steps <= 0 {
 		steps = core.DefaultMaxSteps
 	}
-	cfg := core.Config{Processes: c.Procs, MaxSteps: steps, Features: ro.feat}
+	cfg := core.Config{MaxSteps: steps, Features: ro.feat}
 	if ro.fault != nil {
 		label := ro.cell
 		if label == "" {
@@ -225,17 +225,14 @@ func (c *Compiled) run(ro runOpts) (*PSIRun, error) {
 		}
 		cfg.ProgressEvery = ro.every
 	}
-	m := acquireMachine(c.Prog, cfg)
-	if c.Handler != nil {
-		if err := m.SetInterruptHandler(1, c.Handler); err != nil {
-			releaseMachine(m)
-			return nil, err
-		}
+	live, err := c.Open(cfg)
+	if err != nil {
+		return nil, err
 	}
-	sess := core.NewSession(m, c.Query)
+	m := live.Machine
 	start := time.Now()
-	if st, err := sess.Next(ro.ctx); st != engine.Solution {
-		releaseMachine(m)
+	if st, err := live.Session.Next(ro.ctx); st != engine.Solution {
+		live.Release()
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", c.name, err)
 		}

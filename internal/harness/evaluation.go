@@ -39,9 +39,6 @@ type Evaluation struct {
 	Degraded []DegradedRun `json:"degraded,omitempty"`
 }
 
-// Evaluate computes the full evaluation with default options.
-func Evaluate() (*Evaluation, error) { return EvaluationWith(Options{}) }
-
 // EvaluationWith computes the full evaluation. Every section declares
 // its runs on one plan, which simulates each distinct run once, longest
 // first, over the option's workers; the sections then render in the

@@ -49,9 +49,6 @@ type CacheLab struct {
 	TopCauses []MissCause `json:"top_miss_causes"`
 }
 
-// CacheLabSection computes the lab section with default options.
-func CacheLabSection() (*CacheLab, error) { return CacheLabWith(Options{}) }
-
 // CacheLabWith computes the cache lab over the default grid on the
 // Figure 1 workload (WINDOW), with the machine's own configuration
 // (cache.PSI) as the reference lane for miss attribution.

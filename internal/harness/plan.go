@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/dec10"
 	"repro/internal/engine"
 	"repro/internal/micro"
 	"repro/internal/obs"
@@ -111,7 +112,7 @@ func (p *plan) execute() {
 			args["status"] = engine.ClassName(r.err)
 		}
 		if r.key.dec {
-			args["engine"] = "dec10"
+			args["engine"] = dec10.EngineName
 		}
 		done(args)
 		return struct{}{}, nil

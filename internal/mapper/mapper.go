@@ -10,48 +10,6 @@ import (
 	"repro/internal/trace"
 )
 
-// Field selects a microinstruction field to analyze.
-type Field uint8
-
-// Analyzable fields.
-const (
-	FieldModule Field = iota
-	FieldSrc1
-	FieldSrc2
-	FieldDest
-	FieldCache
-	FieldBranch
-)
-
-// Count returns how many trace records carry value v in field f.
-func Count(l *trace.Log, f Field, v uint8) int64 {
-	var n int64
-	for _, r := range l.Recs {
-		if fieldOf(r, f) == v {
-			n++
-		}
-	}
-	return n
-}
-
-func fieldOf(r trace.Rec, f Field) uint8 {
-	switch f {
-	case FieldModule:
-		return r.Module
-	case FieldSrc1:
-		return r.Src1
-	case FieldSrc2:
-		return r.Src2
-	case FieldDest:
-		return r.Dest
-	case FieldCache:
-		return r.Cache
-	case FieldBranch:
-		return r.Branch
-	}
-	return 0
-}
-
 // Stats re-aggregates a trace into the standard dynamic statistics (the
 // same counters the machine accumulates online).
 func Stats(l *trace.Log) *micro.Stats {

@@ -19,28 +19,6 @@ func mkLog() *trace.Log {
 	return &l
 }
 
-func TestCount(t *testing.T) {
-	l := mkLog()
-	if got := Count(l, FieldSrc1, uint8(micro.ModeWF10)); got != 2 {
-		t.Errorf("src1 WF10 count = %d", got)
-	}
-	if got := Count(l, FieldModule, uint8(micro.MControl)); got != 1 {
-		t.Errorf("control count = %d", got)
-	}
-	if got := Count(l, FieldBranch, uint8(micro.BCond)); got != 1 {
-		t.Errorf("branch count = %d", got)
-	}
-	if got := Count(l, FieldSrc2, uint8(micro.ModeWF00)); got != 1 {
-		t.Errorf("src2 count = %d", got)
-	}
-	if got := Count(l, FieldDest, uint8(micro.ModeWF10)); got != 1 {
-		t.Errorf("dest count = %d", got)
-	}
-	if got := Count(l, FieldCache, uint8(micro.OpNone)); got != 4 {
-		t.Errorf("cache none count = %d", got)
-	}
-}
-
 func TestStatsMatchesOnline(t *testing.T) {
 	l := mkLog()
 	s := Stats(l)

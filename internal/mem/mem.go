@@ -78,13 +78,6 @@ func (m *Memory) grow(area word.AreaID, offset uint32) []word.Word {
 	return grown
 }
 
-// ensure grows area storage to cover offset.
-func (m *Memory) ensure(area word.AreaID, offset uint32) {
-	if int(area) >= len(m.areas) || int(offset) >= len(m.areas[area]) {
-		m.grow(area, offset)
-	}
-}
-
 // Read returns the word at a logical address.
 func (m *Memory) Read(a word.Addr) word.Word {
 	area, off := a.Area(), a.Offset()

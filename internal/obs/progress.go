@@ -51,11 +51,3 @@ func (pp *ProgressPrinter) Event(p Progress) {
 	fmt.Fprintf(pp.w, "psi: %d cycles, %.1f sim-ms, %.3f MLIPS\n",
 		p.Cycles, float64(p.SimNS)/1e6, p.MLIPS())
 }
-
-// Note renders a free-form progress line (e.g. "table2 done") through
-// the same writer and lock, so notes interleave cleanly with heartbeats.
-func (pp *ProgressPrinter) Note(format string, args ...any) {
-	pp.mu.Lock()
-	defer pp.mu.Unlock()
-	fmt.Fprintf(pp.w, "psi: "+format+"\n", args...)
-}

@@ -166,9 +166,6 @@ func (s *Sweeper) Classify(refLane int) {
 	s.class = cl
 }
 
-// Classified reports whether Classify was called.
-func (s *Sweeper) Classified() bool { return s.class != nil }
-
 // RefLane reports the lane whose misses carry predicate attribution.
 func (s *Sweeper) RefLane() int {
 	if s.class == nil {

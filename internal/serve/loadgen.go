@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -184,19 +183,12 @@ func (r *BenchReport) JSON() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// RunLoad hammers the daemon at baseURL with clients concurrent
+// RunLoadClient hammers the daemon at baseURL with clients concurrent
 // sequential clients, perClient requests each, drawn deterministically
-// from the mix, through retrying clients with default options. Kept as
-// the simple entry point; RunLoadClient exposes the retry knobs.
-func RunLoad(hc *http.Client, baseURL string, clients, perClient int, seed uint64, mix Mix) *BenchReport {
-	return RunLoadClient(baseURL, clients, perClient, seed, mix, client.Options{HTTP: hc})
-}
-
-// RunLoadClient is RunLoad with the retry discipline exposed: each
-// concurrent load client is an internal/client.Client built from copt,
-// with its jitter stream seeded seed+i so the whole run — job sequence
-// and backoff delays — replays deterministically. Client i replays
-// Jobs(seed+i, perClient); served responses (error statuses included)
+// from the mix. Each load client is an internal/client.Client built
+// from copt, with its jitter stream seeded seed+i so the whole run —
+// job sequence and backoff delays — replays deterministically. Client i
+// replays Jobs(seed+i, perClient); served responses (error statuses included)
 // are tallied by status and termination class, jobs the retry layer
 // abandoned (open breaker, exhausted attempts) count as Unserved, and
 // anything that died outside the retry discipline counts as Transport.

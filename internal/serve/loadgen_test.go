@@ -72,7 +72,7 @@ func TestRunLoadSmoke(t *testing.T) {
 		t.Skip("load smoke skipped in short mode")
 	}
 	_, ts := newTestServer(t, Config{Workers: 4})
-	rep := RunLoad(ts.Client(), ts.URL, 3, 4, 1, DefaultMix())
+	rep := RunLoadClient(ts.URL, 3, 4, 1, DefaultMix(), client.Options{HTTP: ts.Client()})
 	if err := rep.Validate(); err != nil {
 		b, _ := rep.JSON()
 		t.Fatalf("load record invalid: %v\n%s", err, b)

@@ -94,9 +94,6 @@ func (s *Server) BeginDrain() {
 	s.q.drain()
 }
 
-// Draining reports whether BeginDrain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // HardCancel cancels every in-flight job; each ends with the canceled
 // class and its report records that termination. Idempotent.
 func (s *Server) HardCancel() { s.hardCancel() }
@@ -377,9 +374,4 @@ func (s *Server) reportSolve(ctx context.Context, w http.ResponseWriter, spec *J
 	w.Header().Set("X-Psi-Solutions", strconv.Itoa(res.solutions))
 	w.WriteHeader(StatusForClass(class))
 	w.Write(b)
-}
-
-// describeJob labels a run for span logs and diagnostics.
-func describeJob(spec *JobSpec) string {
-	return fmt.Sprintf("%s ?- %s", spec.Workload, spec.Query)
 }

@@ -6,7 +6,6 @@ package term
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -85,9 +84,6 @@ func (t *Term) IsEmptyList() bool { return t.Kind == Atom && t.Functor == "[]" }
 func (t *Term) IsCons() bool {
 	return t.Kind == Compound && t.Functor == "." && len(t.Args) == 2
 }
-
-// IsAnonymous reports whether t is the anonymous variable.
-func (t *Term) IsAnonymous() bool { return t.Kind == Var && t.Name == "_" }
 
 // Arity reports the number of arguments (0 for non-compound terms).
 func (t *Term) Arity() int {
@@ -329,12 +325,4 @@ func isSymbolAtom(s string) bool {
 		}
 	}
 	return true
-}
-
-// Sorted is a helper for deterministic output of term sets in tests and
-// reports: it sorts a slice of terms by their printed form.
-func Sorted(ts []*Term) []*Term {
-	out := append([]*Term(nil), ts...)
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
 }
