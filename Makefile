@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race fuzz chaos telemetry serve soak golden bench bench-serve cover staticcheck profile verify
+.PHONY: build vet test race fuzz chaos telemetry serve soak golden bench bench-serve cover staticcheck profile pgo verify
 
 build:
 	$(GO) build ./...
@@ -108,5 +108,15 @@ staticcheck:
 profile:
 	$(GO) run ./cmd/psibench -cpuprofile psibench.pprof 1 > /dev/null
 	@echo "wrote psibench.pprof; inspect with: $(GO) tool pprof psibench.pprof"
+
+# Regenerate the profile-guided optimization profile: one host CPU
+# profile of `psibench all`, committed as cmd/psibench/default.pgo and as
+# the identical cmd/psid/default.pgo. `go build` applies each by default
+# (-pgo=auto), inlining the simulator's hot call sites. Refresh after a
+# change that moves those hot paths; outputs never depend on it.
+pgo:
+	$(GO) run ./cmd/psibench -cpuprofile default.pgo.tmp all > /dev/null
+	cp default.pgo.tmp cmd/psibench/default.pgo
+	mv default.pgo.tmp cmd/psid/default.pgo
 
 verify: build race test fuzz chaos telemetry serve soak

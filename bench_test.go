@@ -56,11 +56,11 @@ func BenchmarkTable2(b *testing.B) {
 		b.Run(bench.Name, func(b *testing.B) {
 			var s *micro.Stats
 			for i := 0; i < b.N; i++ {
-				var err error
-				s, _, err = harness.StatsFor(bench)
+				r, err := harness.RunPSI(bench, false)
 				if err != nil {
 					b.Fatal(err)
 				}
+				s = r.Machine.Stats()
 			}
 			for m := micro.Module(0); m < micro.NumModules; m++ {
 				b.ReportMetric(s.ModuleRatio(m)*100, m.String()+"-%")
@@ -76,11 +76,11 @@ func BenchmarkTable3(b *testing.B) {
 		b.Run(bench.Name, func(b *testing.B) {
 			var s *micro.Stats
 			for i := 0; i < b.N; i++ {
-				var err error
-				s, _, err = harness.StatsFor(bench)
+				r, err := harness.RunPSI(bench, false)
 				if err != nil {
 					b.Fatal(err)
 				}
+				s = r.Machine.Stats()
 			}
 			b.ReportMetric(s.CacheOpRatio(micro.OpRead)*100, "read-%")
 			b.ReportMetric(s.CacheOpRatio(micro.OpWriteStack)*100, "write-stack-%")
@@ -96,11 +96,11 @@ func BenchmarkTable4(b *testing.B) {
 		b.Run(bench.Name, func(b *testing.B) {
 			var s *micro.Stats
 			for i := 0; i < b.N; i++ {
-				var err error
-				s, _, err = harness.StatsFor(bench)
+				r, err := harness.RunPSI(bench, false)
 				if err != nil {
 					b.Fatal(err)
 				}
+				s = r.Machine.Stats()
 			}
 			for k := word.AreaID(0); k < 5; k++ {
 				b.ReportMetric(s.AreaAccessRatio(k)*100, k.String()+"-%")
@@ -136,7 +136,7 @@ func BenchmarkFigure1(b *testing.B) {
 	var f *harness.Fig1
 	for i := 0; i < b.N; i++ {
 		var err error
-		f, err = harness.Figure1()
+		f, err = harness.Figure1With(harness.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func BenchmarkTable6(b *testing.B) {
 	var t6 *harness.T6
 	for i := 0; i < b.N; i++ {
 		var err error
-		t6, err = harness.Table6()
+		t6, err = harness.Table6With(harness.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func BenchmarkTable7(b *testing.B) {
 	var cols []harness.T7Col
 	for i := 0; i < b.N; i++ {
 		var err error
-		cols, err = harness.Table7()
+		cols, err = harness.Table7With(harness.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -257,9 +257,11 @@ func BenchmarkTablesParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run("j"+itoa(workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := harness.All(harness.Options{Workers: workers}); err != nil {
+				e, err := harness.EvaluationWith(harness.Options{Workers: workers})
+				if err != nil {
 					b.Fatal(err)
 				}
+				_ = e.Text()
 			}
 		})
 	}
@@ -371,7 +373,7 @@ func TestSamplingOverheadGuard(t *testing.T) {
 					t.Fatal(err)
 				}
 			} else {
-				r, err := harness.RunPSIWith(harness.Options{}, progs.NReverse, false)
+				r, err := harness.RunPSI(progs.NReverse, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -399,7 +401,7 @@ func BenchmarkAblations(b *testing.B) {
 	var rows []harness.AblationRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = harness.Ablations()
+		rows, err = harness.AblationsWith(harness.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -110,7 +110,7 @@ func TestFastDifferentialTable1(t *testing.T) {
 			if testing.Short() && (b.Name == "harmonizer-3" || b.Name == "lcp-3") {
 				t.Skip("slow Table-1 row skipped in -short mode")
 			}
-			untapped, err := harness.RunPSIWith(harness.Options{}, b, false)
+			untapped, err := harness.RunPSI(b, false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -154,11 +154,39 @@ func (c Config) String() string {
 	return s
 }
 
-// line is one cache block frame.
-type line struct {
-	tag   uint32
-	valid bool
-	dirty bool
+// line is one cache block frame packed into one word — the tag above
+// the dirty and valid bits — so a row's frames take half the host cache
+// a struct would and the MRU probe is one compare.
+type line uint32
+
+const (
+	lineValid line = 1
+	lineDirty line = 2
+)
+
+func (l line) valid() bool { return l&lineValid != 0 }
+func (l line) dirty() bool { return l&lineDirty != 0 }
+func (l line) tag() uint32 { return uint32(l >> 2) }
+
+// holds reports whether l is valid and holds tag, in one compare (in 64
+// bits, so a tag too wide to store never matches).
+func (l line) holds(tag uint32) bool {
+	return uint64(l&^lineDirty) == uint64(tag)<<2|uint64(lineValid)
+}
+
+// fill returns a valid line holding tag. A tag keeps 30 bits: it is a
+// block number over the row count, and a block number reaches 2^30 only
+// past 2^30 physical words (a million translation pages). Invariant
+// panic, contained at the session boundary like the geometry check.
+func fill(tag uint32, dirty bool) line {
+	if tag >= 1<<30 {
+		panic(fmt.Sprintf("cache: tag %#x exceeds 30 bits", tag))
+	}
+	l := line(tag)<<2 | lineValid
+	if dirty {
+		l |= lineDirty
+	}
+	return l
 }
 
 // AreaStats accumulates per-area hit statistics for Table 5.
@@ -183,9 +211,13 @@ type Cache struct {
 	rowShift uint32   // log2(BlockWords)
 	tagShift uint32   // log2(rows): tag = block >> tagShift (rows is a power of two)
 	lines    []line   // rows × assoc
-	lru      []uint8  // most-recently-used way per row (nil-rep fast path)
+	lru      []uint8  // most recently used way per row, under every policy
 	rep      Replacer // replacement state; nil = inlined LRU (assoc <= 2)
 	vb       *victimBuffer
+	// mruHit enables the MRU-way hit path at the top of AccessBlock:
+	// set unless an injector is attached, whose parity hook must see
+	// every access. Kept by New and SetInjector.
+	mruHit bool
 	// Stats
 	Area    [5]AreaStats // per area kind
 	Total   AreaStats
@@ -202,7 +234,13 @@ type Cache struct {
 // SetInjector attaches (or with nil detaches) the fault injector whose
 // CacheAccess hook models the tag-store parity checker. Wired by the
 // machine on New/Reset.
-func (c *Cache) SetInjector(inj *fault.Injector) { c.inj = inj }
+func (c *Cache) SetInjector(inj *fault.Injector) {
+	c.inj = inj
+	c.setMRUHit()
+}
+
+// setMRUHit recomputes the MRU hit-path guard.
+func (c *Cache) setMRUHit() { c.mruHit = c.inj == nil }
 
 // New builds a cache; the configuration must validate (callers on user
 // input paths run Config.Validate first). The panic on an invalid
@@ -221,7 +259,7 @@ func New(cfg Config) *Cache {
 	for 1<<tagShift < rows {
 		tagShift++
 	}
-	return &Cache{
+	c := &Cache{
 		cfg:      cfg,
 		rows:     rows,
 		rowShift: shift,
@@ -231,6 +269,8 @@ func New(cfg Config) *Cache {
 		rep:      newReplacer(cfg, rows),
 		vb:       newVictimBuffer(cfg.Victims),
 	}
+	c.setMRUHit()
+	return c
 }
 
 // Config returns the cache configuration.
@@ -254,7 +294,48 @@ func (c *Cache) Access(op micro.CacheOp, phys uint32, kind word.AreaID) (hit boo
 // already-reduced area kind (word.AreaID.Kind). Multi-configuration
 // replay computes both once per trace record and shares them across
 // every cache of equal block size.
+//
+// A hit on the row's most recently used way — most hits — returns from
+// the MRU hit path here, under every policy: touching the way that was
+// touched or filled last leaves each replacer's state as it is (the
+// inlined LRU bit, trueLRU's top rank, the PLRU path bits; FIFO and
+// random ignore hits), and a hit in the array never consults the victim
+// buffer. So the path only applies the write policy and the counters,
+// exactly as the full search does. Everything else goes through search.
 func (c *Cache) AccessBlock(op micro.CacheOp, block uint32, kind word.AreaID) (hit bool, stallNS int64) {
+	if c.mruHit {
+		row := block & (c.rows - 1)
+		l := &c.lines[int(row)*c.cfg.Assoc+int(c.lru[row])]
+		if l.holds(block >> c.tagShift) {
+			return true, c.hit(l, op, kind)
+		}
+	}
+	return c.search(op, block, kind)
+}
+
+// hit applies a hit on frame l: the write policy and the counters. It
+// returns the stall beyond the cycle.
+func (c *Cache) hit(l *line, op micro.CacheOp, kind word.AreaID) int64 {
+	var stall int64
+	if op != micro.OpRead {
+		if c.cfg.Policy == StoreThrough {
+			stall = WriteThroughNS
+			c.WriteThroughs++
+			c.StallNS += stall
+		} else {
+			*l |= lineDirty
+		}
+	}
+	c.Area[kind].Accesses++
+	c.Area[kind].Hits++
+	c.Total.Accesses++
+	c.Total.Hits++
+	return stall
+}
+
+// search is AccessBlock's general path: the parity hook, the way
+// search and, on a miss, the replacement.
+func (c *Cache) search(op micro.CacheOp, block uint32, kind word.AreaID) (hit bool, stallNS int64) {
 	if c.inj != nil {
 		c.inj.CacheAccess(block)
 	}
@@ -263,24 +344,10 @@ func (c *Cache) AccessBlock(op micro.CacheOp, block uint32, kind word.AreaID) (h
 	ways := c.lines[base : base+c.cfg.Assoc]
 	tag := block >> c.tagShift
 
-	// Search for a hit (in line here: the hit path runs on nearly every
-	// simulated memory access, and a call per access is measurable).
 	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
+		if ways[i].holds(tag) {
 			c.touch(row, i)
-			var stall int64
-			if op != micro.OpRead && c.cfg.Policy == StoreThrough {
-				stall = WriteThroughNS
-				c.WriteThroughs++
-			} else if op != micro.OpRead {
-				ways[i].dirty = true
-			}
-			c.Area[kind].Accesses++
-			c.Total.Accesses++
-			c.Area[kind].Hits++
-			c.Total.Hits++
-			c.StallNS += stall
-			return true, stall
+			return true, c.hit(&ways[i], op, kind)
 		}
 	}
 
@@ -299,7 +366,7 @@ func (c *Cache) miss(op micro.CacheOp, block, row, tag uint32, ways []line) int6
 	v := &ways[vi]
 	var stall int64
 	if c.vb == nil {
-		if v.valid && v.dirty && c.cfg.Policy == StoreIn {
+		if v.valid() && v.dirty() && c.cfg.Policy == StoreIn {
 			stall += BlockTransferNS
 			c.WriteBacks++
 		}
@@ -312,18 +379,16 @@ func (c *Cache) miss(op micro.CacheOp, block, row, tag uint32, ways []line) int6
 			// Allocate without read-in: the block is about to be fully
 			// overwritten by pushes, so no transfer is needed.
 		}
-		v.valid = true
-		v.tag = tag
-		v.dirty = false
+		*v = fill(tag, false)
 	} else {
 		// Victim-buffer path: the requested block may be parked in the
 		// buffer (probe first, freeing its slot), and the evicted block
 		// parks there instead of leaving — its write-back is deferred
 		// until it falls out of the buffer.
 		restoredDirty, inBuffer := c.vb.take(block)
-		if v.valid {
-			evicted := v.tag<<c.tagShift | row
-			if c.vb.insert(evicted, v.dirty && c.cfg.Policy == StoreIn) {
+		if v.valid() {
+			evicted := v.tag()<<c.tagShift | row
+			if c.vb.insert(evicted, v.dirty() && c.cfg.Policy == StoreIn) {
 				stall += BlockTransferNS
 				c.WriteBacks++
 			}
@@ -331,9 +396,7 @@ func (c *Cache) miss(op micro.CacheOp, block, row, tag uint32, ways []line) int6
 		if inBuffer {
 			c.VictimHits++
 			stall += VictimHitNS
-			v.valid = true
-			v.tag = tag
-			v.dirty = restoredDirty
+			*v = fill(tag, restoredDirty)
 		} else {
 			switch op {
 			case micro.OpRead, micro.OpWrite:
@@ -341,9 +404,7 @@ func (c *Cache) miss(op micro.CacheOp, block, row, tag uint32, ways []line) int6
 				c.Fills++
 			case micro.OpWriteStack:
 			}
-			v.valid = true
-			v.tag = tag
-			v.dirty = false
+			*v = fill(tag, false)
 		}
 	}
 	if op != micro.OpRead {
@@ -351,26 +412,26 @@ func (c *Cache) miss(op micro.CacheOp, block, row, tag uint32, ways []line) int6
 			stall += WriteThroughNS
 			c.WriteThroughs++
 		} else {
-			v.dirty = true
+			*v |= lineDirty
 		}
 	}
+	c.lru[row] = uint8(vi)
 	if c.rep != nil {
 		c.rep.Fill(row, vi)
-	} else {
-		c.lru[row] = uint8(vi)
 	}
 	return stall
 }
 
-// touch marks way i of row as most recently used. The nil-replacer
-// path is the machine's original single-bit scheme (exact LRU for the
-// default two ways); configured policies route through the Replacer.
+// touch marks way i of row as most recently used. The MRU way is kept
+// under every policy — it is the MRU hit path's probe and, with a nil
+// replacer, the machine's original single-bit scheme (exact LRU for the
+// default two ways); configured policies also route through the
+// Replacer.
 func (c *Cache) touch(row uint32, i int) {
+	c.lru[row] = uint8(i)
 	if c.rep != nil {
 		c.rep.Touch(row, i)
-		return
 	}
-	c.lru[row] = uint8(i)
 }
 
 // victim selects the way to replace in row. Invalid ways are always
@@ -379,7 +440,7 @@ func (c *Cache) touch(row uint32, i int) {
 func (c *Cache) victim(row uint32) int {
 	base := int(row) * c.cfg.Assoc
 	for i := 0; i < c.cfg.Assoc; i++ {
-		if !c.lines[base+i].valid {
+		if !c.lines[base+i].valid() {
 			return i
 		}
 	}
@@ -400,7 +461,7 @@ func (c *Cache) HitRatio() float64 { return c.Total.HitRatio() }
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
 	for i := range c.lines {
-		c.lines[i] = line{}
+		c.lines[i] = 0
 	}
 	for i := range c.lru {
 		c.lru[i] = 0

@@ -70,19 +70,6 @@ func (m *Machine) fastExpand(key uint32, n int64) {
 	}
 }
 
-// fastEvict expands a conflicting slot's deferred count and rekeys the
-// slot for the incoming signature. Out of line: it runs only on the
-// rare signature-table collision or a slot's first use.
-//
-//go:noinline
-func (m *Machine) fastEvict(sl *fastSlot, key uint32) {
-	if sl.key != 0 {
-		m.fastExpand(sl.key, sl.n)
-	}
-	sl.key = key
-	sl.n = 0
-}
-
 // fastFlush expands every deferred count into the statistics and
 // empties the table. Idempotent; a no-op with nothing deferred. Called
 // at every boundary where the statistics become observable.

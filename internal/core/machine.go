@@ -182,8 +182,9 @@ type Machine struct {
 	stats micro.Stats
 	// fastTab is the deferred-accounting signature table (see
 	// fastacct.go). Allocated in New and kept across Reset; always fully
-	// drained (all-zero) outside a running Solutions.Step.
-	fastTab []fastSlot
+	// drained (all-zero) outside a running Solutions.Step. A pointer to
+	// a fixed-size array, so the hashed slot index needs no bounds check.
+	fastTab *[fastTabSize]fastSlot
 	// tap receives every executed cycle, rebuilt as a micro.Cycle: the
 	// trace, the per-cycle profiler, or both through a micro.Tee (nil
 	// when neither is attached).
@@ -281,7 +282,7 @@ func New(prog *kl0.Program, cfg Config) *Machine {
 		mem:     mem.New(cfg.Processes),
 		wf:      wf.New(),
 		out:     cfg.Out,
-		fastTab: make([]fastSlot, fastTabSize),
+		fastTab: new([fastTabSize]fastSlot),
 		feat:    cfg.Features,
 	}
 	if !cfg.NoCache {
@@ -348,7 +349,7 @@ func (m *Machine) Reset(prog *kl0.Program, cfg Config) bool {
 	m.wf.Reset()
 	// Normally already drained by the last Step's flush; cleared here so
 	// a reused machine never inherits deferred counts.
-	clear(m.fastTab)
+	clear(m.fastTab[:])
 	m.prog = prog
 	m.ownProg = false
 	m.loaded = 0
@@ -664,12 +665,12 @@ func (m *Machine) SetInterruptHandler(process int, q *kl0.Query) error {
 // ---- microcycle emission helpers -------------------------------------
 
 // Every microcycle flows through aluTick (register-only cycles) or
-// memTick (cycles with a cache command); both identify the cycle by its
+// memCycle (cycles with a cache command); both identify the cycle by its
 // packed accounting signature (micro.Sig* layout, offset by one so the
 // key doubles as the signature-table key) and count it with one table
 // bump; the totals expand later (see fastacct.go). Steps stays live so
 // the budget slicing and the step-limit abort happen at the exact
-// cycle, and the sentinel compare runs after the slot update because
+// cycle, and the boundary is serviced after the slot update because
 // the cycle that crosses the limit is accounted before the abort.
 
 // enterPred records that the code pointer now executes inside predicate
@@ -686,38 +687,18 @@ func (m *Machine) enterPred(p int) {
 	}
 }
 
-// memAccess drives the cache for one memory command and applies the
-// latency model.
-func (m *Machine) memAccess(op micro.CacheOp, a word.Addr) {
-	if m.cache != nil {
-		hit, _ := m.cache.Access(op, m.mem.Translate(a), a.Area())
-		if !hit && m.missSink != nil {
-			m.missSink.CacheMiss()
-		}
-		return
-	}
-	// No cache: every access pays the full 800 ns main-memory time, i.e.
-	// 600 ns beyond the cycle.
-	m.noCacheStall += cache.MissExtraNS
-	if m.missSink != nil {
-		m.missSink.CacheMiss()
-	}
-}
-
 // read performs a memory read microcycle and returns the word. Like
 // alu, it takes the cycle's packed accounting signature (micro.Sig*)
 // instead of a Cycle struct: the signature is a compile-time constant
 // at nearly every call site, and the cache command and address kind are
 // OR'd in here.
 func (m *Machine) read(mod micro.Module, a word.Addr, sig uint32) word.Word {
-	m.memTick((uint32(mod)|sig)+1, micro.OpRead, a)
-	return m.mem.Read(a)
+	return *m.memCycle((uint32(mod)|sig)+1, micro.OpRead, a)
 }
 
 // write performs a memory write microcycle.
 func (m *Machine) write(mod micro.Module, a word.Addr, w word.Word, sig uint32) {
-	m.memTick((uint32(mod)|sig)+1, micro.OpWrite, a)
-	m.mem.Write(a, w)
+	*m.memCycle((uint32(mod)|sig)+1, micro.OpWrite, a) = w
 }
 
 // push performs a write-stack microcycle (no block read-in on miss).
@@ -727,26 +708,74 @@ func (m *Machine) push(mod micro.Module, a word.Addr, w word.Word, sig uint32) {
 	if m.feat.NoWriteStack {
 		op = micro.OpWrite
 	}
-	m.memTick((uint32(mod)|sig)+1, op, a)
-	m.mem.Write(a, w)
+	*m.memCycle((uint32(mod)|sig)+1, op, a) = w
 }
 
-// memTick counts one memory microcycle — key is the packed register
-// signature (offset by one), op the cache command — and then drives the
-// cache. The command and area kind complete the signature key (their
-// bits are zero in a register signature).
-func (m *Machine) memTick(key uint32, op micro.CacheOp, a word.Addr) {
-	key |= uint32(op)<<12 | uint32(a.Area().Kind())<<19
+// memCycle is one memory microcycle in one call — key is the packed
+// register signature (offset by one), op the cache command, which with
+// the area kind completes the signature key (their bits are zero in a
+// register signature). It bumps the signature slot, checks the event
+// boundary, translates the address, probes the cache and returns the
+// addressed word's storage for the caller to load or store. The common
+// case — the slot already holds this key, no boundary is due, the cache
+// is present and mem.Cell's short path applies — runs straight through;
+// every other case goes to memCycleSlow, which does the same steps in
+// the same order. With no boundary due no tap and no injector is armed
+// (either pins stepStop to zero), so the fast path needs no test for
+// them.
+func (m *Machine) memCycle(key uint32, op micro.CacheOp, a word.Addr) *word.Word {
+	kind := a.Area().Kind()
+	key |= uint32(op)<<12 | uint32(kind)<<19
 	m.stats.Steps++
 	sl := &m.fastTab[(key*0x9E3779B1)>>(32-fastTabBits)]
-	if sl.key != key {
-		m.fastEvict(sl, key)
+	c := m.cache
+	if sl.key != key || m.stats.Steps > m.stepStop || c == nil {
+		return m.memCycleSlow(sl, key, op, a)
+	}
+	phys, cell, ok := m.mem.Cell(a, op != micro.OpRead)
+	if !ok {
+		return m.memCycleSlow(sl, key, op, a)
 	}
 	sl.n++
-	if m.stats.Steps > m.stepStop {
-		m.fastBoundary(key, a)
+	if hit, _ := c.AccessBlock(op, phys>>c.BlockShift(), kind); !hit && m.missSink != nil {
+		m.missSink.CacheMiss()
 	}
-	m.memAccess(op, a)
+	return cell
+}
+
+// memCycleSlow is memCycle's out-of-line path: a signature-table miss,
+// a due event boundary (every cycle of a tapped run), a machine without
+// a cache, or a page not mapped yet, storage to grow or an armed
+// injector. It counts the cycle and services the boundary, then
+// translates, drives the cache and reaches the storage — through
+// mem.Cell where its short path applies, else through Translate (which
+// maps the page on first touch) and mem.CellSlow, whose parity hook
+// fires after the cache's.
+//
+//go:noinline
+func (m *Machine) memCycleSlow(sl *fastSlot, key uint32, op micro.CacheOp, a word.Addr) *word.Word {
+	m.tickSlow(sl, key, a)
+	write := op != micro.OpRead
+	phys, cell, ok := m.mem.Cell(a, write)
+	if !ok {
+		phys = m.mem.Translate(a)
+	}
+	if c := m.cache; c != nil {
+		if hit, _ := c.AccessBlock(op, phys>>c.BlockShift(), a.Area().Kind()); !hit && m.missSink != nil {
+			m.missSink.CacheMiss()
+		}
+	} else {
+		// No cache: every access pays the full 800 ns main-memory time,
+		// i.e. 600 ns beyond the cycle.
+		m.noCacheStall += cache.MissExtraNS
+		if m.missSink != nil {
+			m.missSink.CacheMiss()
+		}
+	}
+	if ok {
+		return cell
+	}
+	return m.mem.CellSlow(a, write)
 }
 
 // alu emits a register-only microcycle, described by its packed
@@ -762,16 +791,37 @@ func (m *Machine) alu(mod micro.Module, sig uint32) {
 // aluTick counts one register-only cycle, identified by its packed
 // signature key (offset by one, matching the signature-table encoding).
 // A register-only cycle is fully determined by its signature (Cache is
-// OpNone, Addr is zero), so the boundary rebuilds it exactly.
+// OpNone, Addr is zero), so the boundary rebuilds it exactly. One test
+// — the slot holds this key and no boundary is due — separates the
+// common case from tickSlow.
 func (m *Machine) aluTick(key uint32) {
 	m.stats.Steps++
 	sl := &m.fastTab[(key*0x9E3779B1)>>(32-fastTabBits)]
+	if sl.key == key && m.stats.Steps <= m.stepStop {
+		sl.n++
+		return
+	}
+	m.tickSlow(sl, key, 0)
+}
+
+// tickSlow finishes counting a cycle whose slot holds another key (a
+// collision or the slot's first use) or that crossed the event
+// boundary: it rekeys the slot if needed, counts the cycle, then
+// services the boundary. key and a identify the cycle (a is zero for a
+// register-only cycle).
+//
+//go:noinline
+func (m *Machine) tickSlow(sl *fastSlot, key uint32, a word.Addr) {
 	if sl.key != key {
-		m.fastEvict(sl, key)
+		if sl.key != 0 {
+			m.fastExpand(sl.key, sl.n)
+		}
+		sl.key = key
+		sl.n = 0
 	}
 	sl.n++
 	if m.stats.Steps > m.stepStop {
-		m.fastBoundary(key, 0)
+		m.fastBoundary(key, a)
 	}
 }
 

@@ -41,10 +41,8 @@ func ablationWorkloads() []progs.Benchmark {
 	return []progs.Benchmark{progs.NReverse, progs.QueensFirst, progs.BUP2, progs.Window1}
 }
 
-// Ablations measures every feature variant on every ablation workload.
-func Ablations() ([]AblationRow, error) { return AblationsWith(Options{}) }
-
-// AblationsWith is Ablations under explicit worker options. The base
+// AblationsWith measures every feature variant on every ablation
+// workload. The base
 // runs are the default-feature runs the tables read. Under KeepGoing a
 // failed base run drops the whole workload (its deltas have no
 // denominator) and a failed variant run drops that row; every failure is

@@ -6,7 +6,7 @@ import (
 )
 
 func TestAblations(t *testing.T) {
-	rows, err := Ablations()
+	rows, err := AblationsWith(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,13 +21,24 @@ import (
 // ordinals so every site fires well inside nreverse (30)'s run.
 func chaosPlans() []fault.Plan { return fault.Sweep(1, 2, 500) }
 
+// runFaulted runs nreverse (30) as evaluation cell `cell` under plan,
+// with a COLLECT trace when collect is set, and returns the run's error.
+func runFaulted(t *testing.T, plan *fault.Plan, cell string, collect bool) error {
+	t.Helper()
+	c, err := Compile(progs.NReverse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.run(runOpts{collect: collect, cell: cell, fault: plan})
+	return err
+}
+
 func TestChaosSweepContained(t *testing.T) {
 	for _, plan := range chaosPlans() {
 		plan := plan
 		t.Run(plan.String(), func(t *testing.T) {
 			t.Parallel()
-			o := Options{Fault: &plan}
-			_, err := runPSIWith(o, "chaos/"+progs.NReverse.Name, progs.NReverse, false)
+			err := runFaulted(t, &plan, "chaos/"+progs.NReverse.Name, false)
 			if err == nil {
 				t.Fatalf("plan %v: fault never fired (trigger beyond the run?)", plan)
 			}
@@ -56,8 +67,7 @@ func TestChaosReproducible(t *testing.T) {
 	var msgs []string
 	var steps []int64
 	for run := 0; run < 2; run++ {
-		o := Options{Fault: &plan}
-		_, err := runPSIWith(o, "chaos/repro", progs.NReverse, false)
+		err := runFaulted(t, &plan, "chaos/repro", false)
 		if err == nil {
 			t.Fatal("fault never fired")
 		}
@@ -93,8 +103,7 @@ func TestFaultedPoolMachinesReplayClean(t *testing.T) {
 	// back into the pool from inside the run path.
 	for _, plan := range chaosPlans() {
 		plan := plan
-		o := Options{Fault: &plan}
-		if _, err := runPSIWith(o, "chaos/pool", progs.NReverse, false); !errors.Is(err, engine.ErrFault) {
+		if err := runFaulted(t, &plan, "chaos/pool", false); !errors.Is(err, engine.ErrFault) {
 			t.Fatalf("plan %v: want contained fault, got %v", plan, err)
 		}
 	}
@@ -239,8 +248,7 @@ func TestChaosFastModeContained(t *testing.T) {
 		t.Run(plan.String(), func(t *testing.T) {
 			t.Parallel()
 			runOnce := func(collect bool) *engine.FaultError {
-				o := Options{Fault: &plan}
-				_, err := runPSIWith(o, "chaos/fast/"+progs.NReverse.Name, progs.NReverse, collect)
+				err := runFaulted(t, &plan, "chaos/fast/"+progs.NReverse.Name, collect)
 				if err == nil {
 					t.Fatalf("plan %v (collect=%v): fault never fired", plan, collect)
 				}

@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dec10"
 	"repro/internal/engine"
-	"repro/internal/micro"
 	"repro/internal/obs"
 	"repro/internal/progs"
 	"repro/internal/telemetry"
@@ -40,33 +39,6 @@ func RunPSI(b progs.Benchmark, collect bool) (*PSIRun, error) {
 		return nil, err
 	}
 	return c.Run(collect, core.Features{})
-}
-
-// RunPSIWith is RunPSI with Options threaded through — the entry point
-// for callers that need fault plans, step bounds or telemetry on a
-// single benchmark run.
-func RunPSIWith(o Options, b progs.Benchmark, collect bool) (*PSIRun, error) {
-	return runPSIWith(o, b.Name, b, collect)
-}
-
-// runPSIWith is RunPSI with the observability extras of Options threaded
-// through: heartbeats are tagged with the evaluation cell (e.g.
-// "table5/window-1") so `psibench -v` can show where the run is.
-func runPSIWith(o Options, cell string, b progs.Benchmark, collect bool) (*PSIRun, error) {
-	c, err := Compile(b)
-	if err != nil {
-		return nil, err
-	}
-	return c.run(runOpts{
-		collect:  collect,
-		cell:     cell,
-		progress: o.Progress,
-		every:    o.ProgressEvery,
-		ctx:      o.Ctx,
-		maxSteps: o.MaxSteps,
-		fault:    o.Fault,
-		spans:    o.Spans,
-	})
 }
 
 // Profile executes a benchmark with the simulated-workload profiler
@@ -138,15 +110,4 @@ func runDECWith(o Options, b progs.Benchmark) (*dec10.Machine, error) {
 		return nil, fmt.Errorf("%s: DEC query %q failed", b.Name, b.Query)
 	}
 	return m, nil
-}
-
-// StatsFor runs a benchmark and returns its microcycle statistics (no
-// trace). The machine is not pooled afterwards — the caller may keep
-// using it (e.g. to inspect the cache).
-func StatsFor(b progs.Benchmark) (*micro.Stats, *core.Machine, error) {
-	r, err := RunPSI(b, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r.Machine.Stats(), r.Machine, nil
 }

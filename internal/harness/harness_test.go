@@ -59,10 +59,11 @@ func TestTable1RatioShape(t *testing.T) {
 }
 
 func TestPaperProseClaims(t *testing.T) {
-	s, m, err := StatsFor(progs.BUP2)
+	r, err := RunPSI(progs.BUP2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s, m := r.Machine.Stats(), r.Machine
 	// "about one in every five microinstruction steps is a request for
 	// memory access" (16-23% in the paper; we accept a wider band).
 	memRate := float64(s.MemoryAccesses()) / float64(s.Steps)
@@ -92,10 +93,11 @@ func TestPaperProseClaims(t *testing.T) {
 }
 
 func TestBranchClaims(t *testing.T) {
-	s, _, err := StatsFor(progs.BUP2)
+	r, err := RunPSI(progs.BUP2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := r.Machine.Stats()
 	// "around 80% of all the microinstruction steps contain branch
 	// operations"
 	var nonNop float64
@@ -122,17 +124,19 @@ func TestBranchClaims(t *testing.T) {
 func TestTable2ModuleShape(t *testing.T) {
 	// BUP and HARMONIZER are unification-heavy; WINDOW is built-in-heavy
 	// with almost no cut-free search.
-	sBUP, _, err := StatsFor(progs.BUP2)
+	rBUP, err := RunPSI(progs.BUP2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sBUP := rBUP.Machine.Stats()
 	if sBUP.ModuleRatio(micro.MUnify) < 0.25 {
 		t.Errorf("BUP unify share = %.2f", sBUP.ModuleRatio(micro.MUnify))
 	}
-	sWin, _, err := StatsFor(progs.Window1)
+	rWin, err := RunPSI(progs.Window1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sWin := rWin.Machine.Stats()
 	builtish := sWin.ModuleRatio(micro.MBuilt) + sWin.ModuleRatio(micro.MGetArg)
 	if builtish < 0.25 {
 		t.Errorf("WINDOW built+get_arg share = %.2f", builtish)
@@ -140,7 +144,7 @@ func TestTable2ModuleShape(t *testing.T) {
 }
 
 func TestTable6Claims(t *testing.T) {
-	t6, err := Table6()
+	t6, err := Table6With(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +169,7 @@ func TestTable6Claims(t *testing.T) {
 }
 
 func TestFigure1Saturation(t *testing.T) {
-	f, err := Figure1()
+	f, err := Figure1With(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,49 +204,49 @@ func TestFigure1Saturation(t *testing.T) {
 }
 
 func TestFormatters(t *testing.T) {
-	rows2, err := Table2()
+	rows2, err := Table2With(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out := FormatTable2(rows2); !strings.Contains(out, "unify") {
 		t.Error("table 2 format")
 	}
-	rows3, err := Table3()
+	rows3, err := Table3With(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out := FormatTable3(rows3); !strings.Contains(out, "write-stack") {
 		t.Error("table 3 format")
 	}
-	rows4, err := Table4()
+	rows4, err := Table4With(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out := FormatTable4(rows4); !strings.Contains(out, "heap") {
 		t.Error("table 4 format")
 	}
-	rows5, err := Table5()
+	rows5, err := Table5With(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out := FormatTable5(rows5); !strings.Contains(out, "total") {
 		t.Error("table 5 format")
 	}
-	t7, err := Table7()
+	t7, err := Table7With(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out := FormatTable7(t7); !strings.Contains(out, "case (irn)") {
 		t.Error("table 7 format")
 	}
-	t6, err := Table6()
+	t6, err := Table6With(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out := FormatTable6(t6); !strings.Contains(out, "@WFAR1") {
 		t.Error("table 6 format")
 	}
-	f, err := Figure1()
+	f, err := Figure1With(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,11 +18,12 @@ func TestProfileTotalMatchesStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, m, err := StatsFor(progs.BUP2)
+	r, err := RunPSI(progs.BUP2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer (&PSIRun{Machine: m}).Release()
+	defer r.Release()
+	s := r.Machine.Stats()
 	if rp.TotalCycles != s.Steps {
 		t.Errorf("profile total = %d cycles, stats counted %d", rp.TotalCycles, s.Steps)
 	}

@@ -66,10 +66,9 @@ type Options struct {
 
 	// Spans, when non-nil, records a host-time span for every simulated
 	// run of an evaluation (one trace row per run, named by the first
-	// cell that reads it) and for single benchmark runs driven through
-	// RunPSIWith. The resulting log exports as a Chrome trace-event
-	// document (`psibench -trace-out`). Spans measure the host only;
-	// evaluation output stays byte-identical.
+	// cell that reads it). The resulting log exports as a Chrome
+	// trace-event document (`psibench -trace-out`). Spans measure the
+	// host only; evaluation output stays byte-identical.
 	Spans *telemetry.SpanLog
 }
 

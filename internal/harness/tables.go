@@ -24,10 +24,7 @@ type T1Row struct {
 	Inferences int64   `json:"inferences"`
 }
 
-// Table1 measures every benchmark on both engines.
-func Table1() ([]T1Row, error) { return Table1With(Options{}) }
-
-// Table1With is Table1 under explicit worker options.
+// Table1With measures every benchmark on both engines.
 func Table1With(o Options) ([]T1Row, error) { return onPlan(o, planTable1) }
 
 // planTable1 declares each Table 1 cell's PSI and DEC-10 runs.
@@ -74,10 +71,7 @@ type T2Row struct {
 	Modules [micro.NumModules]float64 `json:"modules"`
 }
 
-// Table2 measures the interpreter-module step distribution.
-func Table2() ([]T2Row, error) { return Table2With(Options{}) }
-
-// Table2With is Table2 under explicit worker options.
+// Table2With measures the interpreter-module step distribution.
 func Table2With(o Options) ([]T2Row, error) { return onPlan(o, planTable2) }
 
 func planTable2(p *plan) func() ([]T2Row, error) {
@@ -102,10 +96,7 @@ type T3Row struct {
 	Total      float64 `json:"total"`
 }
 
-// Table3 measures the cache command frequency of each workload.
-func Table3() ([]T3Row, error) { return Table3With(Options{}) }
-
-// Table3With is Table3 under explicit worker options.
+// Table3With measures the cache command frequency of each workload.
 func Table3With(o Options) ([]T3Row, error) { return onPlan(o, planTable3) }
 
 func planTable3(p *plan) func() ([]T3Row, error) {
@@ -128,10 +119,7 @@ type T4Row struct {
 	Areas [5]float64 `json:"areas"` // heap, global, local, control, trail
 }
 
-// Table4 measures the per-area access distribution.
-func Table4() ([]T4Row, error) { return Table4With(Options{}) }
-
-// Table4With is Table4 under explicit worker options.
+// Table4With measures the per-area access distribution.
 func Table4With(o Options) ([]T4Row, error) { return onPlan(o, planTable4) }
 
 func planTable4(p *plan) func() ([]T4Row, error) {
@@ -153,10 +141,7 @@ type T5Row struct {
 	Total float64    `json:"total"`
 }
 
-// Table5 measures per-area cache hit ratios with the PSI cache.
-func Table5() ([]T5Row, error) { return Table5With(Options{}) }
-
-// Table5With is Table5 under explicit worker options.
+// Table5With measures per-area cache hit ratios with the PSI cache.
 func Table5With(o Options) ([]T5Row, error) { return onPlan(o, planTable5) }
 
 func planTable5(p *plan) func() ([]T5Row, error) {
@@ -187,11 +172,9 @@ type Fig1 struct {
 	PenaltyOrder []string `json:"penalty_order"`
 }
 
-// Figure1 replays the WINDOW cache-command stream over cache sizes from
-// 8 words to 8K words (the paper's sweep) and computes the ablations.
-func Figure1() (*Fig1, error) { return Figure1With(Options{}) }
-
-// Figure1With is Figure1 under explicit worker options. Each workload's
+// Figure1With replays the WINDOW cache-command stream over cache sizes
+// from 8 words to 8K words (the paper's sweep) and computes the
+// ablations. Each workload's
 // sweeper taps the cycle stream of the run the tables read, so no trace
 // is materialized and no workload is simulated for the figure alone:
 // WINDOW feeds the whole capacity sweep plus the ablations, the penalty
@@ -264,11 +247,8 @@ type T6 struct {
 	Usage    mapper.WFUsage `json:"usage"`
 }
 
-// Table6 measures the dynamic work-file access modes (the paper shows
-// BUP; other programs give close results).
-func Table6() (*T6, error) { return Table6With(Options{}) }
-
-// Table6With is Table6 under explicit worker options. MAP folds the
+// Table6With measures the dynamic work-file access modes (the paper
+// shows BUP; other programs give close results). MAP folds the
 // cycle stream of the BUP run the tables read, so no trace is
 // materialized. Under KeepGoing a failed run degrades the whole section
 // (it is a single measurement): the table is reported as nil and the
@@ -302,11 +282,8 @@ type T7Col struct {
 	Data   float64                     `json:"data"`   // branch steps with data manipulation (percent of steps)
 }
 
-// Table7 measures the dynamic branch-field operations for the paper's
-// three programs.
-func Table7() ([]T7Col, error) { return Table7With(Options{}) }
-
-// Table7With is Table7 under explicit worker options.
+// Table7With measures the dynamic branch-field operations for the
+// paper's three programs.
 func Table7With(o Options) ([]T7Col, error) { return onPlan(o, planTable7) }
 
 func planTable7(p *plan) func() ([]T7Col, error) {

@@ -120,9 +120,27 @@ type classShadow struct {
 	hit       bool // scratch: this access's pre-update probe
 }
 
+// blockSet is a set of physical block numbers. Physical pages are
+// assigned densely from 0 in first-touch order, so block numbers are
+// dense too and a bitset indexes them directly.
+type blockSet []uint64
+
+func (b blockSet) has(block uint32) bool {
+	i := int(block >> 6)
+	return i < len(b) && b[i]>>(block&63)&1 != 0
+}
+
+func (b *blockSet) add(block uint32) {
+	i := int(block >> 6)
+	if i >= len(*b) {
+		*b = append(*b, make(blockSet, i+1-len(*b))...)
+	}
+	(*b)[i] |= 1 << (block & 63)
+}
+
 // classGroup is the classification state of one block-size lane group.
 type classGroup struct {
-	seen       map[uint32]struct{}
+	seen       blockSet // blocks touched so far
 	shadows    []*classShadow
 	laneShadow []int // per group lane: index into shadows
 }
@@ -145,7 +163,7 @@ func (s *Sweeper) Classify(refLane int) {
 	}
 	for gi := range s.groups {
 		g := &s.groups[gi]
-		cg := classGroup{seen: make(map[uint32]struct{})}
+		var cg classGroup
 		for _, c := range g.lanes {
 			capBlocks := c.Config().Words / c.Config().BlockWords
 			si := -1

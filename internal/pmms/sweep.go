@@ -145,7 +145,7 @@ func (s *Sweeper) access(op micro.CacheOp, a word.Addr) {
 		// the probe results. The shadows update on every access (their
 		// state tracks the stream, not any lane's hits).
 		cg := &s.class.groups[gi]
-		_, seen := cg.seen[block]
+		seen := cg.seen.has(block)
 		for _, sh := range cg.shadows {
 			sh.hit = sh.lru.access(block)
 		}
@@ -155,7 +155,7 @@ func (s *Sweeper) access(op micro.CacheOp, a word.Addr) {
 				s.class.classify(g.idx[li], s.curPred, seen, cg.shadows[cg.laneShadow[li]].hit)
 			}
 		}
-		cg.seen[block] = struct{}{}
+		cg.seen.add(block)
 	}
 }
 
