@@ -56,6 +56,14 @@ type Config struct {
 	// micro.MissSink, cache-miss notifications — the simulated-workload
 	// profiler hook. It is a per-cycle tap: see AccountingMode.
 	Profile micro.PredSink
+	// Access, when non-nil, receives every memory access (cache command
+	// and logical address) after the machine's own cache probe, and
+	// nothing for register-only cycles — the feed the PMMS sweeps read.
+	// If it also implements micro.PredTracker it receives the
+	// predicate-context switches the profiler sees. Not a per-cycle tap:
+	// register-only cycles keep the fast tick, and AccountingMode stays
+	// fast.
+	Access micro.AccessSink
 	// Progress, when non-nil, receives a heartbeat every ProgressEvery
 	// executed microcycles (live-progress events for long simulations).
 	Progress func(Heartbeat)
@@ -197,6 +205,15 @@ type Machine struct {
 	missSink micro.MissSink
 	curPred  int
 
+	// Memory-access feed: the access sink (nil unless armed) and its
+	// optional predicate-tracking half.
+	access     micro.AccessSink
+	accessPred micro.PredTracker
+	// trackPred reports that some attachment attributes by predicate
+	// (the profiler, the sampler or the access sink's tracker), so
+	// instruction dispatch keeps curPred current.
+	trackPred bool
+
 	// Live-progress state: hb is the heartbeat callback (nil when
 	// disabled), hbEvery the period in cycles, hbAt the Steps value of
 	// the next heartbeat.
@@ -237,6 +254,10 @@ type Machine struct {
 	// per-cycle check is one branch-free compare. Kept by fastStop;
 	// crossing it dispatches through fastBoundary.
 	stepStop int64
+	// memStop is the sentinel memory cycles compare against: stepStop,
+	// or 0 while an access sink is armed, so every memory cycle — and
+	// only memory cycles — take memCycleSlow, which delivers the access.
+	memStop int64
 
 	// failed marks that the current path failed and the main loop must
 	// backtrack; kept on the machine so deep failure chains stay
@@ -399,9 +420,9 @@ type Heartbeat struct {
 	Inferences int64 // logical inferences so far
 }
 
-// configureSinks wires the per-cycle tap, the profiler, the telemetry
-// hooks and the fault injector from a configuration (shared by New and
-// Reset), then places the event-boundary sentinel.
+// configureSinks wires the per-cycle tap, the profiler, the access
+// feed, the telemetry hooks and the fault injector from a configuration
+// (shared by New and Reset), then places the event-boundary sentinels.
 func (m *Machine) configureSinks(cfg Config) {
 	switch {
 	case cfg.Trace != nil && cfg.Profile != nil:
@@ -419,6 +440,8 @@ func (m *Machine) configureSinks(cfg Config) {
 		m.missSink, _ = cfg.Profile.(micro.MissSink)
 	}
 	m.curPred = micro.NoPredicate
+	m.access = cfg.Access
+	m.accessPred, _ = cfg.Access.(micro.PredTracker)
 	m.flight = cfg.Flight
 	m.hb = cfg.Progress
 	if m.hb != nil && m.flight != nil {
@@ -442,6 +465,7 @@ func (m *Machine) configureSinks(cfg Config) {
 	}
 	m.sampleLast = 0
 	m.sampleAt = m.sampleEvery
+	m.trackPred = m.profile != nil || m.sample != nil || m.accessPred != nil
 	m.spans = cfg.Spans
 	m.spanName = cfg.SpanName
 	if m.spanName == "" {
@@ -466,10 +490,13 @@ func (m *Machine) tapped() bool { return m.tap != nil || m.inj != nil }
 // nothing armed the sentinel is the step limit alone, so the bare tick
 // is one compare per cycle. While a per-cycle tap is armed the sentinel
 // is pinned to 0 — Steps is at least 1 after the tick's increment — so
-// every cycle enters fastBoundary.
+// every cycle enters fastBoundary. memStop follows stepStop, except
+// that an armed access sink pins it to 0: memory cycles then take
+// memCycleSlow, which delivers each access, while register-only cycles
+// keep the one-compare tick.
 func (m *Machine) fastStop() {
 	if m.tapped() {
-		m.stepStop = 0
+		m.stepStop, m.memStop = 0, 0
 		return
 	}
 	stop := m.maxSteps
@@ -482,7 +509,10 @@ func (m *Machine) fastStop() {
 	if m.hb != nil && m.hbAt-1 < stop {
 		stop = m.hbAt - 1
 	}
-	m.stepStop = stop
+	m.stepStop, m.memStop = stop, stop
+	if m.access != nil {
+		m.memStop = 0
+	}
 }
 
 // fastBoundary services an event boundary: the cycle stream crossed
@@ -599,8 +629,9 @@ func (m *Machine) Stats() *micro.Stats {
 // AccountingMode reports engine.ModeExact while a per-cycle tap
 // (Config.Trace, Config.Profile or Config.Fault) is armed — every cycle
 // then enters the event boundary and is handed over as a micro.Cycle —
-// and engine.ModeFast otherwise. Both count every cycle through the
-// same signature table, so statistics never depend on the mode.
+// and engine.ModeFast otherwise, also with an access sink armed. Both
+// count every cycle through the same signature table, so statistics
+// never depend on the mode.
 func (m *Machine) AccountingMode() string {
 	if m.tapped() {
 		return engine.ModeExact
@@ -674,15 +705,18 @@ func (m *Machine) SetInterruptHandler(process int, q *kl0.Query) error {
 // the cycle that crosses the limit is accounted before the abort.
 
 // enterPred records that the code pointer now executes inside predicate
-// p, notifying the profiler on changes. Called only when the exact
-// profiler or the sampling profiler is attached: both attribute by the
-// same current-predicate notion, so their per-predicate splits agree up
-// to sampling error.
+// p, notifying the profiler and the access sink's tracker on changes.
+// Called only when trackPred is set: the exact profiler, the sampling
+// profiler and the access feed attribute by the same current-predicate
+// notion, so their per-predicate splits agree (up to sampling error).
 func (m *Machine) enterPred(p int) {
 	if p != m.curPred {
 		m.curPred = p
 		if m.profile != nil {
 			m.profile.EnterPredicate(p)
+		}
+		if m.accessPred != nil {
+			m.accessPred.EnterPredicate(p)
 		}
 	}
 }
@@ -720,8 +754,9 @@ func (m *Machine) push(mod micro.Module, a word.Addr, w word.Word, sig uint32) {
 // case — the slot already holds this key, no boundary is due, the cache
 // is present and mem.Cell's short path applies — runs straight through;
 // every other case goes to memCycleSlow, which does the same steps in
-// the same order. With no boundary due no tap and no injector is armed
-// (either pins stepStop to zero), so the fast path needs no test for
+// the same order. The boundary test reads memStop, the memory cycles'
+// own sentinel: with none due no tap, no injector and no access sink is
+// armed (each pins memStop to zero), so the fast path needs no test for
 // them.
 func (m *Machine) memCycle(key uint32, op micro.CacheOp, a word.Addr) *word.Word {
 	kind := a.Area().Kind()
@@ -729,7 +764,7 @@ func (m *Machine) memCycle(key uint32, op micro.CacheOp, a word.Addr) *word.Word
 	m.stats.Steps++
 	sl := &m.fastTab[(key*0x9E3779B1)>>(32-fastTabBits)]
 	c := m.cache
-	if sl.key != key || m.stats.Steps > m.stepStop || c == nil {
+	if sl.key != key || m.stats.Steps > m.memStop || c == nil {
 		return m.memCycleSlow(sl, key, op, a)
 	}
 	phys, cell, ok := m.mem.Cell(a, op != micro.OpRead)
@@ -744,13 +779,14 @@ func (m *Machine) memCycle(key uint32, op micro.CacheOp, a word.Addr) *word.Word
 }
 
 // memCycleSlow is memCycle's out-of-line path: a signature-table miss,
-// a due event boundary (every cycle of a tapped run), a machine without
-// a cache, or a page not mapped yet, storage to grow or an armed
-// injector. It counts the cycle and services the boundary, then
-// translates, drives the cache and reaches the storage — through
-// mem.Cell where its short path applies, else through Translate (which
-// maps the page on first touch) and mem.CellSlow, whose parity hook
-// fires after the cache's.
+// a due event boundary (every cycle of a tapped run), an armed access
+// sink, a machine without a cache, or a page not mapped yet, storage to
+// grow or an armed injector. It counts the cycle and services the
+// boundary, then translates, drives the cache, hands the access to the
+// access sink and reaches the storage — through mem.Cell where its
+// short path applies, else through Translate (which maps the page on
+// first touch) and mem.CellSlow, whose parity hook fires after the
+// cache's.
 //
 //go:noinline
 func (m *Machine) memCycleSlow(sl *fastSlot, key uint32, op micro.CacheOp, a word.Addr) *word.Word {
@@ -771,6 +807,9 @@ func (m *Machine) memCycleSlow(sl *fastSlot, key uint32, op micro.CacheOp, a wor
 		if m.missSink != nil {
 			m.missSink.CacheMiss()
 		}
+	}
+	if m.access != nil {
+		m.access.Access(op, a)
 	}
 	if ok {
 		return cell

@@ -307,7 +307,7 @@ func (m *Machine) runSteps(limit int64) (found, yielded bool) {
 			continue
 		}
 		ctx := m.ctx
-		if m.profile != nil || m.sample != nil {
+		if m.trackPred {
 			// Attribute the upcoming cycles to the predicate owning the
 			// code pointer (clause bodies, continuations after returns,
 			// redone goals); -1 covers query pseudo-clauses and stubs.
@@ -374,7 +374,7 @@ func (m *Machine) dispatchCall(procIdx int, gAddr, after word.Addr, args []val, 
 		m.failed = true
 		return
 	}
-	if m.profile != nil || m.sample != nil {
+	if m.trackPred {
 		// From here on the firmware works on the callee's behalf: choice
 		// point, frame allocation and head unification charge to it.
 		m.enterPred(procIdx)

@@ -11,14 +11,16 @@ import (
 	"repro/internal/micro"
 	"repro/internal/obs"
 	"repro/internal/progs"
+	"repro/internal/word"
 )
 
 // TestFastResetTapHygiene is the pool-hygiene regression for the
-// pinned sentinel: one machine is Reset back and forth between tapped
-// (trace, fault) and untapped configurations. After every Reset its
-// statistics, run report and AccountingMode must equal a fresh
-// machine's, and an untapped run must leave the sentinel at the step
-// limit instead of entering the event boundary on every cycle.
+// pinned sentinels: one machine is Reset back and forth between tapped
+// (trace, fault), access-fed and untapped configurations. After every
+// Reset its statistics, run report and AccountingMode must equal a
+// fresh machine's; an untapped run must leave both sentinels at the
+// step limit instead of entering the event boundary on every cycle,
+// and an access-fed run only the memory cycles' sentinel pinned.
 func TestFastResetTapHygiene(t *testing.T) {
 	c, err := harness.Compile(progs.NReverse)
 	if err != nil {
@@ -34,6 +36,7 @@ func TestFastResetTapHygiene(t *testing.T) {
 		{"untapped", func() core.Config { return core.Config{MaxSteps: limit} }, "fast"},
 		{"trace", func() core.Config { return core.Config{MaxSteps: limit, Trace: &micro.Stats{}} }, "exact"},
 		{"fault", func() core.Config { return core.Config{MaxSteps: limit, Fault: never.New()} }, "exact"},
+		{"access", func() core.Config { return core.Config{MaxSteps: limit, Access: new(accessCount)} }, "fast"},
 	}
 	run := func(t *testing.T, m *core.Machine) (micro.Stats, []byte) {
 		t.Helper()
@@ -48,7 +51,7 @@ func TestFastResetTapHygiene(t *testing.T) {
 		return *m.Stats(), rep
 	}
 	pooled := core.New(c.Prog, configs[0].cfg())
-	for _, i := range []int{0, 1, 0, 2, 0, 1, 2, 0} {
+	for _, i := range []int{0, 1, 0, 2, 0, 3, 1, 3, 2, 0, 3, 0} {
 		k := configs[i]
 		fresh := core.New(c.Prog, k.cfg())
 		wantStats, wantRep := run(t, fresh)
@@ -68,15 +71,26 @@ func TestFastResetTapHygiene(t *testing.T) {
 		if got := pooled.AccountingMode(); got != fresh.AccountingMode() {
 			t.Errorf("%s after Reset: mode %q, fresh machine %q", k.name, got, fresh.AccountingMode())
 		}
-		wantStop := int64(0)
+		wantStop, wantMem := int64(0), int64(0)
 		if k.mode == "fast" {
 			wantStop = limit
 		}
+		if k.name == "untapped" {
+			wantMem = limit
+		}
 		if got := pooled.StepStop(); got != wantStop {
 			t.Errorf("%s after its run: sentinel at %d, want %d", k.name, got, wantStop)
+		}
+		if got := pooled.MemStop(); got != wantMem {
+			t.Errorf("%s after its run: memory sentinel at %d, want %d", k.name, got, wantMem)
 		}
 	}
 	if untapped := core.New(c.Prog, core.Config{}); untapped.StepStop() != math.MaxInt64 {
 		t.Errorf("unbounded untapped machine: sentinel at %d, want MaxInt64", untapped.StepStop())
 	}
 }
+
+// accessCount is an access sink that only counts.
+type accessCount int64
+
+func (n *accessCount) Access(micro.CacheOp, word.Addr) { *n++ }

@@ -158,7 +158,7 @@ func (c *Compiled) Run(collect bool, feat core.Features) (*PSIRun, error) {
 // classic (collect, features) pair. The zero value reproduces Run.
 type runOpts struct {
 	collect     bool
-	tap         micro.Sink // extra cycle sink, e.g. a pmms.Sweeper
+	access      micro.AccessSink // memory-access feed, e.g. pmms sweepers
 	feat        core.Features
 	cell        string             // evaluation cell label for heartbeats
 	progress    func(obs.Progress) // nil = no heartbeats
@@ -196,16 +196,11 @@ func (c *Compiled) run(ro runOpts) (*PSIRun, error) {
 		log = &trace.Log{}
 		cfg.Trace = log
 	}
-	if ro.tap != nil {
-		// The tap sees the identical cycle stream COLLECT would log — a
-		// sweep fed through it computes exactly what a replay of the
-		// materialized trace computes, without the O(trace) allocation.
-		if cfg.Trace != nil {
-			cfg.Trace = micro.Tee{cfg.Trace, ro.tap}
-		} else {
-			cfg.Trace = ro.tap
-		}
-	}
+	// The access feed sees the identical access stream COLLECT would log —
+	// a sweep fed through it computes exactly what a replay of the
+	// materialized trace computes, without the O(trace) allocation and
+	// without a per-cycle tap.
+	cfg.Access = ro.access
 	cfg.Profile = ro.profile
 	cfg.Sample = ro.sample
 	cfg.SampleEvery = ro.sampleEvery

@@ -58,9 +58,8 @@ func CacheLabWith(o Options) (*CacheLab, error) {
 
 // CacheLabFor computes the cache lab for an explicit grid and workload
 // (the CLI's -grid flag parses into g). The whole grid rides the run of
-// the workload the tables read: the Sweeper taps the machine's cycle
-// stream as its profile sink, so it sees every cycle exactly once plus
-// the predicate context needed for miss attribution. The reference lane
+// the workload the tables read: the Sweeper is fed the machine's memory
+// accesses plus the predicate context needed for miss attribution. The reference lane
 // is the machine's configuration when the grid contains it, lane 0
 // otherwise. Under KeepGoing a failed run degrades the whole section (it
 // is a single measurement), like Table 6.
@@ -86,11 +85,7 @@ func planCacheLab(p *plan, g pmms.Grid, b progs.Benchmark) func() (*CacheLab, er
 	s.Classify(ref)
 	cell := "lab/" + b.Name
 	r := p.psi(cell, b, core.Features{})
-	// The sweeper attaches as the run's profile sink — never as a trace
-	// tap as well, which would double-count every cycle. The profile
-	// path delivers the identical cycle stream a tap would, plus the
-	// EnterPredicate context the attribution needs.
-	r.profile = s
+	r.sweep(s)
 	return func() (*CacheLab, error) {
 		if r.err != nil {
 			if p.o.KeepGoing {

@@ -50,8 +50,8 @@ func TestCacheLabWorkerDeterminism(t *testing.T) {
 // TestCacheLabAttribution checks the machine-run classification: the
 // classes partition every lane's misses, and the reference lane's
 // misses resolve to real predicate names of the workload (the sweeper
-// rides the profile sink, so EnterPredicate context is present — unlike
-// a trace-file replay, where everything pools under "<main>").
+// receives EnterPredicate through the access feed — unlike a trace-file
+// replay, where everything pools under "<main>").
 func TestCacheLabAttribution(t *testing.T) {
 	l, err := CacheLabFor(Options{Workers: 1}, labTestGrid(), progs.QuickSort)
 	if err != nil {

@@ -12,21 +12,23 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pmms"
 	"repro/internal/progs"
+	"repro/internal/word"
 )
 
 // A plan is the set of distinct simulations some evaluation sections
 // read. Each section declares the runs its cells need (and attaches its
-// cycle sinks to them), returning a view; the plan executes every
-// distinct run once on one worker pool, longest first; then each view
-// renders its rows from the finished runs. EvaluationWith puts all ten
-// sections on one plan, so a program that five tables read is simulated
-// once; a standalone Table*With puts only its own section on a plan.
+// cache sweepers to them), returning a view; the plan executes every
+// distinct run once on one worker pool, sweeping runs first, then
+// longest first; then each view renders its rows from the finished
+// runs. EvaluationWith puts all ten sections on one plan, so a program
+// that five tables read is simulated once; a standalone Table*With puts
+// only its own section on a plan.
 //
-// Sharing one run among cells is exact. Runs are deterministic, sinks
-// only observe the cycle stream, and a fault plan's injector does not
-// depend on the cell label (fault.Plan.New), so every cell that reads a
-// run would have seen the same numbers, or the same error, from a run
-// of its own. Only whether the plan matches the cell's label can differ
+// Sharing one run among cells is exact. Runs are deterministic,
+// sweepers only observe the memory accesses, and a fault plan's
+// injector does not depend on the cell label (fault.Plan.New), so every
+// cell that reads a run would have seen the same numbers, or the same
+// error, from a run of its own. Only whether the plan matches the cell's label can differ
 // between cells, so that is part of the key.
 type plan struct {
 	o    Options
@@ -50,8 +52,7 @@ type planRun struct {
 	label string // the first requesting cell: heartbeats and spans
 	row   int64  // trace row of its spans: declaration order, from 1
 
-	sinks   []micro.Sink   // per-cycle taps, teed in attach order
-	profile micro.PredSink // the one per-predicate sink, if any
+	sweeps []*pmms.Sweeper // fed the run's memory accesses, in attach order
 
 	err        error
 	stats      micro.Stats
@@ -88,17 +89,76 @@ func (p *plan) need(cell string, b progs.Benchmark, k runKey) *planRun {
 	return r
 }
 
-// tap attaches a per-cycle sink to the run.
-func (r *planRun) tap(s micro.Sink) { r.sinks = append(r.sinks, s) }
+// sweep attaches a cache sweeper to the run: it is fed the run's memory
+// accesses and, at run end, its cycle count.
+func (r *planRun) sweep(s *pmms.Sweeper) { r.sweeps = append(r.sweeps, s) }
 
-// execute runs every distinct simulation of the plan once. The order is
-// longest first by the paper's PSI time, a static hint that needs no
-// measurement, so the longest run does not start behind the short ones;
-// views read results by key, so the order never reaches the output.
-func (p *plan) execute() {
+// lanes counts the cache configurations the run's sweepers replay.
+func (r *planRun) lanes() int {
+	n := 0
+	for _, s := range r.sweeps {
+		n += s.Lanes()
+	}
+	return n
+}
+
+// feed returns the access sink that drives the run's sweepers (nil
+// without any). Predicate context is forwarded only when a sweeper
+// attributes misses to predicates, so the other sweeping runs skip the
+// per-instruction predicate lookup.
+func (r *planRun) feed() micro.AccessSink {
+	if len(r.sweeps) == 0 {
+		return nil
+	}
+	f := sweepFeed(r.sweeps)
+	for _, s := range r.sweeps {
+		if s.RefLane() >= 0 {
+			return predSweepFeed{f}
+		}
+	}
+	return f
+}
+
+// sweepFeed fans a run's memory accesses out to its sweepers.
+type sweepFeed []*pmms.Sweeper
+
+func (f sweepFeed) Access(op micro.CacheOp, a word.Addr) {
+	for _, s := range f {
+		s.Access(op, a)
+	}
+}
+
+// predSweepFeed is a sweepFeed that also forwards predicate-context
+// switches.
+type predSweepFeed struct{ sweepFeed }
+
+func (f predSweepFeed) EnterPredicate(id int) {
+	for _, s := range f.sweepFeed {
+		s.EnterPredicate(id)
+	}
+}
+
+// schedule orders the plan's runs by a static hint taken from the plan
+// itself, needing no measurement: runs that feed more sweep lanes first
+// — a sweep's host cost is a multiple of the run's and shows in no
+// paper time — then longest first by the paper's PSI time, so no long
+// run starts behind the short ones. Views read results by key, so the
+// order never reaches the output.
+func (p *plan) schedule() []*planRun {
 	order := append([]*planRun(nil), p.runs...)
-	sort.SliceStable(order, func(i, j int) bool { return order[i].b.PaperPSIMS > order[j].b.PaperPSIMS })
-	parMapErrs(p.o.workers(), order, func(r *planRun) (struct{}, error) {
+	sort.SliceStable(order, func(i, j int) bool {
+		if li, lj := order[i].lanes(), order[j].lanes(); li != lj {
+			return li > lj
+		}
+		return order[i].b.PaperPSIMS > order[j].b.PaperPSIMS
+	})
+	return order
+}
+
+// execute runs every distinct simulation of the plan once, in schedule
+// order.
+func (p *plan) execute() {
+	parMapErrs(p.o.workers(), p.schedule(), func(r *planRun) (struct{}, error) {
 		if p.o.Spans == nil {
 			r.err = p.run(r)
 			return struct{}{}, nil
@@ -135,7 +195,7 @@ func (p *plan) run(r *planRun) error {
 	}
 	ro := runOpts{
 		feat:     r.key.feat,
-		profile:  r.profile,
+		access:   r.feed(),
 		cell:     r.label,
 		progress: p.o.Progress,
 		every:    p.o.ProgressEvery,
@@ -146,13 +206,6 @@ func (p *plan) run(r *planRun) error {
 	}
 	if r.key.fault {
 		ro.fault = p.o.Fault
-	}
-	switch len(r.sinks) {
-	case 0:
-	case 1:
-		ro.tap = r.sinks[0]
-	default:
-		ro.tap = micro.Tee(r.sinks)
 	}
 	start := time.Now()
 	pr, err := c.run(ro)
@@ -167,10 +220,9 @@ func (p *plan) run(r *planRun) error {
 	r.timeNS, r.inferences = m.TimeNS(), m.Inferences()
 	pr.Release()
 	wall := time.Since(start).Nanoseconds()
-	for _, s := range append([]micro.Sink{r.profile}, r.sinks...) {
-		if sw, ok := s.(*pmms.Sweeper); ok {
-			obs.RecordSweep(sw.Lanes(), sw.Cycles(), wall)
-		}
+	for _, s := range r.sweeps {
+		s.AddCycles(r.stats.Steps)
+		obs.RecordSweep(s.Lanes(), s.Cycles(), wall)
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/fault"
+	"repro/internal/pmms"
 	"repro/internal/progs"
 )
 
@@ -29,6 +30,45 @@ func TestEvaluationRunsEachWorkloadOnce(t *testing.T) {
 	}
 	if got, want := psiRuns()-n0, int64(len(progs.HardwareSet())); got != want {
 		t.Errorf("standalone Table 3 ran %d PSI simulations, want %d", got, want)
+	}
+}
+
+// TestPlanSchedulesSweepsFirst pins the evaluation's run order: the
+// runs that feed cache sweepers start first, most lanes first (WINDOW
+// carries the Figure 1 sweep and the cache lab grid), and the rest
+// follow longest first by paper time — so no sweeping run, whose host
+// cost its paper time does not show, sorts last.
+func TestPlanSchedulesSweepsFirst(t *testing.T) {
+	p := newPlan(Options{})
+	planFigure1(p)
+	planCacheLab(p, pmms.DefaultGrid(), progs.Window1)
+	planTable1(p)
+	order := p.schedule()
+	if got := order[0].b.Name; got != progs.Window1.Name {
+		t.Errorf("first run %s, want %s", got, progs.Window1.Name)
+	}
+	sweeping := 0
+	for _, r := range p.runs {
+		if len(r.sweeps) > 0 {
+			sweeping++
+		}
+	}
+	if sweeping != 3 {
+		t.Fatalf("%d runs feed sweepers, want 3 (the Figure 1 workloads)", sweeping)
+	}
+	for i, r := range order {
+		if i < sweeping {
+			if len(r.sweeps) == 0 {
+				t.Errorf("run %d (%s) feeds no sweeper but precedes a sweeping run", i, r.label)
+			}
+			continue
+		}
+		if len(r.sweeps) > 0 {
+			t.Errorf("sweeping run %s scheduled at %d, after unswept runs", r.label, i)
+		}
+		if prev := order[i-1]; i > sweeping && prev.b.PaperPSIMS < r.b.PaperPSIMS {
+			t.Errorf("%s (%.0f ms) scheduled after %s (%.0f ms)", r.label, r.b.PaperPSIMS, prev.label, prev.b.PaperPSIMS)
+		}
 	}
 }
 

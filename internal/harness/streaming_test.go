@@ -11,8 +11,8 @@ import (
 	"repro/internal/progs"
 )
 
-// streamingSweepTable runs the streaming sweep — one Sweeper tapping
-// each workload's run, all runs on one evaluation plan over the given
+// streamingSweepTable runs the streaming sweep — one Sweeper fed the
+// memory accesses of each workload's run, all runs on one evaluation plan over the given
 // workers — and renders the lane results as a small Figure 1 style
 // table. Byte-identical output across worker counts is the contract.
 func streamingSweepTable(t *testing.T, workers int, bs []progs.Benchmark) string {
@@ -27,7 +27,7 @@ func streamingSweepTable(t *testing.T, workers int, bs []progs.Benchmark) string
 	for i, b := range bs {
 		sweeps[i] = pmms.NewSweeper(cfgs)
 		runs[i] = p.psi("race-smoke/"+b.Name, b, core.Features{})
-		runs[i].tap(sweeps[i])
+		runs[i].sweep(sweeps[i])
 	}
 	p.execute()
 	var sb strings.Builder
@@ -48,7 +48,7 @@ func streamingSweepTable(t *testing.T, workers int, bs []progs.Benchmark) string
 // workloads concurrently and demands the formatted sweep table be
 // byte-identical at -j1 and -j8. It stays in the -short set on purpose:
 // under `go test -race -short` this is the smoke test that sweeps the
-// run plan, trace tap, lane fan-out and machine-pool paths for data
+// run plan, access feed, lane fan-out and machine-pool paths for data
 // races.
 func TestStreamingSweepRaceSmoke(t *testing.T) {
 	bs := []progs.Benchmark{

@@ -174,9 +174,9 @@ type Fig1 struct {
 
 // Figure1With replays the WINDOW cache-command stream over cache sizes
 // from 8 words to 8K words (the paper's sweep) and computes the
-// ablations. Each workload's
-// sweeper taps the cycle stream of the run the tables read, so no trace
-// is materialized and no workload is simulated for the figure alone:
+// ablations. Each workload's sweeper is fed the memory accesses of the
+// run the tables read, so no trace is materialized and no workload is
+// simulated for the figure alone:
 // WINDOW feeds the whole capacity sweep plus the ablations, the penalty
 // workloads their two configurations.
 func Figure1With(o Options) (*Fig1, error) { return onPlan(o, planFigure1) }
@@ -198,7 +198,7 @@ func planFigure1(p *plan) func() (*Fig1, error) {
 		cells[i] = "fig1/" + b.Name
 		runs[i] = p.psi(cells[i], b, core.Features{})
 		sweeps[i] = pmms.NewSweeper(cfgs)
-		runs[i].tap(sweeps[i])
+		runs[i].sweep(sweeps[i])
 	}
 	return func() (*Fig1, error) {
 		ok, err := cellRows(p.o, "figure1", cells, func(i int) (int, error) { return i, runs[i].err })
@@ -248,9 +248,10 @@ type T6 struct {
 }
 
 // Table6With measures the dynamic work-file access modes (the paper
-// shows BUP; other programs give close results). MAP folds the
-// cycle stream of the BUP run the tables read, so no trace is
-// materialized. Under KeepGoing a failed run degrades the whole section
+// shows BUP; other programs give close results). The machine's own
+// counters of the BUP run the tables read hold what MAP folds from the
+// run's trace (mapper.Analyze), so no trace is materialized and no sink
+// is attached. Under KeepGoing a failed run degrades the whole section
 // (it is a single measurement): the table is reported as nil and the
 // failure recorded.
 func Table6With(o Options) (*T6, error) { return onPlan(o, planTable6) }
@@ -258,8 +259,6 @@ func Table6With(o Options) (*T6, error) { return onPlan(o, planTable6) }
 func planTable6(p *plan) func() (*T6, error) {
 	cell := "table6/" + progs.BUP3.Name
 	r := p.psi(cell, progs.BUP3, core.Features{})
-	u := &mapper.WFUsage{}
-	r.tap(u)
 	return func() (*T6, error) {
 		if r.err != nil {
 			if p.o.KeepGoing {
@@ -268,7 +267,9 @@ func planTable6(p *plan) func() (*T6, error) {
 			}
 			return nil, &CellError{Cell: cell, Err: r.err}
 		}
-		return &T6{Workload: progs.BUP3.Name, Usage: *u}, nil
+		s := &r.stats
+		u := mapper.WFUsage{Steps: s.Steps, Counts: [3][micro.NumWFModes]int64{s.Src1, s.Src2, s.Dest}}
+		return &T6{Workload: progs.BUP3.Name, Usage: u}, nil
 	}
 }
 

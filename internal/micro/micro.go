@@ -214,15 +214,32 @@ type Sink interface {
 // firmware's top-level glue.
 const NoPredicate = -1
 
-// PredSink is a Sink that additionally receives predicate-context
-// switches: the interpreter core calls EnterPredicate whenever the
-// microengine starts executing on behalf of a different predicate, and
-// every subsequent Cycle belongs to that predicate until the next switch.
-// The id is an index into the program's procedure table, or NoPredicate.
-// The simulated-workload profiler implements it.
+// PredTracker receives predicate-context switches: the interpreter core
+// calls EnterPredicate whenever the microengine starts executing on
+// behalf of a different predicate, and every subsequent cycle or access
+// belongs to that predicate until the next switch. The id is an index
+// into the program's procedure table, or NoPredicate.
+type PredTracker interface {
+	EnterPredicate(id int)
+}
+
+// PredSink is a Sink that additionally tracks the predicate context of
+// its cycles. The simulated-workload profiler implements it.
 type PredSink interface {
 	Sink
-	EnterPredicate(id int)
+	PredTracker
+}
+
+// AccessSink receives a run's memory accesses only: one call per cycle
+// that carries a cache command, with the command and the logical
+// address, and nothing for register-only cycles. Because two thirds of
+// the cycles never reach it, an AccessSink — unlike a Sink — is not a
+// per-cycle tap. A cache simulator fed this way sees the same access
+// stream a COLLECT trace holds; the trace's cycle count is the run's
+// Stats.Steps. An AccessSink that also implements PredTracker receives
+// the predicate-context switches as well.
+type AccessSink interface {
+	Access(op CacheOp, a word.Addr)
 }
 
 // MissSink optionally receives cache-miss notifications alongside the

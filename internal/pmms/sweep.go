@@ -45,12 +45,14 @@ type laneGroup struct {
 // computes it once. The differential tests check every lane against a
 // fresh-table, one-configuration replay kept in the test code.
 //
-// A Sweeper implements micro.Sink, so it can tap a machine's cycle
-// stream directly while the program runs (COLLECT without the O(trace)
-// Log), and it can equally be fed from a materialized trace.Log
-// (ReplayLog) or a trace file (trace.ReadStream into Record). All three
-// feeds deliver the identical record stream, so the per-lane statistics
-// are the same.
+// A Sweeper implements micro.AccessSink, so a running machine can feed
+// it its memory accesses directly (core.Config.Access: COLLECT without
+// the O(trace) Log, and without a call per register-only cycle); the
+// run's cycle count then arrives in one AddCycles call at run end. It
+// can equally be fed from a materialized trace.Log (ReplayLog) or a
+// trace file (trace.ReadStream into Record), where every record
+// advances the clock. All three feeds deliver the identical access
+// stream and cycle count, so the per-lane statistics are the same.
 type Sweeper struct {
 	caches   []*cache.Cache
 	groups   []laneGroup
@@ -86,25 +88,24 @@ func (s *Sweeper) addLane(c *cache.Cache) {
 	s.groups = append(s.groups, laneGroup{shift: shift, lanes: []*cache.Cache{c}, idx: []int{idx}})
 }
 
-// EnterPredicate implements micro.PredSink: attached as a machine's
-// profile sink, the Sweeper learns which predicate is executing and
+// EnterPredicate implements micro.PredTracker: fed as a machine's
+// access sink, the Sweeper learns which predicate is executing and
 // attributes the reference lane's misses to it (the same
 // kl0.Program.ProcAt code-range attribution the obs profiler uses).
 // Trace-file replays never call it, so their misses pool under
 // micro.NoPredicate.
 func (s *Sweeper) EnterPredicate(id int) { s.curPred = id }
 
-// Cycle implements micro.Sink: every cycle advances the simulated clock;
-// cycles carrying a cache command fan out to every lane. Attaching the
-// Sweeper as a machine's trace sink replays the run's cache behaviour
-// through all configurations without materializing the trace.
-func (s *Sweeper) Cycle(c micro.Cycle) {
-	s.cycles++
-	if c.Cache == micro.OpNone {
-		return
-	}
-	s.access(c.Cache, c.Addr)
-}
+// AddCycles advances the simulated clock by n cycles: after a live
+// access feed, the run's Stats().Steps, so Cycles, the simulated times
+// and the improvement ratios equal a replay of the run's trace.
+func (s *Sweeper) AddCycles(n int64) { s.cycles += n }
+
+// Access implements micro.AccessSink: one memory access fans out to
+// every lane. It does not advance the clock; a live feed reports the
+// run's cycles through AddCycles. (The work stays in access, the name
+// the committed PGO profiles know.)
+func (s *Sweeper) Access(op micro.CacheOp, a word.Addr) { s.access(op, a) }
 
 // Record feeds one trace record, e.g. from trace.ReadStream.
 func (s *Sweeper) Record(r trace.Rec) {

@@ -42,8 +42,9 @@ func TestSweeperCountsStream(t *testing.T) {
 }
 
 // TestSweeperFeedsAgree feeds the identical stream three ways — as
-// micro.Cycle values (the machine tap), as a materialized log, and as a
-// decoded trace file — and demands identical lane statistics. Each feed
+// memory accesses plus one cycle count (the machine's access feed), as
+// a materialized log, and as a decoded trace file — and demands
+// identical lane statistics. Each feed
 // has its own Sweeper, so this also checks that the first-touch
 // translation reproduces across replays.
 func TestSweeperFeedsAgree(t *testing.T) {
@@ -52,8 +53,11 @@ func TestSweeperFeedsAgree(t *testing.T) {
 
 	tap := NewSweeper(cfgs)
 	for _, r := range l.Recs {
-		tap.Cycle(r.Cycle())
+		if op := micro.CacheOp(r.Cache); op != micro.OpNone {
+			tap.Access(op, word.Addr(r.Addr))
+		}
 	}
+	tap.AddCycles(int64(l.Len()))
 	logged := NewSweeper(cfgs)
 	logged.ReplayLog(l)
 
@@ -153,16 +157,25 @@ func TestSweeperEmptyStream(t *testing.T) {
 	}
 }
 
-// TestSweeperIgnoresIdleCycles: OpNone cycles advance the clock but
-// never reach the lanes.
+// TestSweeperIgnoresIdleCycles: OpNone records advance the clock but
+// never reach the lanes; a live access advances only the access count,
+// and AddCycles only the clock.
 func TestSweeperIgnoresIdleCycles(t *testing.T) {
 	s := NewSweeper([]cache.Config{cache.PSI})
-	s.Cycle(micro.Cycle{Module: micro.MControl})
-	s.Cycle(micro.Cycle{Cache: micro.OpRead, Addr: word.MakeAddr(word.AreaHeap, 1)})
+	s.Record(trace.Rec{Module: uint8(micro.MControl)})
+	s.Record(trace.Rec{Cache: uint8(micro.OpRead), Addr: uint32(word.MakeAddr(word.AreaHeap, 1))})
 	if s.Cycles() != 2 || s.MemoryAccesses() != 1 {
-		t.Errorf("cycles=%d accesses=%d", s.Cycles(), s.MemoryAccesses())
+		t.Errorf("records: cycles=%d accesses=%d", s.Cycles(), s.MemoryAccesses())
 	}
-	if s.Cache(0).Total.Accesses != 1 {
+	s.Access(micro.OpWrite, word.MakeAddr(word.AreaHeap, 2))
+	if s.Cycles() != 2 || s.MemoryAccesses() != 2 {
+		t.Errorf("access: cycles=%d accesses=%d", s.Cycles(), s.MemoryAccesses())
+	}
+	s.AddCycles(3)
+	if s.Cycles() != 5 || s.MemoryAccesses() != 2 {
+		t.Errorf("AddCycles: cycles=%d accesses=%d", s.Cycles(), s.MemoryAccesses())
+	}
+	if s.Cache(0).Total.Accesses != 2 {
 		t.Errorf("lane accesses = %d", s.Cache(0).Total.Accesses)
 	}
 }

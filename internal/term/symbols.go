@@ -1,6 +1,9 @@
 package term
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Symbols interns atom and functor names to dense 24-bit indices that fit
 // in the symbol field of a PSI functor word. A single table is shared by
@@ -12,9 +15,16 @@ import "sync"
 // conversion built-ins, findall copies), so the map is guarded. Indices
 // are handed out in interning order; they carry no meaning beyond
 // identity, so concurrent interleavings never change observable results.
+//
+// Name, which every compound arithmetic node calls, takes no lock: the
+// append-only names slice is republished through pub under the writer
+// lock after each append, and a reader indexes the slice it loads. An
+// append never rewrites an element below the published length, so a
+// loaded slice stays valid whatever the writers do next.
 type Symbols struct {
 	mu    sync.RWMutex
 	names []string
+	pub   atomic.Pointer[[]string]
 	index map[string]uint32
 }
 
@@ -57,6 +67,8 @@ func (s *Symbols) Intern(name string) uint32 {
 		panic("term: symbol table overflow (more than 2^24 symbols)")
 	}
 	s.names = append(s.names, name)
+	names := s.names
+	s.pub.Store(&names)
 	s.index[name] = i
 	return i
 }
@@ -71,12 +83,14 @@ func (s *Symbols) Lookup(name string) (uint32, bool) {
 
 // Name returns the string for an interned index.
 func (s *Symbols) Name(i uint32) string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if int(i) >= len(s.names) {
+	var names []string
+	if p := s.pub.Load(); p != nil {
+		names = *p
+	}
+	if int(i) >= len(names) {
 		return "<sym?>"
 	}
-	return s.names[i]
+	return names[i]
 }
 
 // Len reports how many symbols are interned.

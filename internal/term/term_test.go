@@ -1,6 +1,8 @@
 package term
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -145,5 +147,48 @@ func TestSymbols(t *testing.T) {
 	}
 	if s.Len() < 7 {
 		t.Errorf("Len = %d", s.Len())
+	}
+}
+
+// TestSymbolsConcurrentInternName races interning against the lock-free
+// Name while the names slice keeps growing (and moving) underneath:
+// every index a writer gets back names its string, and every index
+// below an observed Len names a string that maps back to it. Run it
+// under -race to check the publication.
+func TestSymbolsConcurrentInternName(t *testing.T) {
+	s := NewSymbols()
+	const writers, readers, per = 4, 2, 400
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < per; k++ {
+				name := fmt.Sprintf("w%d-%d", w, k)
+				if i := s.Intern(name); s.Name(i) != name {
+					t.Errorf("Name(Intern(%q)) = %q", name, s.Name(i))
+					return
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < writers*per; k++ {
+				n := s.Len()
+				i := uint32(k % n)
+				name := s.Name(i)
+				if got, ok := s.Lookup(name); !ok || got != i {
+					t.Errorf("Name(%d) = %q (Len %d), which looks up as %d, %v", i, name, n, got, ok)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := s.Len(), 6+writers*per; got != want {
+		t.Errorf("Len = %d, want %d", got, want)
 	}
 }
