@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race fuzz chaos telemetry serve soak golden bench bench-serve cover staticcheck profile pgo verify
+.PHONY: build vet test race fuzz chaos telemetry serve soak golden bench cover staticcheck profile pgo verify
 
 build:
 	$(GO) build ./...
@@ -55,9 +55,11 @@ serve:
 	$(GO) test -count=1 -run 'TestPsid' .
 
 # Chaos soak under the race detector: a self-hosted daemon soaked in
-# seeded fault-mixed traffic from retrying clients, then audited — no
-# transport deaths, only known classes, byte-identical post-soak
-# differential vs the psi library, no goroutine leaks, bounded heap.
+# seeded fault-mixed traffic from retrying clients, then audited — jobs
+# served with at least one 200 ok, no transport deaths, only known
+# classes, retry attempts and sheds consistent with the tally,
+# byte-identical post-soak differential vs the psi library, no
+# goroutine leaks, bounded heap.
 # SOAK sets the duration (default 20s; CI uses a short pass).
 SOAK ?= 20s
 soak:
@@ -76,21 +78,6 @@ golden:
 # Figure 1 lanes). `go run ./cmd/bench fast` runs one rung.
 bench:
 	$(GO) run ./cmd/bench
-
-# Refresh BENCH_serve.json: hammer a self-hosted psid with 8 concurrent
-# retrying clients replaying the seeded Table-1 + error/fault mix and
-# record p50/p99 latency, throughput and the retry-layer stats. The
-# full run deliberately undersizes the daemon (half the workers, no
-# waiting room) so the record shows the backpressure/retry loop at
-# work, not just the happy path. SMOKE=1 runs a small well-sized
-# validated pass (the CI gate: schema-valid record, no transport
-# errors, no timing assertions).
-bench-serve:
-ifdef SMOKE
-	$(GO) run ./cmd/loadgen -self -n 4 -per 5 -seed 1 -out BENCH_serve.json
-else
-	$(GO) run ./cmd/loadgen -self -n 8 -per 25 -seed 1 -workers 4 -queue -1 -out BENCH_serve.json
-endif
 
 # Aggregate statement coverage over every package.
 cover:

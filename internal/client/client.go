@@ -83,8 +83,8 @@ type Options struct {
 	Sleep func(ctx context.Context, d time.Duration) error
 }
 
-// Stats counts what the retry layer did, for BenchReport and the soak
-// harness. Snapshot with Client.Stats.
+// Stats counts what the retry layer did, for the soak report's retry
+// block. Snapshot with Client.Stats.
 type Stats struct {
 	// Attempts are HTTP requests actually sent (retries included).
 	Attempts int64 `json:"attempts"`

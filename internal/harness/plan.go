@@ -220,9 +220,13 @@ func (p *plan) run(r *planRun) error {
 	r.timeNS, r.inferences = m.TimeNS(), m.Inferences()
 	pr.Release()
 	wall := time.Since(start).Nanoseconds()
-	for _, s := range r.sweeps {
-		s.AddCycles(r.stats.Steps)
-		obs.RecordSweep(s.Lanes(), s.Cycles(), wall)
+	if len(r.sweeps) > 0 {
+		var records int64
+		for _, s := range r.sweeps {
+			s.AddCycles(r.stats.Steps)
+			records += s.MemoryAccesses()
+		}
+		obs.RecordSweeps(len(r.sweeps), r.lanes(), records, wall)
 	}
 	return nil
 }

@@ -4,11 +4,14 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/pmms"
 	"repro/internal/progs"
+	"repro/internal/telemetry"
 )
 
 // TestEvaluationRunsEachWorkloadOnce pins the run plan's deduplication:
@@ -219,5 +222,43 @@ func TestSectionsAreViewsOfEvaluation(t *testing.T) {
 	}
 	if rest != "" {
 		t.Errorf("evaluation text continues past the last section: %q", rest)
+	}
+}
+
+// TestSweepCountersOncePerRun pins the sweep counters on a run that
+// carries two sweepers, as window-1 carries the Figure 1 sweep and the
+// cache lab grid: the sweep count rises by two, the records by the
+// memory accesses each sweeper was fed, and the wall time by the run's
+// wall once. The run is the plan's only work (its program compiled
+// beforehand), so one run's wall fits in the plan's elapsed time and
+// two do not.
+func TestSweepCountersOncePerRun(t *testing.T) {
+	reg := telemetry.Default
+	sweeps := reg.Counter("psi_cache_sweeps_total", "")
+	records := reg.Counter("psi_cache_sweep_records_total", "")
+	wall := reg.Counter("psi_cache_sweep_wall_nanoseconds_total", "")
+	if _, err := Compile(progs.Window1); err != nil {
+		t.Fatal(err)
+	}
+	p := newPlan(Options{Workers: 1})
+	r := p.psi("sweep/"+progs.Window1.Name, progs.Window1, core.Features{})
+	a, b := pmms.NewSweeper(pmms.LegacyLanes()), pmms.NewSweeper(pmms.LegacyLanes())
+	r.sweep(a)
+	r.sweep(b)
+	s0, r0, w0 := sweeps.Value(), records.Value(), wall.Value()
+	start := time.Now()
+	p.execute()
+	elapsed := time.Since(start).Nanoseconds()
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if got := sweeps.Value() - s0; got != 2 {
+		t.Errorf("sweeps rose by %d, want 2", got)
+	}
+	if got, want := records.Value()-r0, a.MemoryAccesses()+b.MemoryAccesses(); got != want || a.MemoryAccesses() >= a.Cycles() {
+		t.Errorf("records rose by %d, want the %d memory accesses fed (cycles %d per sweeper)", got, want, a.Cycles())
+	}
+	if got := wall.Value() - w0; got <= 0 || got > elapsed {
+		t.Errorf("wall rose by %d ns; the run's wall is at most %d ns", got, elapsed)
 	}
 }

@@ -47,13 +47,15 @@ func RecordRun(cycles, inferences, cacheHits, cacheAccesses, wallNS int64) {
 	}
 }
 
-// RecordSweep accumulates one finished multi-configuration cache sweep
-// into the telemetry metrics registry: how many cache configurations
-// replayed in the single pass, how many trace records fed it, and how
-// long the pass took on the host.
-func RecordSweep(lanes int, records, wallNS int64) {
+// RecordSweeps accumulates the multi-configuration cache sweeps one run
+// fed into the telemetry metrics registry: how many sweeps, how many
+// cache configurations they replayed in total, how many memory accesses
+// fed them, and the host wall time of the run they ride. The sweeps
+// observe the run as it executes, so they share its wall time, which
+// counts once however many sweeps ride the run.
+func RecordSweeps(n, lanes int, records, wallNS int64) {
 	sweeps, lanesC, recordsC, wall := sweepCounters()
-	sweeps.Inc()
+	sweeps.Add(int64(n))
 	lanesC.Add(int64(lanes))
 	recordsC.Add(records)
 	wall.Add(wallNS)
@@ -65,8 +67,8 @@ func sweepCounters() (sweeps, lanes, records, wallNS *telemetry.Counter) {
 	reg := telemetry.Default
 	return reg.Counter("psi_cache_sweeps_total", "multi-configuration cache sweeps completed"),
 		reg.Counter("psi_cache_sweep_lanes_total", "cache configurations replayed across all sweeps"),
-		reg.Counter("psi_cache_sweep_records_total", "trace records fed to cache sweeps"),
-		reg.Counter("psi_cache_sweep_wall_nanoseconds_total", "host wall time spent in cache sweeps")
+		reg.Counter("psi_cache_sweep_records_total", "memory accesses fed to cache sweeps"),
+		reg.Counter("psi_cache_sweep_wall_nanoseconds_total", "host wall time of the runs cache sweeps ride, once per run")
 }
 
 // StartCPUProfile begins a CPU profile written to path and returns a

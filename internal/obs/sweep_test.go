@@ -20,7 +20,7 @@ func TestSweepStatsConcurrentWriters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				RecordSweep(3, 1000, 7)
+				RecordSweeps(1, 3, 1000, 7)
 			}
 		}()
 	}

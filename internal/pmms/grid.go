@@ -74,7 +74,7 @@ const (
 
 // LegacyLanes is the one 14-lane Figure 1 plan: the 11-capacity sweep,
 // the machine's configuration and the one-set / store-through
-// ablations, in that order. Figure1With, cmd/pmms, examples/cachetune
+// ablations, in that order. Figure1With, cmd/pmms, ExampleSweeper
 // and the differential suite replay exactly these.
 func LegacyLanes() []cache.Config {
 	cfgs := make([]cache.Config, 0, LaneStoreThrough+1)

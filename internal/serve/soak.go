@@ -22,14 +22,16 @@ import (
 
 // The chaos soak harness: a self-hosted daemon under sustained seeded
 // load with fault injection armed, followed by an invariant audit. The
-// point is not throughput — the load generator measures that — but
-// survival: after minutes of faults, budget expiries, sheds and
+// point is not throughput (perfbench's serving workloads measure that)
+// but survival: after minutes of faults, budget expiries, sheds and
 // retries, the daemon must still be the same deterministic machine it
 // was at startup. RunSoak asserts that four ways:
 //
-//   - every served response carries a class the taxonomy knows
-//     (engine.Classes() plus the admission pseudo-classes), and no
-//     request dies in transport;
+//   - the traffic adds up (auditTraffic): jobs were served, some ran
+//     to a 200 "ok", every class is one the taxonomy knows
+//     (engine.Classes() plus the admission pseudo-classes), no request
+//     died in transport, and the retry layer's attempts and sheds match
+//     what the clients saw;
 //   - pooled machines replay clean: a post-soak differential pass
 //     serves Table-1 programs and compares the bytes against the psi
 //     library's report — fault containment must leave no residue;
@@ -262,45 +264,15 @@ func RunSoak(opts SoakOptions) (*SoakReport, error) {
 	deadline := time.Now().Add(opts.Duration)
 	start := time.Now()
 
-	var (
-		mu sync.Mutex
-		wg sync.WaitGroup
-	)
-	for c := 0; c < opts.Clients; c++ {
-		wg.Add(1)
-		go func(n int) {
-			defer wg.Done()
-			o := copt
-			o.Seed = opts.Seed + uint64(n)
-			cl := client.New(base, o)
-			state := opts.Seed + uint64(n)
-			for time.Now().Before(deadline) {
-				spec := soakJob(&state, plans, corpus)
-				body, err := json.Marshal(&spec)
-				if err != nil {
-					panic(err) // specs are constructed here; cannot fail
-				}
-				res, err := cl.Solve(context.Background(), body)
-				mu.Lock()
-				switch {
-				case res != nil:
-					rep.Served++
-					rep.Statuses[fmt.Sprint(res.Status)]++
-					rep.Classes[res.Class]++
-				case isShedErr(err):
-					rep.Unserved++
-				default:
-					rep.Transport++
-				}
-				mu.Unlock()
+	runLoadClients(base, opts.Clients, opts.Seed, copt, rep, func(n int) func() (JobSpec, bool) {
+		state := opts.Seed + uint64(n)
+		return func() (JobSpec, bool) {
+			if !time.Now().Before(deadline) {
+				return JobSpec{}, false
 			}
-			st := cl.Stats()
-			mu.Lock()
-			rep.Retry.Add(st)
-			mu.Unlock()
-		}(c)
-	}
-	wg.Wait()
+			return soakJob(&state, plans, corpus), true
+		}
+	})
 	logf("soak: traffic done: %d served, %d unserved, %d transport", rep.Served, rep.Unserved, rep.Transport)
 
 	// Quiesce: every admitted job out of the daemon before the audit.
@@ -360,21 +332,7 @@ func RunSoak(opts SoakOptions) (*SoakReport, error) {
 
 	// ---- invariants ------------------------------------------------------
 
-	if rep.Served == 0 {
-		rep.violate("no jobs served: the soak never exercised the daemon")
-	}
-	if rep.Transport != 0 {
-		rep.violate("%d requests died in transport; a soaked daemon must answer or shed, never vanish", rep.Transport)
-	}
-	known := knownClasses()
-	for class, n := range rep.Classes {
-		if !known[class] {
-			rep.violate("%d responses carried unknown class %q", n, class)
-		}
-	}
-	if rep.Retry.Shed != rep.Unserved {
-		rep.violate("retry accounting skew: client shed %d, harness saw %d unserved", rep.Retry.Shed, rep.Unserved)
-	}
+	rep.auditTraffic()
 	if !settled {
 		rep.violate("goroutine leak: %d settled vs %d baseline (+%d slack)",
 			rep.GoroutinesSettled, rep.GoroutinesBaseline, soakGoroutineSlack)
@@ -385,6 +343,85 @@ func RunSoak(opts SoakOptions) (*SoakReport, error) {
 	}
 	logf("soak: %d violations", len(rep.Violations))
 	return rep, nil
+}
+
+// runLoadClients is the closed-loop client driver: clients concurrent
+// retrying clients against the daemon at base, each sending its next
+// job only once the previous one is answered. Client n is built from
+// copt with its backoff jitter seeded seed+n, and sends the jobs that
+// jobs(n) yields until it yields none. Served responses (error statuses
+// included) are tallied into rep by status and class; jobs the retry
+// layer abandoned (open breaker, exhausted attempts) count as Unserved,
+// and anything that died outside the retry discipline counts as
+// Transport. Each client's retry counters are added to rep.Retry.
+func runLoadClients(base string, clients int, seed uint64, copt client.Options, rep *SoakReport, jobs func(n int) func() (JobSpec, bool)) {
+	var (
+		mu sync.Mutex
+		wg sync.WaitGroup
+	)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(n int) {
+			defer wg.Done()
+			o := copt
+			o.Seed = seed + uint64(n)
+			cl := client.New(base, o)
+			next := jobs(n)
+			for spec, ok := next(); ok; spec, ok = next() {
+				body, err := json.Marshal(&spec)
+				if err != nil {
+					panic(err) // specs are constructed here; cannot fail
+				}
+				res, err := cl.Solve(context.Background(), body)
+				mu.Lock()
+				switch {
+				case res != nil:
+					rep.Served++
+					rep.Statuses[fmt.Sprint(res.Status)]++
+					rep.Classes[res.Class]++
+				case isShedErr(err):
+					rep.Unserved++
+				default:
+					rep.Transport++
+				}
+				mu.Unlock()
+			}
+			st := cl.Stats()
+			mu.Lock()
+			rep.Retry.Add(st)
+			mu.Unlock()
+		}(c)
+	}
+	wg.Wait()
+}
+
+// auditTraffic checks the invariants of the traffic a drive tallied:
+// the daemon served something, at least one job ran to a 200 "ok",
+// nothing died in transport, every class is one the taxonomy knows, the
+// retry layer made at least one attempt per served job, and the jobs it
+// shed are exactly the unserved ones.
+func (r *SoakReport) auditTraffic() {
+	if r.Served == 0 {
+		r.violate("no jobs served: the soak never exercised the daemon")
+	}
+	if r.Statuses["200"] == 0 || r.Classes["ok"] == 0 {
+		r.violate("no 200 \"ok\" responses: statuses %v, classes %v", r.Statuses, r.Classes)
+	}
+	if r.Transport != 0 {
+		r.violate("%d requests died in transport; a soaked daemon must answer or shed, never vanish", r.Transport)
+	}
+	known := knownClasses()
+	for class, n := range r.Classes {
+		if !known[class] {
+			r.violate("%d responses carried unknown class %q", n, class)
+		}
+	}
+	if r.Retry.Attempts < r.Served {
+		r.violate("retry accounting skew: %d attempts for %d served jobs", r.Retry.Attempts, r.Served)
+	}
+	if r.Retry.Shed != r.Unserved {
+		r.violate("retry accounting skew: client shed %d, harness saw %d unserved", r.Retry.Shed, r.Unserved)
+	}
 }
 
 // isShedErr reports whether the client abandoned the job deliberately

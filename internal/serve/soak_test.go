@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"context"
 	"testing"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/fault"
 	"repro/internal/progs"
 )
@@ -84,6 +86,113 @@ func TestSoakJobDeterminism(t *testing.T) {
 		s.applyDefaults(Defaults{})
 		if err := s.validate(); err != nil {
 			t.Errorf("soak job %d invalid: %v", i, err)
+		}
+	}
+}
+
+// mixJobs is a job source for runLoadClients: client n sends
+// DefaultMix().Jobs(1+n, per).
+func mixJobs(per int) func(n int) func() (JobSpec, bool) {
+	return func(n int) func() (JobSpec, bool) {
+		jobs := DefaultMix().Jobs(1+uint64(n), per)
+		return func() (JobSpec, bool) {
+			if len(jobs) == 0 {
+				return JobSpec{}, false
+			}
+			j := jobs[0]
+			jobs = jobs[1:]
+			return j, true
+		}
+	}
+}
+
+func newTraffic() *SoakReport {
+	return &SoakReport{Classes: map[string]int64{}, Statuses: map[string]int64{}}
+}
+
+// TestRunLoadClientRetriesAgainstDrainingDaemon pins the retry wiring
+// of the client driver deterministically: every response from a
+// draining daemon is a retryable 503, so each job burns its full
+// attempt budget and is shed.
+func TestRunLoadClientRetriesAgainstDrainingDaemon(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	s.BeginDrain()
+	rep := newTraffic()
+	runLoadClients(ts.URL, 2, 1, client.Options{
+		HTTP:             ts.Client(),
+		MaxAttempts:      3,
+		BreakerThreshold: -1, // isolate the attempt budget from the breaker
+		Sleep:            func(context.Context, time.Duration) error { return nil },
+	}, rep, mixJobs(3))
+	if rep.Served != 0 || rep.Unserved != 6 {
+		t.Errorf("draining load served %d / unserved %d, want 0 / 6", rep.Served, rep.Unserved)
+	}
+	if rep.Retry.Attempts != 18 || rep.Retry.Retries != 12 || rep.Retry.Shed != 6 {
+		t.Errorf("retry block = %+v, want 18 attempts / 12 retries / 6 shed", rep.Retry)
+	}
+	if rep.Retry.RetryAfterHonored == 0 {
+		t.Error("draining 503s carry Retry-After; none honored")
+	}
+}
+
+// TestRunLoadClientBreakerShedsFast pins the breaker wiring of the
+// client driver: once the threshold trips against a dead-for-new-work
+// daemon, remaining jobs shed fast without further attempts.
+func TestRunLoadClientBreakerShedsFast(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	s.BeginDrain()
+	rep := newTraffic()
+	runLoadClients(ts.URL, 1, 1, client.Options{
+		HTTP:             ts.Client(),
+		MaxAttempts:      1,
+		BreakerThreshold: 2,
+		BreakerCooldown:  time.Minute, // never half-opens within the test
+		Sleep:            func(context.Context, time.Duration) error { return nil },
+	}, rep, mixJobs(5))
+	if rep.Unserved != 5 {
+		t.Errorf("unserved = %d, want all 5 jobs shed", rep.Unserved)
+	}
+	if rep.Retry.Attempts != 2 {
+		t.Errorf("attempts = %d, want 2 (breaker stopped the rest)", rep.Retry.Attempts)
+	}
+	if rep.Retry.BreakerOpens != 1 {
+		t.Errorf("breaker opens = %d, want 1", rep.Retry.BreakerOpens)
+	}
+}
+
+// TestAuditTraffic runs the traffic audit on a consistent tally and on
+// one mutation per invariant; each mutation must be flagged.
+func TestAuditTraffic(t *testing.T) {
+	good := func() *SoakReport {
+		return &SoakReport{
+			Served:   10,
+			Unserved: 1,
+			Statuses: map[string]int64{"200": 9, "422": 1},
+			Classes:  map[string]int64{"ok": 9, "malformed": 1},
+			Retry:    client.Stats{Attempts: 13, Retries: 3, Shed: 1},
+		}
+	}
+	r := good()
+	r.auditTraffic()
+	if !r.Passed() {
+		t.Fatalf("consistent traffic flagged: %v", r.Violations)
+	}
+	bad := map[string]func(*SoakReport){
+		"nothing served":    func(r *SoakReport) { r.Served = 0 },
+		"transport death":   func(r *SoakReport) { r.Transport = 1 },
+		"no statuses":       func(r *SoakReport) { r.Statuses = map[string]int64{} },
+		"no 200":            func(r *SoakReport) { r.Statuses = map[string]int64{"500": 10} },
+		"no ok class":       func(r *SoakReport) { r.Classes = map[string]int64{"fault": 9, "malformed": 1} },
+		"unknown class":     func(r *SoakReport) { r.Classes["bogus"] = 1 },
+		"attempts < served": func(r *SoakReport) { r.Retry.Attempts = 3 },
+		"shed != unserved":  func(r *SoakReport) { r.Unserved = 2 },
+	}
+	for name, mutate := range bad {
+		r := good()
+		mutate(r)
+		r.auditTraffic()
+		if r.Passed() {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }
