@@ -37,13 +37,15 @@ fuzz:
 chaos:
 	$(GO) test -race -short -count=1 -run 'TestChaos|TestFaultedPool|TestKeepGoing|TestInjector|TestSweep|TestCorruptTrace' ./internal/fault ./internal/harness -v
 
-# Telemetry gates: the sampling-vs-exact differential suite on the
-# Table 1 programs (per-predicate shares within telemetry.ShareTolerance
-# of the per-cycle profiler, totals exact), the byte-identity of the
-# output with the sampler and spans attached, the flight-recorder dump
-# on the fault path, and the in-suite sampling overhead guard.
+# Telemetry gates: the profiler-vs-reference differential suite (every
+# predicate's cycles, memory accesses and misses equal to the per-cycle
+# reference on the Table 1 programs with and without the cache, after
+# Reset, a step-limit abort, a contained fault and AddClauses, totals
+# equal to Steps), the byte-identity of the run report with the
+# profiler and spans attached, the flight-recorder dump on the fault
+# path, and the in-suite profiler overhead guard.
 telemetry:
-	$(GO) test -count=1 -run 'TestSamplingDifferentialTable1|TestSamplingOverheadGuard|TestFastSamplingProfilerKeepsFastByteIdentical|TestFaultReportCarriesFlightDump' -v .
+	$(GO) test -count=1 -run 'TestSamplingDifferentialTable1|TestProfileStepLimitAbort|TestProfileContainedFault|TestProfilePooledReset|TestProfileAcrossSolves|TestFastForcedExactByConsumers|TestFastSamplingProfilerKeepsFastByteIdentical|TestProfilerOverheadGuard|TestSamplingOverheadGuard|TestFaultReportCarriesFlightDump' -v .
 	$(GO) test -count=1 -run 'TestOptionsSpansByteIdentical' -v ./internal/harness
 
 # Serving battery under the race detector: the psid end-to-end suite
@@ -72,8 +74,8 @@ golden:
 
 # Re-record every host-cost gate with cmd/bench and fail on any miss:
 # BENCH_engine.json (engine.Session overhead <= 2%), BENCH_fast.json
-# (untapped tick >= 1.5x a per-cycle tap), BENCH_obs.json (sampling
-# profiler overhead <= 10%, shares within telemetry.ShareTolerance) and
+# (untapped tick >= 1.5x a per-cycle tap), BENCH_obs.json (profiler
+# overhead <= 10%, shares within 0.05 of the per-cycle reference) and
 # BENCH_pmms.json (classified grid <= 1.3x per lane vs the streaming
 # Figure 1 lanes). `go run ./cmd/bench fast` runs one rung.
 bench:

@@ -6,10 +6,10 @@
 //     (overhead <= 2%);
 //   - fast: the untapped tick vs the same run with a per-cycle
 //     micro.Stats tap on nreverse (speedup >= 1.5x);
-//   - obs: bare fast vs fast with the sampling profiler on nreverse
-//     (overhead <= 10%), and the sampler's per-predicate shares against
-//     the exact profiler on every Table 1 program (within
-//     telemetry.ShareTolerance);
+//   - obs: bare fast vs fast with the profiler on nreverse (overhead
+//     <= 10%), and the profiler's per-predicate shares against the
+//     per-cycle reference profiler on every Table 1 program (within
+//     0.05);
 //   - pmms: the Figure 1 lanes through one streaming Sweeper pass vs the
 //     classified policy grid, on the quick sort trace (grid cost per
 //     lane <= 1.3x streaming).
@@ -40,9 +40,9 @@ import (
 	"repro/internal/engine"
 	"repro/internal/harness"
 	"repro/internal/micro"
+	"repro/internal/obs"
 	"repro/internal/pmms"
 	"repro/internal/progs"
-	"repro/internal/telemetry"
 )
 
 // schema names the record layout every rung writes.
@@ -362,12 +362,13 @@ func benchObs() (record, error) {
 	if err != nil {
 		return record{}, err
 	}
-	sp := telemetry.NewSamplingProfiler(0)
+	p := obs.NewProfiler()
 	same := sameWork()
 	runLane := func(cfg core.Config) func() error {
 		return func() error {
-			sp.Reset()
-			// The sampler is not a per-cycle tap: both lanes stay fast.
+			p.Reset()
+			// The profiler is charged at predicate switches, not per
+			// cycle: both lanes stay fast.
 			if err := reset(m, c, cfg, engine.ModeFast); err != nil {
 				return err
 			}
@@ -378,15 +379,17 @@ func benchObs() (record, error) {
 			if err := same(steps); err != nil {
 				return err
 			}
-			if cfg.Sample != nil && sp.Total() != steps {
-				return fmt.Errorf("sampler attributed %d cycles of %d", sp.Total(), steps)
+			if cfg.Profile != nil {
+				if total := p.Profile(c.Prog, "").TotalCycles; total != steps {
+					return fmt.Errorf("profile attributed %d cycles of %d", total, steps)
+				}
 			}
 			return nil
 		}
 	}
 	lanes, err := interleave(rounds, wall,
 		lane{"fast_bare", runLane(core.Config{MaxSteps: core.DefaultMaxSteps})},
-		lane{"fast_sampled", runLane(core.Config{MaxSteps: core.DefaultMaxSteps, Sample: sp})})
+		lane{"fast_profiled", runLane(core.Config{MaxSteps: core.DefaultMaxSteps, Profile: p})})
 	if err != nil {
 		return record{}, err
 	}
@@ -395,37 +398,39 @@ func benchObs() (record, error) {
 		return record{}, err
 	}
 	return newRecord(
-		"telemetry layer: sampling profiler on the fast accounting engine (overhead + accuracy gates)",
-		fmt.Sprintf("overhead: best of %d interleaved rounds over %s on one pooled (Reset) machine, bare fast vs fast+sampler (stride %d), every run checks fast mode, equal cycle counts and sampled total = Steps; accuracy: all %d Table 1 programs profiled exactly and sampled, totals equal, largest per-predicate share delta at %s",
-			rounds, b.Name, telemetry.DefaultSampleStride, len(progs.Table1()), worst),
+		"telemetry layer: the switch-charged profiler on the fast accounting engine (overhead + accuracy gates)",
+		fmt.Sprintf("overhead: best of %d interleaved rounds over %s on one pooled (Reset) machine, bare fast vs fast+profiler, every run checks fast mode, equal cycle counts and profile total = Steps; accuracy: all %d Table 1 programs profiled and run with the per-cycle reference profiler (obs.CycleProfiler on Config.Trace), totals equal, largest per-predicate share delta: %s",
+			rounds, b.Name, len(progs.Table1()), worst),
 		lanes,
-		atMost("overhead_pct", overheadPct(lanes["fast_sampled"], lanes["fast_bare"]), 10),
-		atMost("max_share_delta", maxDelta, telemetry.ShareTolerance),
+		atMost("overhead_pct", overheadPct(lanes["fast_profiled"], lanes["fast_bare"]), 10),
+		atMost("max_share_delta", maxDelta, 0.05),
 	), nil
 }
 
-// shareAccuracy profiles every Table 1 program exactly and with the
-// sampler and returns the largest absolute per-predicate share delta
-// with a "program/predicate" label for it. Sampled and exact totals
-// must be equal.
+// shareAccuracy profiles every Table 1 program and runs it again with
+// the per-cycle reference profiler, and returns the largest absolute
+// per-predicate share delta with a "program/predicate" label for it
+// ("none, every share equal" when all agree). The two totals must be
+// equal.
 func shareAccuracy() (maxDelta float64, worst string, err error) {
+	worst = "none, every share equal"
 	for _, b := range progs.Table1() {
-		exact, err := harness.Profile(b)
+		prof, err := harness.Profile(b)
 		if err != nil {
 			return 0, "", err
 		}
-		samp, err := harness.SampleProfile(b, 0)
+		ref, err := referenceProfile(b)
 		if err != nil {
 			return 0, "", err
 		}
-		if samp.TotalCycles != exact.TotalCycles {
-			return 0, "", fmt.Errorf("%s: sampled total %d != exact total %d", b.Name, samp.TotalCycles, exact.TotalCycles)
+		if prof.TotalCycles != ref.TotalCycles {
+			return 0, "", fmt.Errorf("%s: profile total %d != reference total %d", b.Name, prof.TotalCycles, ref.TotalCycles)
 		}
 		shares := map[string]float64{}
-		for _, e := range exact.Entries {
+		for _, e := range ref.Entries {
 			shares[e.Name] = e.Share
 		}
-		for _, e := range samp.Entries {
+		for _, e := range prof.Entries {
 			d := e.Share - shares[e.Name]
 			if d < 0 {
 				d = -d
@@ -442,6 +447,25 @@ func shareAccuracy() (maxDelta float64, worst string, err error) {
 		}
 	}
 	return maxDelta, worst, nil
+}
+
+// referenceProfile runs b to its first answer with the per-cycle
+// reference profiler on the trace hook.
+func referenceProfile(b progs.Benchmark) (*obs.RunProfile, error) {
+	c, err := harness.Compile(b)
+	if err != nil {
+		return nil, err
+	}
+	ref := obs.NewCycleProfiler()
+	live, err := c.Open(core.Config{MaxSteps: core.DefaultMaxSteps, Trace: ref})
+	if err != nil {
+		return nil, err
+	}
+	defer live.Release()
+	if st, err := live.Session.Next(nil); st != engine.Solution {
+		return nil, fmt.Errorf("%s: status %v: %v", b.Name, st, err)
+	}
+	return ref.Profile(live.Machine.Program(), b.Name), nil
 }
 
 func benchPMMS() (record, error) {

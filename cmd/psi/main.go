@@ -54,7 +54,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort the run after this wall-clock `duration` (exit 5)")
 	steps := flag.Int64("steps", 0, "bound the simulation to this many steps (0 = default 4e9; exit 4 when exceeded)")
 	faultSpec := flag.String("fault", "", "inject a deterministic seeded fault, e.g. `site=mem,after=1000,seed=1` (exit 7 when detected)")
-	engineMode := flag.String("engine", "exact", "profiler `mode` for -profile: exact (every cycle attributed) or fast (statistical sampling); statistics are identical either way")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON span trace to this `file` (view in Perfetto)")
 	flag.Parse()
 
@@ -66,12 +65,6 @@ func main() {
 			os.Exit(2)
 		}
 		faultPlan = p
-	}
-
-	mode, err := engine.ParseMode(*engineMode)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "psi: bad -engine: %v\n", err)
-		os.Exit(2)
 	}
 
 	ctx := context.Background()
@@ -144,7 +137,6 @@ func main() {
 		Profile:      *profile,
 		MaxSteps:     *steps,
 		Fault:        faultPlan,
-		Fast:         mode == engine.ModeFast,
 	}
 	if *verbose {
 		opts.Progress = obs.NewProgressPrinter(os.Stderr).Event

@@ -207,7 +207,8 @@ func ExampleFeatures() {
 // JSON. The profiler attributes every micro-cycle to the predicate
 // executing it (argument fetch to the caller, head unification to the
 // callee, query glue to "<main>"), so the profile total always equals
-// the machine's cycle count exactly.
+// the machine's cycle count exactly. It is charged at predicate
+// switches, not per cycle, so the run keeps fast accounting.
 func ExampleMachine_Profile() {
 	// A miniature BUP-style parser workload: bottom-up chart parsing is
 	// the paper's flagship benchmark, and its profile shows where the
@@ -278,7 +279,7 @@ sentences([[the,dog,saw,the,cat],
 	// {
 	//   "schema": "psi-run-report/v1",
 	//   "engine": "psi",
-	//   "mode": "exact",
+	//   "mode": "fast",
 	//   "termination": "ok",
 	//   "workload": "parser",
 	//   "micro_cycles": 5936,

@@ -1,12 +1,12 @@
 package psi
 
 // Regression tests for the derived accounting mode: AccountingMode is
-// "exact" exactly while a per-cycle tap is armed — a COLLECT trace, the
-// per-cycle profiler or a fault-injection plan — and "fast" otherwise,
-// whatever Options.Fast requests. The telemetry hooks (sampling
-// profiler, progress heartbeats, spans, the always-on flight recorder)
-// ride the event boundary and are not taps. Either way the run report
-// is byte-identical apart from its mode field.
+// "exact" exactly while a per-cycle tap is armed — a COLLECT trace or a
+// fault-injection plan — and "fast" otherwise, whatever Options.Fast
+// requests. The profiler (charged at predicate switches) and the
+// telemetry hooks (progress heartbeats, spans, the always-on flight
+// recorder) are not taps. Either way the run report is byte-identical
+// apart from its mode field, and a profile's total is the run's Steps.
 
 import (
 	"bytes"
@@ -59,12 +59,13 @@ func TestFastForcedExactByConsumers(t *testing.T) {
 		// always attached by LoadProgram.
 		{"plain-fast", Options{Fast: true}, "fast"},
 		{"plain-exact", Options{}, "fast"},
-		// Telemetry rides the event boundary: not a per-cycle tap.
+		// The profiler is charged at predicate switches and telemetry
+		// rides the event boundary: neither is a per-cycle tap.
 		{"profiler", Options{Fast: true, Profile: true}, "fast"},
+		{"exact-profiler", Options{Profile: true}, "fast"},
 		{"progress", Options{Progress: func(obs.Progress) {}, ProgressEvery: 100}, "fast"},
 		{"spans", Options{Spans: telemetry.NewSpanLog()}, "fast"},
 		// Per-cycle taps.
-		{"exact-profiler", Options{Profile: true}, "exact"},
 		{"collect", Options{Fast: true, Collect: true}, "exact"},
 		{"fault", Options{Fast: true, Fault: never}, "exact"},
 		{"collect-profile", Options{Collect: true, Profile: true}, "exact"},
@@ -86,15 +87,18 @@ func TestFastForcedExactByConsumers(t *testing.T) {
 			if !bytes.Equal(got, baseJSON) {
 				t.Errorf("run report diverges from the plain run:\n--- plain\n%s\n--- %s\n%s", baseJSON, c.name, got)
 			}
+			if rp := m.Profile("t"); c.opts.Profile && (rp == nil || rp.TotalCycles != m.Steps()) {
+				t.Errorf("profile %+v does not attribute the run's %d cycles", rp, m.Steps())
+			}
 		})
 	}
 }
 
 // TestFastSamplingProfilerKeepsFastByteIdentical runs the machine bare
-// and with the sampling profiler attached: the profiler must not change
-// the accounting mode, and the structured run report — every simulated
-// statistic — must match byte for byte, because sampling only reads the
-// live step counter at event boundaries.
+// and with the profiler attached on a deeper recursion than the
+// table above: the profiler must not change the accounting mode, the
+// structured run report — every simulated statistic — must match byte
+// for byte, and the profile must attribute exactly the run's Steps.
 func TestFastSamplingProfilerKeepsFastByteIdentical(t *testing.T) {
 	run := func(profile bool) (*Machine, []byte) {
 		m, err := LoadProgram(diffSrc, Options{Fast: true, Profile: profile})
@@ -111,24 +115,21 @@ func TestFastSamplingProfilerKeepsFastByteIdentical(t *testing.T) {
 		return m, rep
 	}
 	_, bareRep := run(false)
-	m, sampledRep := run(true)
+	m, profRep := run(true)
 	if got := m.AccountingMode(); got != "fast" {
-		t.Fatalf("sampling profiler armed a per-cycle tap: mode %q", got)
+		t.Fatalf("profiler armed a per-cycle tap: mode %q", got)
 	}
-	if !bytes.Equal(bareRep, sampledRep) {
-		t.Errorf("run report diverges between bare and sampled runs:\n--- bare\n%s\n--- sampled\n%s", bareRep, sampledRep)
+	if !bytes.Equal(bareRep, profRep) {
+		t.Errorf("run report diverges between bare and profiled runs:\n--- bare\n%s\n--- profiled\n%s", bareRep, profRep)
 	}
-	// The sampled profile is statistical per predicate, but its total is
-	// exact: the sampler flushes its partial stride at the observation
-	// boundary, so attributed cycles sum to Stats().Steps.
 	rp := m.Profile("t")
-	if rp == nil || !rp.Sampled {
-		t.Fatalf("Profile() with Fast: got %+v, want a sampled profile", rp)
+	if rp == nil {
+		t.Fatal("Profile() with Profile set returned nil")
 	}
 	if rp.TotalCycles != m.Steps() {
-		t.Errorf("sampled TotalCycles = %d, want exactly Steps = %d", rp.TotalCycles, m.Steps())
+		t.Errorf("profile TotalCycles = %d, want exactly Steps = %d", rp.TotalCycles, m.Steps())
 	}
-	if rp.SampleStride <= 0 || len(rp.Entries) == 0 {
-		t.Errorf("sampled profile missing metadata or entries: %+v", rp)
+	if len(rp.Entries) == 0 {
+		t.Errorf("profile has no entries: %+v", rp)
 	}
 }

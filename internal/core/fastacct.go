@@ -17,7 +17,7 @@ import (
 // Machine.Stats() — the table is flushed: each slot's count expands
 // into the same per-field additions Stats.Cycle would have performed
 // one cycle at a time. This is the machine's only accounting path; a
-// per-cycle tap (trace, profiler) receives the cycles rebuilt from
+// per-cycle tap (a trace) receives the cycles rebuilt from
 // their keys at the event boundary, and the differential suite checks
 // the expansion against a micro.Stats fed through such a tap.
 //

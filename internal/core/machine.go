@@ -49,13 +49,19 @@ type Config struct {
 	// Out receives output from write/1 and nl/0. Defaults to io.Discard.
 	Out io.Writer
 	// Trace, when non-nil, receives every executed microcycle (the
-	// COLLECT hook). It is a per-cycle tap: see AccountingMode.
+	// COLLECT hook). If it also implements micro.PredTracker it receives
+	// the predicate-context switches, and if it implements
+	// micro.MissSink, one CacheMiss per missing memory cycle — which is
+	// how a per-cycle reference profiler rides it. It is a per-cycle tap:
+	// see AccountingMode.
 	Trace micro.Sink
-	// Profile, when non-nil, receives every executed microcycle plus
-	// predicate-context switches (EnterPredicate) and, if it implements
-	// micro.MissSink, cache-miss notifications — the simulated-workload
-	// profiler hook. It is a per-cycle tap: see AccountingMode.
-	Profile micro.PredSink
+	// Profile, when non-nil, is charged the cycles, memory accesses and
+	// cache misses of each predicate at every predicate switch and at
+	// each Solutions.Step boundary — the simulated-workload profiler
+	// hook. The charges are exact (they sum to Stats().Steps and the
+	// cache counters at every boundary) and it is not a per-cycle tap:
+	// AccountingMode stays fast.
+	Profile micro.ProfileSink
 	// Access, when non-nil, receives every memory access (cache command
 	// and logical address) after the machine's own cache probe, and
 	// nothing for register-only cycles — the feed the PMMS sweeps read.
@@ -74,17 +80,9 @@ type Config struct {
 	// harness and the daemon default to DefaultMaxSteps).
 	MaxSteps int64
 	// Fast is ignored. The machine has a single cycle-accounting path
-	// (see fastacct.go); the field remains so existing callers compile.
+	// (see fastacct.go), and no attachment chooses between profilers;
+	// the field remains so existing callers compile.
 	Fast bool
-	// Sample, when non-nil, receives statistical profiler samples: every
-	// SampleEvery cycles (plus a tail sample at each accounting flush,
-	// so sampled totals sum to Stats().Steps at observation boundaries)
-	// the machine attributes the cycles since the previous sample to the
-	// predicate the code pointer executes in. Not a per-cycle tap.
-	Sample micro.SampleSink
-	// SampleEvery is the sampling stride in cycles
-	// (0 = telemetry.DefaultSampleStride).
-	SampleEvery int64
 	// Spans, when non-nil, records a host-time span for every
 	// Solutions.Step slice (Chrome trace-event export; see -trace-out).
 	Spans *telemetry.SpanLog
@@ -194,23 +192,27 @@ type Machine struct {
 	// a fixed-size array, so the hashed slot index needs no bounds check.
 	fastTab *[fastTabSize]fastSlot
 	// tap receives every executed cycle, rebuilt as a micro.Cycle: the
-	// trace, the per-cycle profiler, or both through a micro.Tee (nil
-	// when neither is attached).
-	tap micro.Sink
+	// Config.Trace sink (nil when none is attached). tapPred and
+	// missSink are its optional predicate-tracking and miss halves.
+	tap      micro.Sink
+	tapPred  micro.PredTracker
+	missSink micro.MissSink
 
 	// Simulated-workload profiling state: the profile sink (nil unless
-	// profiling), its optional miss-notification half, and the predicate
-	// the code pointer currently executes in.
-	profile  micro.PredSink
-	missSink micro.MissSink
-	curPred  int
+	// profiling) and the predicate the code pointer currently executes
+	// in.
+	profile micro.ProfileSink
+	curPred int
+	// The Steps, memory-access and miss counts already charged to the
+	// profile (see charge).
+	chargedSteps, chargedAccesses, chargedMiss int64
 
 	// Memory-access feed: the access sink (nil unless armed) and its
 	// optional predicate-tracking half.
 	access     micro.AccessSink
 	accessPred micro.PredTracker
 	// trackPred reports that some attachment attributes by predicate
-	// (the profiler, the sampler or the access sink's tracker), so
+	// (the profiler, the trace's or the access sink's tracker), so
 	// instruction dispatch keeps curPred current.
 	trackPred bool
 
@@ -220,14 +222,6 @@ type Machine struct {
 	hb      func(Heartbeat)
 	hbEvery int64
 	hbAt    int64
-
-	// Sampling-profiler state: sample is the sink (nil unless sampling),
-	// sampleEvery the stride in cycles, sampleAt the Steps value of the
-	// next sample, sampleLast the Steps value already attributed.
-	sample      micro.SampleSink
-	sampleEvery int64
-	sampleAt    int64
-	sampleLast  int64
 
 	// Telemetry attachments: Step-slice spans and the session flight
 	// recorder (see run.go).
@@ -248,10 +242,10 @@ type Machine struct {
 	inferences int64
 	maxSteps   int64
 	// stepStop is the event-boundary sentinel: the largest Steps value
-	// needing no attention — min over the step limit, the next profiler
-	// sample and the next heartbeat (MaxInt64 with none armed; pinned
-	// below every Steps value while a per-cycle tap is armed), so the
-	// per-cycle check is one branch-free compare. Kept by fastStop;
+	// needing no attention — min over the step limit and the next
+	// heartbeat (MaxInt64 with neither armed; pinned below every Steps
+	// value while a per-cycle tap is armed), so the per-cycle check is
+	// one branch-free compare. Kept by fastStop;
 	// crossing it dispatches through fastBoundary.
 	stepStop int64
 	// memStop is the sentinel memory cycles compare against: stepStop,
@@ -424,22 +418,14 @@ type Heartbeat struct {
 // feed, the telemetry hooks and the fault injector from a configuration
 // (shared by New and Reset), then places the event-boundary sentinels.
 func (m *Machine) configureSinks(cfg Config) {
-	switch {
-	case cfg.Trace != nil && cfg.Profile != nil:
-		m.tap = micro.Tee{cfg.Trace, cfg.Profile}
-	case cfg.Trace != nil:
-		m.tap = cfg.Trace
-	case cfg.Profile != nil:
-		m.tap = cfg.Profile
-	default:
-		m.tap = nil
-	}
+	m.tap = cfg.Trace
+	m.tapPred, _ = cfg.Trace.(micro.PredTracker)
+	m.missSink, _ = cfg.Trace.(micro.MissSink)
 	m.profile = cfg.Profile
-	m.missSink = nil
-	if cfg.Profile != nil {
-		m.missSink, _ = cfg.Profile.(micro.MissSink)
-	}
 	m.curPred = micro.NoPredicate
+	// Every counter the profile is charged from starts at zero in New
+	// and Reset.
+	m.chargedSteps, m.chargedAccesses, m.chargedMiss = 0, 0, 0
 	m.access = cfg.Access
 	m.accessPred, _ = cfg.Access.(micro.PredTracker)
 	m.flight = cfg.Flight
@@ -458,14 +444,7 @@ func (m *Machine) configureSinks(cfg Config) {
 		m.hbEvery = DefaultProgressEvery
 	}
 	m.hbAt = m.hbEvery
-	m.sample = cfg.Sample
-	m.sampleEvery = cfg.SampleEvery
-	if m.sampleEvery <= 0 {
-		m.sampleEvery = telemetry.DefaultSampleStride
-	}
-	m.sampleLast = 0
-	m.sampleAt = m.sampleEvery
-	m.trackPred = m.profile != nil || m.sample != nil || m.accessPred != nil
+	m.trackPred = m.profile != nil || m.tapPred != nil || m.accessPred != nil
 	m.spans = cfg.Spans
 	m.spanName = cfg.SpanName
 	if m.spanName == "" {
@@ -477,18 +456,18 @@ func (m *Machine) configureSinks(cfg Config) {
 	m.fastStop()
 }
 
-// tapped reports whether a per-cycle tap is armed: a trace or profile
-// sink, which needs every cycle record, or a fault injector, whose
-// trace-FIFO site fires per record.
+// tapped reports whether a per-cycle tap is armed: a trace sink, which
+// needs every cycle record, or a fault injector, whose trace-FIFO site
+// fires per record.
 func (m *Machine) tapped() bool { return m.tap != nil || m.inj != nil }
 
 // fastStop recomputes the event-boundary sentinel: the largest Steps
 // value that needs no attention. The per-cycle tick compares Steps
 // against it once; crossing it funnels into fastBoundary, which
-// dispatches whichever events are due (per-cycle tap, profiler sample,
-// heartbeat, step-limit abort) and moves the sentinel forward. With
-// nothing armed the sentinel is the step limit alone, so the bare tick
-// is one compare per cycle. While a per-cycle tap is armed the sentinel
+// dispatches whichever events are due (per-cycle tap, heartbeat,
+// step-limit abort) and moves the sentinel forward. With nothing armed
+// the sentinel is the step limit alone, so the bare tick is one compare
+// per cycle. While a per-cycle tap is armed the sentinel
 // is pinned to 0 — Steps is at least 1 after the tick's increment — so
 // every cycle enters fastBoundary. memStop follows stepStop, except
 // that an armed access sink pins it to 0: memory cycles then take
@@ -503,9 +482,6 @@ func (m *Machine) fastStop() {
 	if stop <= 0 {
 		stop = math.MaxInt64
 	}
-	if m.sample != nil && m.sampleAt-1 < stop {
-		stop = m.sampleAt - 1
-	}
 	if m.hb != nil && m.hbAt-1 < stop {
 		stop = m.hbAt - 1
 	}
@@ -519,9 +495,9 @@ func (m *Machine) fastStop() {
 // stepStop, so at least one of the events the sentinel guards is
 // (usually) due. key and a identify the cycle just counted (a is zero
 // for a register-only cycle). The per-cycle tap sees the cycle first,
-// rebuilt from its signature key; then come the sample, the heartbeat
-// and the step-limit abort, in that order. Out of line so the per-cycle
-// tick stays within the inlining budget.
+// rebuilt from its signature key; then come the heartbeat and the
+// step-limit abort, in that order. Out of line so the per-cycle tick
+// stays within the inlining budget.
 //
 //go:noinline
 func (m *Machine) fastBoundary(key uint32, a word.Addr) {
@@ -533,9 +509,6 @@ func (m *Machine) fastBoundary(key uint32, a word.Addr) {
 		// the trace FIFO overrunning.
 		m.inj.TraceRecord()
 	}
-	if m.sample != nil && m.stats.Steps >= m.sampleAt {
-		m.takeSample()
-	}
 	if m.hb != nil && m.stats.Steps >= m.hbAt {
 		m.hbAt += m.hbEvery
 		m.hb(Heartbeat{Steps: m.stats.Steps, SimNS: m.TimeNS(), Inferences: m.inferences})
@@ -546,32 +519,41 @@ func (m *Machine) fastBoundary(key uint32, a word.Addr) {
 	m.fastStop()
 }
 
-// takeSample attributes every cycle since the previous sample to the
-// current predicate — the statistical half of the sampling profiler: a
-// whole stride is charged to the predicate observed at its end. The
-// current predicate is the same notion the per-cycle profiler
-// attributes by (curPred, maintained at instruction dispatch and
-// procedure entry), so head unification and choice-point work charge
-// the callee in both.
-func (m *Machine) takeSample() {
-	if cycles := m.stats.Steps - m.sampleLast; cycles > 0 {
-		m.sample.Sample(m.curPred, cycles)
-		m.sampleLast = m.stats.Steps
-	}
-	m.sampleAt = m.stats.Steps + m.sampleEvery
-}
-
-// sampleFlush attributes the tail of the cycle stream (the partial
-// stride since the last sample) at an observation boundary, so the
-// sampler's Total matches Stats().Steps exactly whenever statistics are
-// observable — the sampling error lives in the attribution, never in
-// the total. Called next to fastFlush at the Solutions.Step boundary.
-func (m *Machine) sampleFlush() {
-	if m.sample == nil {
+// charge charges the current predicate with the work done since the
+// previous charge: the cycles, memory accesses and cache misses the
+// machine's live counters have advanced by. Every cycle between two
+// predicate switches executes on behalf of the predicate entered at the
+// first, because enterPred runs between cycles — so charging at the
+// switches attributes exactly what a per-cycle profiler would. Without
+// a cache every access is a miss and adds cache.MissExtraNS to
+// noCacheStall, which therefore holds the access count. A memory cycle
+// aborted before its cache probe (a step limit or a trace-FIFO or
+// tag-parity fault) counts in Steps but, as in the cache, not among the
+// accesses.
+func (m *Machine) charge() {
+	cycles := m.stats.Steps - m.chargedSteps
+	if cycles == 0 {
 		return
 	}
-	m.takeSample()
-	m.fastStop()
+	var acc, miss int64
+	if c := m.cache; c != nil {
+		acc, miss = c.Total.Accesses, c.Total.Accesses-c.Total.Hits
+	} else {
+		acc = m.noCacheStall / cache.MissExtraNS
+		miss = acc
+	}
+	m.profile.Charge(m.curPred, cycles, acc-m.chargedAccesses, miss-m.chargedMiss)
+	m.chargedSteps, m.chargedAccesses, m.chargedMiss = m.stats.Steps, acc, miss
+}
+
+// profileFlush charges the tail of the cycle stream (the work since the
+// last predicate switch) at an observation boundary, so the profile's
+// total equals Stats().Steps whenever statistics are observable. Called
+// next to fastFlush at the Solutions.Step boundary.
+func (m *Machine) profileFlush() {
+	if m.profile != nil {
+		m.charge()
+	}
 }
 
 // stepLimitPanic raises the step-limit abort out of line, keeping the
@@ -627,11 +609,11 @@ func (m *Machine) Stats() *micro.Stats {
 }
 
 // AccountingMode reports engine.ModeExact while a per-cycle tap
-// (Config.Trace, Config.Profile or Config.Fault) is armed — every cycle
-// then enters the event boundary and is handed over as a micro.Cycle —
-// and engine.ModeFast otherwise, also with an access sink armed. Both
-// count every cycle through the same signature table, so statistics
-// never depend on the mode.
+// (Config.Trace or Config.Fault) is armed — every cycle then enters the
+// event boundary and is handed over as a micro.Cycle — and
+// engine.ModeFast otherwise, also with a profile or an access sink
+// armed. Both count every cycle through the same signature table, so
+// statistics never depend on the mode.
 func (m *Machine) AccountingMode() string {
 	if m.tapped() {
 		return engine.ModeExact
@@ -705,15 +687,19 @@ func (m *Machine) SetInterruptHandler(process int, q *kl0.Query) error {
 // the cycle that crosses the limit is accounted before the abort.
 
 // enterPred records that the code pointer now executes inside predicate
-// p, notifying the profiler and the access sink's tracker on changes.
-// Called only when trackPred is set: the exact profiler, the sampling
-// profiler and the access feed attribute by the same current-predicate
-// notion, so their per-predicate splits agree (up to sampling error).
+// p. On a change it charges the predicate it leaves to the profile and
+// notifies the trace's and the access sink's trackers. Called only when
+// trackPred is set: the profile, a per-cycle reference on the trace and
+// the access feed attribute by the same current-predicate notion, so
+// their per-predicate splits agree exactly.
 func (m *Machine) enterPred(p int) {
 	if p != m.curPred {
-		m.curPred = p
 		if m.profile != nil {
-			m.profile.EnterPredicate(p)
+			m.charge()
+		}
+		m.curPred = p
+		if m.tapPred != nil {
+			m.tapPred.EnterPredicate(p)
 		}
 		if m.accessPred != nil {
 			m.accessPred.EnterPredicate(p)
@@ -757,7 +743,8 @@ func (m *Machine) push(mod micro.Module, a word.Addr, w word.Word, sig uint32) {
 // the same order. The boundary test reads memStop, the memory cycles'
 // own sentinel: with none due no tap, no injector and no access sink is
 // armed (each pins memStop to zero), so the fast path needs no test for
-// them.
+// them — a miss sink only exists on a tap, so misses reach it from
+// memCycleSlow alone.
 func (m *Machine) memCycle(key uint32, op micro.CacheOp, a word.Addr) *word.Word {
 	kind := a.Area().Kind()
 	key |= uint32(op)<<12 | uint32(kind)<<19
@@ -772,9 +759,7 @@ func (m *Machine) memCycle(key uint32, op micro.CacheOp, a word.Addr) *word.Word
 		return m.memCycleSlow(sl, key, op, a)
 	}
 	sl.n++
-	if hit, _ := c.AccessBlock(op, phys>>c.BlockShift(), kind); !hit && m.missSink != nil {
-		m.missSink.CacheMiss()
-	}
+	c.AccessBlock(op, phys>>c.BlockShift(), kind)
 	return cell
 }
 

@@ -186,10 +186,10 @@ func (s *Solutions) Step(budget int64) engine.Status {
 	// observable (reports, metrics, the next budget computation) and
 	// must equal per-cycle micro.Stats accounting bit for bit. Runs
 	// after the containment recovery above, so aborted and faulted runs
-	// flush too. The sampler flushes at the same boundary, so its total
-	// equals Stats().Steps whenever statistics are observable.
+	// flush too. The profile's tail is charged at the same boundary, so
+	// its total equals Stats().Steps whenever statistics are observable.
 	m.fastFlush()
-	m.sampleFlush()
+	m.profileFlush()
 	var st engine.Status
 	switch {
 	case s.err != nil:

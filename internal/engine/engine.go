@@ -141,15 +141,16 @@ type Session interface {
 }
 
 // Accounting modes, as reported in run reports. The PSI core reports
-// ModeExact while a per-cycle tap (trace, per-cycle profiler, fault
-// injector) receives every cycle and ModeFast otherwise; statistics are
-// identical either way. Engines without per-cycle taps report ModeExact.
+// ModeExact while a per-cycle tap (trace, fault injector) receives
+// every cycle and ModeFast otherwise; statistics are identical either
+// way. Engines without per-cycle taps report ModeExact.
 const (
 	ModeExact = "exact"
 	ModeFast  = "fast"
 )
 
-// ParseMode validates an -engine flag value ("" defaults to exact).
+// ParseMode validates a psid job spec's engine field ("" defaults to
+// exact).
 func ParseMode(s string) (string, error) {
 	switch s {
 	case "", ModeExact:

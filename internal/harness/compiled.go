@@ -157,20 +157,18 @@ func (c *Compiled) Run(collect bool, feat core.Features) (*PSIRun, error) {
 // runOpts carries the observability extras of one run alongside the
 // classic (collect, features) pair. The zero value reproduces Run.
 type runOpts struct {
-	collect     bool
-	access      micro.AccessSink // memory-access feed, e.g. pmms sweepers
-	feat        core.Features
-	cell        string             // evaluation cell label for heartbeats
-	progress    func(obs.Progress) // nil = no heartbeats
-	every       int64              // heartbeat period in cycles (0 = default)
-	profile     micro.PredSink     // per-predicate attribution sink
-	ctx         context.Context    // deadline/cancel bound (nil = unbounded)
-	maxSteps    int64              // step bound override (0 = harness default)
-	fault       *fault.Plan        // fault-injection plan (nil = no injection)
-	sample      micro.SampleSink   // sampling-profiler sink (not a per-cycle tap)
-	sampleEvery int64              // sampling stride in cycles (0 = default)
-	spans       *telemetry.SpanLog // Step-slice span log (nil = no tracing)
-	spanTID     int64              // trace row for this run's spans
+	collect  bool
+	access   micro.AccessSink // memory-access feed, e.g. pmms sweepers
+	feat     core.Features
+	cell     string             // evaluation cell label for heartbeats
+	progress func(obs.Progress) // nil = no heartbeats
+	every    int64              // heartbeat period in cycles (0 = default)
+	profile  micro.ProfileSink  // per-predicate attribution sink
+	ctx      context.Context    // deadline/cancel bound (nil = unbounded)
+	maxSteps int64              // step bound override (0 = harness default)
+	fault    *fault.Plan        // fault-injection plan (nil = no injection)
+	spans    *telemetry.SpanLog // Step-slice span log (nil = no tracing)
+	spanTID  int64              // trace row for this run's spans
 }
 
 func (c *Compiled) run(ro runOpts) (*PSIRun, error) {
@@ -202,8 +200,6 @@ func (c *Compiled) run(ro runOpts) (*PSIRun, error) {
 	// without a per-cycle tap.
 	cfg.Access = ro.access
 	cfg.Profile = ro.profile
-	cfg.Sample = ro.sample
-	cfg.SampleEvery = ro.sampleEvery
 	if ro.spans != nil {
 		cfg.Spans = ro.spans
 		cfg.SpanName = ro.cell

@@ -19,7 +19,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/progs"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -45,6 +44,7 @@ func RunPSI(b progs.Benchmark, collect bool) (*PSIRun, error) {
 // attached and returns the per-predicate flat profile. The profile's
 // TotalCycles equals the run's micro.Stats.Steps exactly: every cycle is
 // attributed to precisely one predicate (or to "<main>" for query glue).
+// The profiler is not a per-cycle tap: the run accounts in fast mode.
 func Profile(b progs.Benchmark) (*obs.RunProfile, error) {
 	c, err := Compile(b)
 	if err != nil {
@@ -56,30 +56,6 @@ func Profile(b progs.Benchmark) (*obs.RunProfile, error) {
 		return nil, err
 	}
 	rp := p.Profile(r.Machine.Program(), b.Name)
-	r.Release()
-	return rp, nil
-}
-
-// SampleProfile executes a benchmark with the sampling profiler
-// attached (stride <= 0 selects telemetry.DefaultSampleStride) and
-// returns the statistical per-predicate profile. The run keeps
-// AccountingMode "fast" — sampling rides the event boundary instead of
-// a per-cycle tap — and the profile's TotalCycles still equals the
-// run's micro.Stats.Steps exactly, because the sampler attributes its
-// partial tail at the observation boundary. Individual predicate shares are
-// estimates; the differential suite bounds them against the exact
-// profiler within telemetry.ShareTolerance on the Table 1 programs.
-func SampleProfile(b progs.Benchmark, stride int64) (*obs.RunProfile, error) {
-	c, err := Compile(b)
-	if err != nil {
-		return nil, err
-	}
-	sp := telemetry.NewSamplingProfiler(stride)
-	r, err := c.run(runOpts{sample: sp, sampleEvery: stride})
-	if err != nil {
-		return nil, err
-	}
-	rp := obs.SampledProfile(sp, r.Machine.Program(), b.Name)
 	r.Release()
 	return rp, nil
 }

@@ -223,13 +223,6 @@ type PredTracker interface {
 	EnterPredicate(id int)
 }
 
-// PredSink is a Sink that additionally tracks the predicate context of
-// its cycles. The simulated-workload profiler implements it.
-type PredSink interface {
-	Sink
-	PredTracker
-}
-
 // AccessSink receives a run's memory accesses only: one call per cycle
 // that carries a cache command, with the command and the logical
 // address, and nothing for register-only cycles. Because two thirds of
@@ -244,21 +237,23 @@ type AccessSink interface {
 
 // MissSink optionally receives cache-miss notifications alongside the
 // cycle stream (one call per missing cache command, including every
-// access of a cache-disabled run). Sinks that want per-predicate miss
-// attribution implement it in addition to PredSink.
+// access of a cache-disabled run). A per-cycle trace sink that wants
+// per-predicate miss attribution implements it together with
+// PredTracker.
 type MissSink interface {
 	CacheMiss()
 }
 
-// SampleSink receives statistical profiler samples instead of the
-// per-cycle stream: at a fixed cycle stride (plus a tail sample at
-// every accounting flush), the machine attributes all cycles executed
-// since the previous sample to the predicate the code pointer is in
-// (NoPredicate for query glue and stubs). Because nothing is called per
-// cycle, a SampleSink — unlike a PredSink — is not a per-cycle tap. The
-// telemetry sampling profiler implements it.
-type SampleSink interface {
-	Sample(pred int, cycles int64)
+// ProfileSink receives the per-predicate profile by charges instead of
+// the per-cycle stream: whenever the predicate context switches, and
+// once more at every observation boundary, the machine charges the
+// predicate it leaves (NoPredicate for query glue and stubs) with the
+// cycles, memory accesses and cache misses executed since the previous
+// charge. Because nothing is called per cycle, a ProfileSink — unlike a
+// Sink — is not a per-cycle tap. The charges sum to the run's Steps and
+// cache counters at every observation boundary.
+type ProfileSink interface {
+	Charge(pred int, cycles, accesses, misses int64)
 }
 
 // Stats aggregates cycle records into the dynamic counts behind
@@ -339,15 +334,4 @@ func (s *Stats) BranchRatio(op BranchOp) float64 {
 		return 0
 	}
 	return float64(s.Branch[op]) / float64(s.Steps)
-}
-
-// Tee fans cycles out to several sinks (e.g. a trace plus the per-cycle
-// profiler).
-type Tee []Sink
-
-// Cycle implements Sink.
-func (t Tee) Cycle(c Cycle) {
-	for _, s := range t {
-		s.Cycle(c)
-	}
 }

@@ -81,15 +81,6 @@ func TestRatios(t *testing.T) {
 	}
 }
 
-func TestTee(t *testing.T) {
-	var a, b Stats
-	tee := Tee{&a, &b}
-	tee.Cycle(Cycle{Module: MTrail})
-	if a.Steps != 1 || b.Steps != 1 {
-		t.Error("tee fan-out")
-	}
-}
-
 func TestStrings(t *testing.T) {
 	if MUnify.String() != "unify" || MGetArg.String() != "get_arg" {
 		t.Error("module names")

@@ -75,15 +75,10 @@ func TestProfilerTotalMatchesStatsExactly(t *testing.T) {
 			t.Errorf("profile is missing predicate %s (have %v)", want, rp.Entries)
 		}
 	}
-	// Per-entry module breakdown must cover the entry's cycles.
-	for _, e := range rp.Entries {
-		var mods int64
-		for _, mc := range e.ModuleSteps {
-			mods += mc.Count
-		}
-		if mods != e.Cycles {
-			t.Errorf("%s: module steps sum to %d, cycles = %d", e.Name, mods, e.Cycles)
-		}
+	// Charged at the predicate switches, the profiler is not a per-cycle
+	// tap.
+	if mode := m.AccountingMode(); mode != "fast" {
+		t.Errorf("profiled run accounts in %q mode, want fast", mode)
 	}
 	// Sorted by cycles descending.
 	for i := 1; i < len(rp.Entries); i++ {

@@ -7,14 +7,15 @@ import (
 
 	"repro/internal/kl0"
 	"repro/internal/micro"
-	"repro/internal/telemetry"
 )
 
-// Profiler is a micro.PredSink that attributes the cycle stream to the
-// predicate executing it. The interpreter core announces predicate
-// switches via EnterPredicate; every cycle between two switches is
-// charged to the announced predicate, so the bucket totals always sum
-// to exactly the run's micro.Stats.Steps.
+// Profiler is a micro.ProfileSink: the simulated-workload profiler. The
+// interpreter core charges it, at every predicate switch and at every
+// Solutions.Step boundary, with the cycles, memory accesses and cache
+// misses the predicate it leaves executed since the previous charge, so
+// the bucket totals always sum to exactly the run's micro.Stats.Steps
+// and cache counters. It is not a per-cycle tap: the machine keeps its
+// fast accounting mode with a profiler attached.
 //
 // Attribution rules (see DESIGN.md "Observability"):
 //   - argument fetch for a call charges the caller (the cycles execute
@@ -24,40 +25,25 @@ import (
 //   - built-in bodies charge the predicate that invoked them;
 //   - query pseudo-clauses and runtime metacall stubs charge "<main>".
 type Profiler struct {
-	cur     int
 	buckets []predBucket // index = predicate id + 1 (0 = NoPredicate)
 }
 
 type predBucket struct {
-	cycles  int64
-	modules [micro.NumModules]int64
-	mem     int64 // cycles carrying a cache command
-	misses  int64
+	cycles int64
+	mem    int64 // memory accesses (cycles carrying a cache command)
+	misses int64
 }
 
 // NewProfiler returns a profiler ready to be passed as core.Config.Profile.
-func NewProfiler() *Profiler {
-	return &Profiler{cur: micro.NoPredicate}
+func NewProfiler() *Profiler { return &Profiler{} }
+
+// Charge implements micro.ProfileSink.
+func (p *Profiler) Charge(pred int, cycles, accesses, misses int64) {
+	b := p.bucket(pred)
+	b.cycles += cycles
+	b.mem += accesses
+	b.misses += misses
 }
-
-// EnterPredicate implements micro.PredSink.
-func (p *Profiler) EnterPredicate(id int) { p.cur = id }
-
-// Cycle implements micro.Sink.
-func (p *Profiler) Cycle(c micro.Cycle) {
-	b := p.bucket(p.cur)
-	b.cycles++
-	if c.Module < micro.NumModules {
-		b.modules[c.Module]++
-	}
-	if c.Cache != micro.OpNone {
-		b.mem++
-	}
-}
-
-// CacheMiss implements micro.MissSink: the miss is charged to the
-// predicate whose cycle issued the memory access.
-func (p *Profiler) CacheMiss() { p.bucket(p.cur).misses++ }
 
 func (p *Profiler) bucket(id int) *predBucket {
 	i := id + 1
@@ -72,11 +58,44 @@ func (p *Profiler) bucket(id int) *predBucket {
 
 // Reset clears the collected attribution so the profiler can be reused
 // for another run.
-func (p *Profiler) Reset() {
-	p.cur = micro.NoPredicate
-	for i := range p.buckets {
-		p.buckets[i] = predBucket{}
+func (p *Profiler) Reset() { clear(p.buckets) }
+
+// CycleProfiler is the per-cycle reference the Profiler is checked
+// against: attached as core.Config.Trace, it counts every cycle and
+// memory cycle from the cycle stream, follows the predicate switches
+// through EnterPredicate and counts misses through CacheMiss, charging
+// each to the predicate current when it arrives. It shares nothing with
+// the machine's charging but the predicate notion, so equal profiles
+// show the charges are exact. It is a per-cycle tap (the run accounts
+// in exact mode), for tests and the `cmd/bench obs` gate.
+type CycleProfiler struct {
+	Profiler
+	cur int
+}
+
+// NewCycleProfiler returns a reference ready to be passed as
+// core.Config.Trace.
+func NewCycleProfiler() *CycleProfiler { return &CycleProfiler{cur: micro.NoPredicate} }
+
+// EnterPredicate implements micro.PredTracker.
+func (r *CycleProfiler) EnterPredicate(id int) { r.cur = id }
+
+// Cycle implements micro.Sink.
+func (r *CycleProfiler) Cycle(c micro.Cycle) {
+	var mem int64
+	if c.Cache != micro.OpNone {
+		mem = 1
 	}
+	r.Charge(r.cur, 1, mem, 0)
+}
+
+// CacheMiss implements micro.MissSink.
+func (r *CycleProfiler) CacheMiss() { r.Charge(r.cur, 0, 0, 1) }
+
+// Reset clears the reference for another run.
+func (r *CycleProfiler) Reset() {
+	r.Profiler.Reset()
+	r.cur = micro.NoPredicate
 }
 
 // PredProfile is the attribution of one predicate in a RunProfile.
@@ -86,23 +105,13 @@ type PredProfile struct {
 	Share       float64 `json:"share"` // fraction of total cycles
 	MemAccesses int64   `json:"mem_accesses"`
 	CacheMisses int64   `json:"cache_misses"`
-	// ModuleSteps orders cycles by firmware module (Table 2 rows).
-	// Omitted in sampled profiles: a sample carries no module context.
-	ModuleSteps []NamedCount `json:"module_steps,omitempty"`
 }
 
 // RunProfile is a per-predicate flat profile of one simulated run.
 type RunProfile struct {
-	Workload    string `json:"workload,omitempty"`
-	TotalCycles int64  `json:"total_cycles"`
-	// Sampled marks a statistical profile (telemetry.SamplingProfiler,
-	// no per-cycle tap): totals are exact, but each predicate's
-	// cycles are a stride-sampled estimate; SampleStride and Samples
-	// quantify the resolution.
-	Sampled      bool          `json:"sampled,omitempty"`
-	SampleStride int64         `json:"sample_stride,omitempty"`
-	Samples      int64         `json:"samples,omitempty"`
-	Entries      []PredProfile `json:"entries"` // cycles desc, then name asc
+	Workload    string        `json:"workload,omitempty"`
+	TotalCycles int64         `json:"total_cycles"`
+	Entries     []PredProfile `json:"entries"` // cycles desc, then name asc
 }
 
 // Profile resolves the collected buckets against the program's procedure
@@ -121,38 +130,9 @@ func (p *Profiler) Profile(prog *kl0.Program, workload string) *RunProfile {
 			MemAccesses: b.mem,
 			CacheMisses: b.misses,
 		}
-		for m := micro.Module(0); m < micro.NumModules; m++ {
-			e.ModuleSteps = append(e.ModuleSteps, NamedCount{Name: m.String(), Count: b.modules[m]})
-		}
 		rp.TotalCycles += b.cycles
 		rp.Entries = append(rp.Entries, e)
 	}
-	rp.finish()
-	return rp
-}
-
-// SampledProfile resolves a sampling profiler's per-predicate cycle
-// attribution against the program's procedure table, in the same shape
-// as Profiler.Profile so formatting and reporting handle both. The
-// memory and module columns stay empty: a sample carries no cache or
-// module context — that breakdown is the exact profiler's province.
-func SampledProfile(sp *telemetry.SamplingProfiler, prog *kl0.Program, workload string) *RunProfile {
-	rp := &RunProfile{
-		Workload:     workload,
-		Sampled:      true,
-		SampleStride: sp.Stride(),
-		Samples:      sp.Samples(),
-	}
-	sp.Each(func(pred int, cycles int64) {
-		if cycles == 0 {
-			return
-		}
-		rp.TotalCycles += cycles
-		rp.Entries = append(rp.Entries, PredProfile{
-			Name:   prog.ProcName(pred),
-			Cycles: cycles,
-		})
-	})
 	rp.finish()
 	return rp
 }
@@ -186,12 +166,7 @@ func (rp *RunProfile) Format(w io.Writer, topN int) {
 	if rp.Workload != "" {
 		fmt.Fprintf(w, ": %s", rp.Workload)
 	}
-	if rp.Sampled {
-		fmt.Fprintf(w, " (%d micro-cycles, %d predicates; sampled, stride %d, %d samples)\n",
-			rp.TotalCycles, len(rp.Entries), rp.SampleStride, rp.Samples)
-	} else {
-		fmt.Fprintf(w, " (%d micro-cycles, %d predicates)\n", rp.TotalCycles, len(rp.Entries))
-	}
+	fmt.Fprintf(w, " (%d micro-cycles, %d predicates)\n", rp.TotalCycles, len(rp.Entries))
 	fmt.Fprintf(w, "%8s %8s %12s %12s %10s  %s\n",
 		"flat%", "cum%", "cycles", "mem", "misses", "predicate")
 	var cum int64

@@ -5,9 +5,10 @@
 //
 //   - RunReport: a stable-schema JSON document capturing everything one
 //     run produces (the COLLECT idea, lifted from traces to summaries);
-//   - Profiler: a micro.Sink that attributes cycles, cache misses and
-//     module breakdowns to the predicate executing them (the MAP idea,
-//     lifted from field patterns to predicates);
+//   - Profiler: a micro.ProfileSink that attributes cycles, memory
+//     accesses and cache misses to the predicate executing them (the MAP
+//     idea, lifted from field patterns to predicates), charged at the
+//     predicate switches; CycleProfiler is its per-cycle reference;
 //   - Progress: live heartbeat events for long simulations;
 //   - host hooks: pprof helpers, a /debug listener and expvar counters
 //     for watching the Go host while it simulates.
@@ -101,8 +102,7 @@ type RunReport struct {
 	Schema string `json:"schema"`
 	Engine string `json:"engine"`
 	// Mode is core.Machine.AccountingMode: "exact" while a per-cycle
-	// tap (trace, per-cycle profiler, fault injector) was armed, "fast"
-	// otherwise.
+	// tap (trace, fault injector) was armed, "fast" otherwise.
 	Mode        string  `json:"mode"`
 	Termination string  `json:"termination"`
 	Workload    string  `json:"workload,omitempty"`

@@ -53,7 +53,7 @@ func (f accessTee) EnterPredicate(id int) {
 	}
 }
 
-// cycleFeed is the per-cycle reference, attached as Config.Profile:
+// cycleFeed is the per-cycle reference, attached as Config.Trace:
 // each cycle reaches the sweepers as the trace record COLLECT would log
 // for it, alongside the predicate context.
 type cycleFeed []*pmms.Sweeper
@@ -144,7 +144,7 @@ func TestAccessFeedMatchesCycleFeed(t *testing.T) {
 			lab.AddCycles(stats.Steps)
 
 			cycFig, cycLab := pmms.NewSweeper(lanes), newGrid()
-			cycStats, _ := runLive(t, b, core.Config{Profile: cycleFeed{cycFig, cycLab}})
+			cycStats, _ := runLive(t, b, core.Config{Trace: cycleFeed{cycFig, cycLab}})
 			if stats != cycStats {
 				t.Errorf("access-fed statistics differ from the per-cycle run's")
 			}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -199,6 +200,26 @@ func TestWatchdogKillsStuckSession(t *testing.T) {
 	st := s.Stats()
 	if st.WatchdogKills != 1 {
 		t.Errorf("watchdog kills = %d, want 1", st.WatchdogKills)
+	}
+	// The kill reaches the exposition under the documented psid_ name
+	// (the registry is process-wide, so other tests may add to it).
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	kills := -1
+	for _, line := range strings.Split(string(text), "\n") {
+		if v, ok := strings.CutPrefix(line, "psid_watchdog_kills_total "); ok {
+			kills, _ = strconv.Atoi(v)
+		}
+		if strings.Contains(line, "psi_watchdog_kills_total") {
+			t.Errorf("/metrics carries the undocumented name: %q", line)
+		}
+	}
+	if kills < 1 {
+		t.Errorf("/metrics psid_watchdog_kills_total = %d, want >= 1", kills)
 	}
 }
 

@@ -215,7 +215,7 @@ func registerServeFamilies() {
 	reg := telemetry.Default
 	reg.Counter("psid_jobs_total", "jobs admitted and executed")
 	reg.Counter("psid_rejected_total", "jobs refused by backpressure or drain")
-	reg.Counter("psi_watchdog_kills_total", "stuck sessions hard-canceled by the watchdog")
+	reg.Counter(watchdogKillsMetric, watchdogKillsHelp)
 	reg.Gauge("psid_inflight_jobs", "jobs executing right now")
 	reg.Gauge("psid_queue_depth", "jobs waiting for a worker")
 	reg.Histogram("psid_request_seconds", "wall time per job request", requestDurationBounds)

@@ -29,13 +29,20 @@ import (
 // serving layer then stamps the report's fault block with site
 // "watchdog" and dumps the telemetry flight ring into it, so the
 // incident ships its own post-mortem. Every kill bumps the
-// psi_watchdog_kills_total metric.
+// psid_watchdog_kills_total metric (watchdogKillsMetric).
 //
 // The patrol goroutine runs only while watched jobs are in flight: it
 // starts on the 0→1 registry transition and exits when the registry
 // empties, so an idle (or test-constructed) server holds no background
 // goroutine — which is also what lets the soak harness assert
 // goroutine-leak freedom.
+
+// watchdogKillsMetric names the kill counter, with the daemon's psid_
+// prefix; registerServeFamilies pre-registers it and patrol bumps it.
+const (
+	watchdogKillsMetric = "psid_watchdog_kills_total"
+	watchdogKillsHelp   = "stuck sessions hard-canceled by the watchdog"
+)
 
 // watchedJob is one in-flight run under watchdog protection.
 type watchedJob struct {
@@ -118,8 +125,7 @@ func (w *watchdog) patrol() {
 			if !j.killAt.IsZero() && now.After(j.killAt) && j.killed.CompareAndSwap(false, true) {
 				j.cancel()
 				w.kills.Add(1)
-				telemetry.Default.Counter("psi_watchdog_kills_total",
-					"stuck sessions hard-canceled by the watchdog").Inc()
+				telemetry.Default.Counter(watchdogKillsMetric, watchdogKillsHelp).Inc()
 			}
 		}
 		if len(w.jobs) == 0 {

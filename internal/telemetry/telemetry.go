@@ -2,14 +2,9 @@
 // reproduction: instrumentation cheap enough to stay attached while the
 // engine runs in its fast (batched) accounting mode.
 //
-// The exact observability hooks in internal/obs consume every simulated
-// cycle (a micro.Sink per record), which forces the engine back onto the
-// exact per-cycle path. This package provides the statistical
-// counterparts whose cost is independent of the cycle rate:
+// None of it consumes the simulated cycle stream, so its cost is
+// independent of the cycle rate:
 //
-//   - SamplingProfiler: per-predicate cycle attribution from stride
-//     samples plus accounting-flush taps, instead of the exact
-//     per-cycle PredSink (see core.Config.Sample);
 //   - SpanLog: host-time spans of compiles, sessions, Step(budget)
 //     slices and harness cells, exported as Chrome trace-event JSON
 //     (viewable in Perfetto / chrome://tracing);

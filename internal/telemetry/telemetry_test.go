@@ -9,54 +9,6 @@ import (
 	"time"
 )
 
-// --- sampling profiler ---
-
-func TestSamplerAttribution(t *testing.T) {
-	p := NewSamplingProfiler(0)
-	if p.Stride() != DefaultSampleStride {
-		t.Fatalf("default stride = %d, want %d", p.Stride(), DefaultSampleStride)
-	}
-	p.Sample(2, 100)
-	p.Sample(0, 50)
-	p.Sample(2, 25)
-	p.Sample(-1, 7) // query glue
-	if p.Total() != 182 {
-		t.Errorf("Total = %d, want 182", p.Total())
-	}
-	if p.Samples() != 4 {
-		t.Errorf("Samples = %d, want 4", p.Samples())
-	}
-	got := map[int]int64{}
-	var order []int
-	p.Each(func(pred int, cycles int64) {
-		got[pred] = cycles
-		order = append(order, pred)
-	})
-	want := map[int]int64{-1: 7, 0: 50, 2: 125}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Each visited %v, want %v", got, want)
-	}
-	if !sortedAsc(order) {
-		t.Errorf("Each order %v, want ascending predicate ids", order)
-	}
-	p.Reset()
-	if p.Total() != 0 || p.Samples() != 0 {
-		t.Errorf("after Reset: Total %d Samples %d, want 0 0", p.Total(), p.Samples())
-	}
-	p.Each(func(pred int, cycles int64) {
-		t.Errorf("Each after Reset visited pred %d (%d cycles)", pred, cycles)
-	})
-}
-
-func sortedAsc(xs []int) bool {
-	for i := 1; i < len(xs); i++ {
-		if xs[i] < xs[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
 // --- span log / Chrome trace-event export ---
 
 // TestTraceGolden locks the exact trace-event document shape Perfetto

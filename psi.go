@@ -62,25 +62,21 @@ type Options struct {
 	Out io.Writer
 	// Collect attaches a COLLECT trace to the run.
 	Collect bool
-	// Fast makes Profile attach the statistical sampling profiler
-	// instead of the per-cycle one. It has no other effect: the machine
-	// has a single cycle-accounting path (see Machine.AccountingMode).
+	// Fast is ignored. The machine has a single cycle-accounting path
+	// and one profiler (see Machine.AccountingMode); the field remains
+	// so existing callers compile.
 	Fast bool
 	// MaxSteps bounds the simulation (0 = 4e9 steps).
 	MaxSteps int64
 	// Features ablates individual hardware features or enables the
 	// PSI-II extensions (see core.Features).
 	Features Features
-	// Profile attaches the simulated-workload profiler. Without Fast
-	// every micro-cycle is attributed to the predicate executing it,
-	// through a per-cycle tap; with Fast the statistical sampling
-	// profiler is attached instead, which is not a per-cycle tap (see
-	// Machine.Profile — the returned profile says which it was).
+	// Profile attaches the simulated-workload profiler: every
+	// micro-cycle, memory access and cache miss is attributed to the
+	// predicate executing it (see Machine.Profile). The machine charges
+	// each predicate at its switches, so the profiler is not a per-cycle
+	// tap and the run stays in fast accounting mode.
 	Profile bool
-	// SampleStride sets the sampling profiler's stride in micro-cycles
-	// (0 = telemetry.DefaultSampleStride). Only meaningful with Profile
-	// and Fast together.
-	SampleStride int64
 	// Spans, when non-nil, records a host-time span for every
 	// Solutions.Step slice into the given log, for Chrome trace-event
 	// export (`psi -trace-out`). Never affects simulated output.
@@ -107,7 +103,6 @@ type Machine struct {
 	m      *core.Machine
 	log    *trace.Log
 	prof   *obs.Profiler
-	samp   *telemetry.SamplingProfiler
 	flight *telemetry.Flight
 }
 
@@ -145,14 +140,8 @@ func LoadProgram(source string, opts Options) (*Machine, error) {
 		cfg.Trace = mm.log
 	}
 	if opts.Profile {
-		if opts.Fast {
-			mm.samp = telemetry.NewSamplingProfiler(opts.SampleStride)
-			cfg.Sample = mm.samp
-			cfg.SampleEvery = opts.SampleStride
-		} else {
-			mm.prof = obs.NewProfiler()
-			cfg.Profile = mm.prof
-		}
+		mm.prof = obs.NewProfiler()
+		cfg.Profile = mm.prof
 	}
 	cfg.Spans = opts.Spans
 	// The flight recorder is always on: a fixed-size ring of recent
@@ -254,8 +243,8 @@ func (m *Machine) Steps() int64 { return m.m.Stats().Steps }
 // Stats exposes the full microcycle statistics.
 func (m *Machine) Stats() *micro.Stats { return m.m.Stats() }
 
-// AccountingMode reports "exact" while a per-cycle tap (Collect, Fault,
-// or Profile without Fast) receives every cycle and "fast" otherwise.
+// AccountingMode reports "exact" while a per-cycle tap (Collect or
+// Fault) receives every cycle and "fast" otherwise, also with Profile.
 // Statistics are identical either way.
 func (m *Machine) AccountingMode() string { return m.m.AccountingMode() }
 
@@ -281,16 +270,10 @@ func (m *Machine) Cache() *cache.Cache { return m.m.Cache() }
 func (m *Machine) Trace() *trace.Log { return m.log }
 
 // Profile resolves the simulated-workload profile collected so far (nil
-// unless Options.Profile was set). The profile's TotalCycles equals
-// Stats().Steps exactly. Without Options.Fast every micro-cycle is
-// attributed to precisely one predicate, with query glue and runtime
-// stubs under "<main>"; with Options.Fast the profile is statistical
-// (its Sampled field is set) with per-predicate cycles estimated by
-// stride sampling.
+// unless Options.Profile was set). Every micro-cycle is attributed to
+// precisely one predicate, with query glue and runtime stubs under
+// "<main>", so the profile's TotalCycles equals Stats().Steps exactly.
 func (m *Machine) Profile(workload string) *obs.RunProfile {
-	if m.samp != nil {
-		return obs.SampledProfile(m.samp, m.m.Program(), workload)
-	}
 	if m.prof == nil {
 		return nil
 	}
