@@ -6,8 +6,12 @@ package psi
 // double as regression cases under plain `go test`.
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/kl0"
+	"repro/internal/parse"
 )
 
 func FuzzParse(f *testing.F) {
@@ -25,12 +29,56 @@ func FuzzParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		// Must not panic; errors are fine.
 		_, _ = ParseTerm(src)
-		m, err := LoadProgram(src, Options{MaxSteps: 100000})
-		if err != nil {
+		if _, err := LoadProgram(src, Options{MaxSteps: 100000}); err != nil {
 			return
 		}
-		_ = m
+		// What compiles through the arena compiles through source terms
+		// (parse.Clauses, then AddClauses) to the same image.
+		viaArena, viaTerms := kl0.NewProgram(nil), kl0.NewProgram(nil)
+		if err := viaArena.AddSource("<program>", src); err != nil {
+			t.Fatal(err)
+		}
+		cs, err := parse.Clauses("<program>", src)
+		if err == nil {
+			err = viaTerms.AddClauses(cs)
+		}
+		if err != nil {
+			t.Fatalf("the arena path compiles, the term path fails: %v", err)
+		}
+		sameImage(t, viaArena, viaTerms)
 	})
+}
+
+// sameImage demands two compiled images equal word for word: code,
+// symbol numbering, procedures with their clause tables, and the
+// procedure owning every code offset.
+func sameImage(t *testing.T, a, b *kl0.Program) {
+	t.Helper()
+	if !slices.Equal(a.Code, b.Code) {
+		t.Fatalf("code differs:\n%v\n%v", a.Code, b.Code)
+	}
+	if a.Syms.Len() != b.Syms.Len() {
+		t.Fatalf("%d symbols, %d symbols", a.Syms.Len(), b.Syms.Len())
+	}
+	for i := uint32(0); int(i) < a.Syms.Len(); i++ {
+		if a.Syms.Name(i) != b.Syms.Name(i) {
+			t.Fatalf("symbol %d: %q, %q", i, a.Syms.Name(i), b.Syms.Name(i))
+		}
+	}
+	if len(a.Procs) != len(b.Procs) {
+		t.Fatalf("%d procedures, %d procedures", len(a.Procs), len(b.Procs))
+	}
+	for i, p := range a.Procs {
+		q := b.Procs[i]
+		if p.Name != q.Name || p.Sym != q.Sym || p.Arity != q.Arity || !slices.Equal(p.Clauses, q.Clauses) {
+			t.Fatalf("procedure %d: %s/%d %v, %s/%d %v", i, p.Name, p.Arity, p.Clauses, q.Name, q.Arity, q.Clauses)
+		}
+	}
+	for off := range a.Code {
+		if a.ProcAt(off) != b.ProcAt(off) {
+			t.Fatalf("offset %d: procedure %d, %d", off, a.ProcAt(off), b.ProcAt(off))
+		}
+	}
 }
 
 func FuzzDifferentialQuery(f *testing.F) {

@@ -333,12 +333,11 @@ func (c *Cache) hit(l *line, op micro.CacheOp, kind word.AreaID) int64 {
 	return stall
 }
 
-// search is AccessBlock's general path: the parity hook, the way
-// search and, on a miss, the replacement.
+// search is AccessBlock's general path: the way search, on a miss the
+// replacement, and the parity hook. The hook fires once the access is
+// counted, so a tag-parity fault leaves the cache's counts equal to the
+// memory commands the machine issued.
 func (c *Cache) search(op micro.CacheOp, block uint32, kind word.AreaID) (hit bool, stallNS int64) {
-	if c.inj != nil {
-		c.inj.CacheAccess(block)
-	}
 	row := block & (c.rows - 1)
 	base := int(row) * c.cfg.Assoc
 	ways := c.lines[base : base+c.cfg.Assoc]
@@ -347,15 +346,20 @@ func (c *Cache) search(op micro.CacheOp, block uint32, kind word.AreaID) (hit bo
 	for i := range ways {
 		if ways[i].holds(tag) {
 			c.touch(row, i)
-			return true, c.hit(&ways[i], op, kind)
+			hit, stallNS = true, c.hit(&ways[i], op, kind)
+			break
 		}
 	}
-
-	stallNS = c.miss(op, block, row, tag, ways)
-	c.Area[kind].Accesses++
-	c.Total.Accesses++
-	c.StallNS += stallNS
-	return false, stallNS
+	if !hit {
+		stallNS = c.miss(op, block, row, tag, ways)
+		c.Area[kind].Accesses++
+		c.Total.Accesses++
+		c.StallNS += stallNS
+	}
+	if c.inj != nil {
+		c.inj.CacheAccess(block)
+	}
+	return hit, stallNS
 }
 
 // miss handles the replacement path of one access: victim selection,

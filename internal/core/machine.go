@@ -191,6 +191,10 @@ type Machine struct {
 	// drained (all-zero) outside a running Solutions.Step. A pointer to
 	// a fixed-size array, so the hashed slot index needs no bounds check.
 	fastTab *[fastTabSize]fastSlot
+	// abort is an abort due at a memory cycle's boundary (a step limit
+	// or a trace-FIFO fault), held until the cycle's access has reached
+	// the cache: see fastBoundary.
+	abort any
 	// tap receives every executed cycle, rebuilt as a micro.Cycle: the
 	// Config.Trace sink (nil when none is attached). tapPred and
 	// missSink are its optional predicate-tracking and miss halves.
@@ -365,6 +369,7 @@ func (m *Machine) Reset(prog *kl0.Program, cfg Config) bool {
 	// Normally already drained by the last Step's flush; cleared here so
 	// a reused machine never inherits deferred counts.
 	clear(m.fastTab[:])
+	m.abort = nil
 	m.prog = prog
 	m.ownProg = false
 	m.loaded = 0
@@ -495,8 +500,11 @@ func (m *Machine) fastStop() {
 // stepStop, so at least one of the events the sentinel guards is
 // (usually) due. key and a identify the cycle just counted (a is zero
 // for a register-only cycle). The per-cycle tap sees the cycle first,
-// rebuilt from its signature key; then come the heartbeat and the
-// step-limit abort, in that order. Out of line so the per-cycle tick
+// rebuilt from its signature key; then come the trace-FIFO hook, the
+// heartbeat and the step-limit abort, in that order. An abort at a
+// memory cycle waits in m.abort until memCycleSlow has taken the
+// cycle's access to the cache, so the cache counts every memory
+// command the statistics count. Out of line so the per-cycle tick
 // stays within the inlining budget.
 //
 //go:noinline
@@ -507,16 +515,29 @@ func (m *Machine) fastBoundary(key uint32, a word.Addr) {
 	if m.inj != nil {
 		// Every microcycle is one COLLECT trace record; the hook models
 		// the trace FIFO overrunning.
-		m.inj.TraceRecord()
+		if c := m.inj.TraceRecord(); c != nil {
+			m.abortAt(key, c)
+			return
+		}
 	}
 	if m.hb != nil && m.stats.Steps >= m.hbAt {
 		m.hbAt += m.hbEvery
 		m.hb(Heartbeat{Steps: m.stats.Steps, SimNS: m.TimeNS(), Inferences: m.inferences})
 	}
 	if m.maxSteps > 0 && m.stats.Steps > m.maxSteps {
-		stepLimitPanic(m.maxSteps)
+		m.abortAt(key, stepLimitError(m.maxSteps))
+		return
 	}
 	m.fastStop()
+}
+
+// abortAt raises abort v at the cycle with signature key: at once for a
+// register-only cycle, after its cache access for a memory cycle.
+func (m *Machine) abortAt(key uint32, v any) {
+	if micro.CacheOp((key-1)>>12&3) == micro.OpNone {
+		panic(v)
+	}
+	m.abort = v
 }
 
 // charge charges the current predicate with the work done since the
@@ -526,10 +547,9 @@ func (m *Machine) fastBoundary(key uint32, a word.Addr) {
 // first, because enterPred runs between cycles — so charging at the
 // switches attributes exactly what a per-cycle profiler would. Without
 // a cache every access is a miss and adds cache.MissExtraNS to
-// noCacheStall, which therefore holds the access count. A memory cycle
-// aborted before its cache probe (a step limit or a trace-FIFO or
-// tag-parity fault) counts in Steps but, as in the cache, not among the
-// accesses.
+// noCacheStall, which therefore holds the access count. A run aborted
+// at a memory cycle has taken that cycle's access to the cache first
+// (see fastBoundary), so it counts among the accesses like every other.
 func (m *Machine) charge() {
 	cycles := m.stats.Steps - m.chargedSteps
 	if cycles == 0 {
@@ -556,12 +576,9 @@ func (m *Machine) profileFlush() {
 	}
 }
 
-// stepLimitPanic raises the step-limit abort out of line, keeping the
-// tick small enough to stay cheap.
-//
-//go:noinline
-func stepLimitPanic(limit int64) {
-	panic(&RunError{Msg: fmt.Sprintf("step limit %d exceeded", limit), Class: engine.ErrStepLimit})
+// stepLimitError is the step-limit abort.
+func stepLimitError(limit int64) *RunError {
+	return &RunError{Msg: fmt.Sprintf("step limit %d exceeded", limit), Class: engine.ErrStepLimit}
 }
 
 // configureFault wires (or with nil unwires) the fault injector into the
@@ -776,6 +793,11 @@ func (m *Machine) memCycle(key uint32, op micro.CacheOp, a word.Addr) *word.Word
 //go:noinline
 func (m *Machine) memCycleSlow(sl *fastSlot, key uint32, op micro.CacheOp, a word.Addr) *word.Word {
 	m.tickSlow(sl, key, a)
+	if m.abort != nil && m.inj != nil {
+		// The run ends at this cycle: its access completes only to be
+		// counted, and fires no injection site.
+		m.inj.Disarm()
+	}
 	write := op != micro.OpRead
 	phys, cell, ok := m.mem.Cell(a, write)
 	if !ok {
@@ -795,6 +817,10 @@ func (m *Machine) memCycleSlow(sl *fastSlot, key uint32, op micro.CacheOp, a wor
 	}
 	if m.access != nil {
 		m.access.Access(op, a)
+	}
+	if v := m.abort; v != nil {
+		m.abort = nil
+		panic(v)
 	}
 	if ok {
 		return cell

@@ -70,16 +70,13 @@ func (s *Solutions) Err() error { return s.err }
 
 // Solve parses src as a goal, compiles it and returns its solutions.
 func (m *Machine) Solve(src string) (*Solutions, error) {
-	g, err := parse.Term(src)
+	a := term.GetArena()
+	defer a.Release()
+	g, err := parse.ReadGoal(a, src)
 	if err != nil {
 		return nil, err
 	}
-	return m.SolveTerm(g)
-}
-
-// SolveTerm compiles goal and returns its solutions.
-func (m *Machine) SolveTerm(goal *term.Term) (*Solutions, error) {
-	q, err := m.prog.CompileQuery(goal)
+	q, err := m.prog.CompileGoal(a, g)
 	if err != nil {
 		return nil, err
 	}

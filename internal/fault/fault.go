@@ -307,15 +307,17 @@ func (i *Injector) WFWrite(idx int) {
 
 // TraceRecord is the cycle-stream hook: on the triggering record it
 // models the COLLECT FIFO overrunning, losing the measurement stream.
-func (i *Injector) TraceRecord() {
+// Unlike the other hooks it returns the fault instead of raising it:
+// the machine raises it once the cycle's memory access is counted.
+func (i *Injector) TraceRecord() *Check {
 	n, ok := i.fire(SiteTrace)
 	if !ok {
-		return
+		return nil
 	}
-	panic(&Check{
+	return &Check{
 		Site: SiteTrace, N: n,
 		Msg: fmt.Sprintf("COLLECT trace FIFO overrun at record %d: measurement stream lost", n),
-	})
+	}
 }
 
 // CorruptTrace deterministically damages a serialized trace stream (the

@@ -16,6 +16,7 @@ import (
 	"repro/internal/parse"
 	"repro/internal/progs"
 	"repro/internal/telemetry"
+	"repro/internal/term"
 	"repro/internal/trace"
 )
 
@@ -39,7 +40,6 @@ type Compiled struct {
 	decProg *dec10.Program
 	decQ    *dec10.Query
 	decErr  error
-	src     string // kept for the lazy DEC-10 compile
 }
 
 type cacheEntry struct {
@@ -78,49 +78,54 @@ func CompileKeyed(key string, b progs.Benchmark) (*Compiled, error) {
 // over an unbounded stream of distinct submitted programs.
 func Evict(key string) { progCache.Delete(key) }
 
+// compileBenchmark reads the program and its queries into one pooled
+// term arena and compiles them from it.
 func compileBenchmark(b progs.Benchmark) (*Compiled, error) {
+	a := term.GetArena()
+	defer a.Release()
 	prog := kl0.NewProgram(nil)
-	cs, err := parse.Clauses(b.Name, b.Source)
+	cs, err := parse.Read(a, b.Name, b.Source)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", b.Name, err)
 	}
-	if err := prog.AddClauses(cs); err != nil {
+	if err := prog.Compile(a, cs); err != nil {
 		return nil, fmt.Errorf("%s: %w", b.Name, err)
 	}
 	procs := b.Processes
 	if procs == 0 {
 		procs = 1
 	}
-	c := &Compiled{Prog: prog, Procs: procs, name: b.Name, qsrc: b.Query, src: b.Source}
+	c := &Compiled{Prog: prog, Procs: procs, name: b.Name, qsrc: b.Query}
 	// The handler query is compiled before the main query, the order the
 	// serial harness used. Code offsets decide heap addresses and hence
 	// cache behaviour, so this order is part of the published numbers.
 	if b.Handler != "" {
-		hg, err := parse.Term(b.Handler)
+		hg, err := parse.ReadGoal(a, b.Handler)
 		if err != nil {
 			return nil, err
 		}
-		if c.Handler, err = prog.CompileQuery(hg); err != nil {
+		if c.Handler, err = prog.CompileGoal(a, hg); err != nil {
 			return nil, fmt.Errorf("%s handler: %w", b.Name, err)
 		}
 	}
-	g, err := parse.Term(b.Query)
+	g, err := parse.ReadGoal(a, b.Query)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", b.Name, err)
 	}
-	if c.Query, err = prog.CompileQuery(g); err != nil {
+	if c.Query, err = prog.CompileGoal(a, g); err != nil {
 		return nil, fmt.Errorf("%s: %w", b.Name, err)
 	}
 	return c, nil
 }
 
-// DEC returns a private snapshot of the compiled DEC-10 baseline and its
-// precompiled query. The base image is compiled on first use (most
-// tables never touch the DEC side).
-func (c *Compiled) DEC() (*dec10.Program, *dec10.Query, error) {
+// DEC returns a private snapshot of the compiled DEC-10 baseline of src,
+// the benchmark's program text, and its precompiled query. The base
+// image is compiled on first use (most tables never touch the DEC side);
+// the KL0 image keeps no source text, so the caller supplies it.
+func (c *Compiled) DEC(src string) (*dec10.Program, *dec10.Query, error) {
 	c.decOnce.Do(func() {
 		prog := dec10.NewProgram(nil)
-		cs, err := parse.Clauses(c.name, c.src)
+		cs, err := parse.Clauses(c.name, src)
 		if err != nil {
 			c.decErr = fmt.Errorf("%s: %w", c.name, err)
 			return

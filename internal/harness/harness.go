@@ -73,7 +73,7 @@ func runDECWith(o Options, b progs.Benchmark) (*dec10.Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, q, err := c.DEC()
+	prog, q, err := c.DEC(b.Source)
 	if err != nil {
 		return nil, err
 	}

@@ -19,7 +19,7 @@ const (
 // varInfo is one named clause variable: its occurrences, then its
 // classification, then whether its fresh occurrence has been emitted.
 type varInfo struct {
-	name       string
+	num        int32 // the variable's number in its clause
 	count      int
 	inCompound bool
 	kind       varKind
@@ -28,59 +28,43 @@ type varInfo struct {
 	emitted    bool
 }
 
-// linearVars is the number of distinct variables up to which a clause's
-// variables are found by scanning; a clause with more gets a name index.
-const linearVars = 32
-
-// classifier scans a clause and decides each variable's kind. A Program
-// keeps one and reuses its variable table for every clause it compiles.
+// classifier scans a clause and decides each variable's kind. The
+// compile scratch keeps one and reuses its tables for every clause.
 type classifier struct {
 	forceGlobal bool
-	vars        []varInfo      // in order of first occurrence
-	byName      map[string]int // index into vars, once len(vars) > linearVars
+	vars        []varInfo // in order of first occurrence
+	slot        []int32   // 1 + index into vars by variable number, 0 if unseen
 }
 
-// reset empties the classifier for the next clause, dropping every
-// variable name.
+// reset empties the classifier for the next clause.
 func (c *classifier) reset(forceGlobal bool) {
-	clear(c.vars)
+	for _, v := range c.vars {
+		c.slot[v.num] = 0
+	}
 	c.vars = c.vars[:0]
-	c.byName = nil
 	c.forceGlobal = forceGlobal
 }
 
-// lookup returns the named variable, or nil if the clause has none.
-func (c *classifier) lookup(name string) *varInfo {
-	if c.byName != nil {
-		if i, ok := c.byName[name]; ok {
-			return &c.vars[i]
-		}
-		return nil
-	}
-	for i := range c.vars {
-		if c.vars[i].name == name {
-			return &c.vars[i]
-		}
+// lookup returns variable number k, or nil if the clause has none (and
+// for the anonymous variable).
+func (c *classifier) lookup(k int32) *varInfo {
+	if uint32(k) < uint32(len(c.slot)) && c.slot[k] != 0 {
+		return &c.vars[c.slot[k]-1]
 	}
 	return nil
 }
 
-func (c *classifier) touch(name string) *varInfo {
-	if name == "_" {
+func (c *classifier) touch(k int32) *varInfo {
+	if k == term.Anon {
 		return nil
 	}
-	vi := c.lookup(name)
+	vi := c.lookup(k)
 	if vi == nil {
-		c.vars = append(c.vars, varInfo{name: name})
-		switch {
-		case c.byName != nil:
-			c.byName[name] = len(c.vars) - 1
-		case len(c.vars) > linearVars:
-			c.byName = make(map[string]int, 2*len(c.vars))
-			for i := range c.vars {
-				c.byName[c.vars[i].name] = i
-			}
+		if int(k) >= len(c.slot) {
+			c.slot = append(c.slot, make([]int32, int(k)+1-len(c.slot))...)
 		}
+		c.vars = append(c.vars, varInfo{num: k})
+		c.slot[k] = int32(len(c.vars))
 		vi = &c.vars[len(c.vars)-1]
 	}
 	vi.count++
@@ -88,34 +72,34 @@ func (c *classifier) touch(name string) *varInfo {
 }
 
 // scanTerm records occurrences below the top level (inside a compound).
-func (c *classifier) scanTerm(t *term.Term) {
-	switch t.Kind {
+func (c *classifier) scanTerm(a *term.Arena, t term.Ref) {
+	switch a.Kind(t) {
 	case term.Var:
-		if vi := c.touch(t.Name); vi != nil {
+		if vi := c.touch(a.VarNum(t)); vi != nil {
 			vi.inCompound = true
 		}
 	case term.Compound:
-		for _, a := range t.Args {
-			c.scanTerm(a)
+		for _, x := range a.Args(t) {
+			c.scanTerm(a, x)
 		}
 	}
 }
 
 // scanArgs records top-level argument occurrences.
-func (c *classifier) scanArgs(args []*term.Term) {
-	for _, a := range args {
-		if a.Kind == term.Var {
-			c.touch(a.Name)
+func (c *classifier) scanArgs(a *term.Arena, args []term.Ref) {
+	for _, x := range args {
+		if a.Kind(x) == term.Var {
+			c.touch(a.VarNum(x))
 			continue
 		}
-		c.scanTerm(a)
+		c.scanTerm(a, x)
 	}
 }
 
 // scanGoals records all body occurrences.
-func (c *classifier) scanGoals(goals []goal) {
+func (c *classifier) scanGoals(a *term.Arena, goals []goal) {
 	for _, g := range goals {
-		c.scanArgs(g.args)
+		c.scanArgs(a, g.args)
 	}
 }
 
@@ -130,10 +114,11 @@ type varSet struct {
 	nLocals  int
 	nGlobals int
 	ginit    int
-	err      error
 }
 
-func (c *classifier) finish(clause *term.Term) varSet {
+// finish classifies the scanned variables. The caller checks the frame
+// sizes against MaxArity.
+func (c *classifier) finish() varSet {
 	var vs varSet
 	// Pass 1: eager globals (inside compound terms) take the low indices.
 	for i := range c.vars {
@@ -167,21 +152,15 @@ func (c *classifier) finish(clause *term.Term) varSet {
 			vs.nLocals++
 		}
 	}
-	if vs.nGlobals > MaxArity {
-		vs.err = errf(clause, "clause needs %d global variables; at most %d supported", vs.nGlobals, MaxArity)
-	}
-	if vs.nLocals > MaxArity {
-		vs.err = errf(clause, "clause needs %d local variables; at most %d supported", vs.nLocals, MaxArity)
-	}
 	return vs
 }
 
-// globalNames lists the global variables by slot.
-func (c *classifier) globalNames(vs varSet) []string {
+// globalNames lists the global variables of clause cl by slot.
+func (c *classifier) globalNames(vs varSet, a *term.Arena, cl term.Clause) []string {
 	names := make([]string, vs.nGlobals)
 	for _, v := range c.vars {
 		if v.kind == kindGlobal {
-			names[v.index] = v.name
+			names[v.index] = a.VarName(cl, v.num)
 		}
 	}
 	return names
@@ -190,8 +169,9 @@ func (c *classifier) globalNames(vs varSet) []string {
 // emitter writes instruction code words for one clause.
 type emitter struct {
 	p      *Program
+	a      *term.Arena
 	cl     *classifier
-	clause *term.Term
+	clause term.Clause
 	// offs holds skeleton offsets: those of the clause's top-level
 	// compound arguments in emission order, read back through next,
 	// with each emitSkel's pending children stacked above them.
@@ -201,7 +181,7 @@ type emitter struct {
 
 // emitClause writes all skeletons then the clause proper, returning the
 // offset of the info word.
-func (em *emitter) emitClause(headArgs []*term.Term, goals []goal, vars varSet) (int, error) {
+func (em *emitter) emitClause(headArgs []term.Ref, goals []goal, vars varSet) (int, error) {
 	// Emit skeletons for every compound argument first so the clause body
 	// is a contiguous run of words (instruction fetch locality).
 	for _, a := range headArgs {
@@ -248,8 +228,8 @@ func (em *emitter) emitClause(headArgs []*term.Term, goals []goal, vars varSet) 
 
 // prepareArg emits the skeleton(s) for a compound argument and queues
 // its offset for the clause proper.
-func (em *emitter) prepareArg(t *term.Term) error {
-	if t.Kind != term.Compound {
+func (em *emitter) prepareArg(t term.Ref) error {
+	if em.a.Kind(t) != term.Compound {
 		return nil
 	}
 	off, err := em.emitSkel(t)
@@ -264,14 +244,15 @@ func (em *emitter) prepareArg(t *term.Term) error {
 // returns its offset. Each occurrence of a compound gets its own
 // skeleton: within one clause, neither the parser nor the lifting of
 // control constructs shares a subterm.
-func (em *emitter) emitSkel(t *term.Term) (int, error) {
-	if len(t.Args) > MaxArity {
-		return 0, errf(em.clause, "functor arity %d exceeds %d", len(t.Args), MaxArity)
+func (em *emitter) emitSkel(t term.Ref) (int, error) {
+	args := em.a.Args(t)
+	if len(args) > MaxArity {
+		return 0, em.p.errf(em.clause, "functor arity %d exceeds %d", len(args), MaxArity)
 	}
 	base := len(em.offs)
-	for _, a := range t.Args {
-		if a.Kind == term.Compound {
-			off, err := em.emitSkel(a)
+	for _, x := range args {
+		if em.a.Kind(x) == term.Compound {
+			off, err := em.emitSkel(x)
 			if err != nil {
 				return 0, err
 			}
@@ -279,16 +260,16 @@ func (em *emitter) emitSkel(t *term.Term) (int, error) {
 		}
 	}
 	off := len(em.p.Code)
-	sym := em.p.Syms.Intern(t.Functor)
-	em.p.Code = append(em.p.Code, word.Functor(sym, len(t.Args)))
+	sym := em.p.sym(em.a.Sym(t))
+	em.p.Code = append(em.p.Code, word.Functor(sym, len(args)))
 	child := base
-	for _, a := range t.Args {
-		if a.Kind == term.Compound {
+	for _, x := range args {
+		if em.a.Kind(x) == term.Compound {
 			em.p.Code = append(em.p.Code, word.Skel(word.Addr(em.offs[child])))
 			child++
 			continue
 		}
-		w, err := em.argWord(a)
+		w, err := em.argWord(x)
 		if err != nil {
 			return 0, err
 		}
@@ -299,13 +280,11 @@ func (em *emitter) emitSkel(t *term.Term) (int, error) {
 }
 
 // argWord encodes one argument position.
-func (em *emitter) argWord(t *term.Term) (word.Word, error) {
-	switch t.Kind {
+func (em *emitter) argWord(t term.Ref) (word.Word, error) {
+	a := em.a
+	switch a.Kind(t) {
 	case term.Var:
-		if t.Name == "_" {
-			return word.New(word.TagVoid, 0), nil
-		}
-		v := em.cl.lookup(t.Name)
+		v := em.cl.lookup(a.VarNum(t))
 		var tag word.Tag
 		switch {
 		case v == nil || v.kind == kindVoid:
@@ -326,20 +305,20 @@ func (em *emitter) argWord(t *term.Term) (word.Word, error) {
 		}
 		return word.New(tag, data), nil
 	case term.Int:
-		if t.N < math.MinInt32 || t.N > math.MaxInt32 {
-			return 0, errf(em.clause, "integer %d does not fit in a 32-bit data part", t.N)
+		n := a.IntVal(t)
+		if n < math.MinInt32 || n > math.MaxInt32 {
+			return 0, em.p.errf(em.clause, "integer %d does not fit in a 32-bit data part", n)
 		}
-		return word.Int32(int32(t.N)), nil
+		return word.Int32(int32(n)), nil
 	case term.Atom:
-		if t.Functor == "[]" {
+		if a.Sym(t) == term.IDNil {
 			return word.Nil, nil
 		}
-		return word.Atom(em.p.Syms.Intern(t.Functor)), nil
-	case term.Compound:
+		return word.Atom(em.p.sym(a.Sym(t))), nil
+	default: // a compound
 		// A top-level argument: prepareArg emitted its skeleton.
 		off := em.offs[em.next]
 		em.next++
 		return word.Skel(word.Addr(off)), nil
 	}
-	return 0, errf(em.clause, "cannot encode term %s", t)
 }

@@ -7,13 +7,16 @@ import (
 	"fmt"
 	"hash"
 	"os"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	psi "repro"
 	"repro/internal/kl0"
 	"repro/internal/parse"
 	"repro/internal/progs"
+	"repro/internal/term"
 )
 
 var updateImage = flag.Bool("update", false, "rewrite testdata/code-image.txt from the current compiler")
@@ -52,32 +55,18 @@ func imageCorpus() []progs.Benchmark {
 }
 
 // imageDigest compiles b the way the evaluation harness does (program,
-// then handler query, then main query) and digests the image: the code
+// then handler query, then main query, all from one arena) and digests
+// the image: the code
 // words, every procedure's clause table, the code ranges and the
 // queries' start, frame size and variable names.
 func imageDigest(t *testing.T, b progs.Benchmark) string {
 	t.Helper()
-	cs, err := parse.Clauses(b.Name, b.Source)
+	prog, qs, err := compileArena(b)
 	if err != nil {
 		t.Fatalf("%s: %v", b.Name, err)
 	}
-	prog := kl0.NewProgram(nil)
-	if err := prog.AddClauses(cs); err != nil {
-		t.Fatalf("%s: %v", b.Name, err)
-	}
 	var queries []string
-	for _, src := range []string{b.Handler, b.Query} {
-		if src == "" {
-			continue
-		}
-		g, err := parse.Term(src)
-		if err != nil {
-			t.Fatalf("%s: %v", b.Name, err)
-		}
-		q, err := prog.CompileQuery(g)
-		if err != nil {
-			t.Fatalf("%s: %v", b.Name, err)
-		}
+	for _, q := range qs {
 		queries = append(queries, fmt.Sprintf("%d:%d:%s", q.Start, q.NGlobals, strings.Join(q.Vars, ",")))
 	}
 
@@ -134,4 +123,152 @@ func TestCodeImagePinned(t *testing.T) {
 			t.Errorf("code image changed:\n got:  %s\n want: %s", lines[i], wantLines[i])
 		}
 	}
+}
+
+// compileArena compiles b the way the evaluation harness does: the
+// program and both queries read into one pooled arena and compiled from
+// it.
+func compileArena(b progs.Benchmark) (*kl0.Program, []*kl0.Query, error) {
+	a := term.GetArena()
+	defer a.Release()
+	prog := kl0.NewProgram(nil)
+	cs, err := parse.Read(a, b.Name, b.Source)
+	if err == nil {
+		err = prog.Compile(a, cs)
+	}
+	var qs []*kl0.Query
+	for _, src := range []string{b.Handler, b.Query} {
+		if src == "" || err != nil {
+			continue
+		}
+		var g term.Clause
+		if g, err = parse.ReadGoal(a, src); err == nil {
+			var q *kl0.Query
+			if q, err = prog.CompileGoal(a, g); err == nil {
+				qs = append(qs, q)
+			}
+		}
+	}
+	return prog, qs, err
+}
+
+// compileTerms compiles b through source terms: parse.Clauses and
+// parse.Term, then AddClauses and CompileQuery.
+func compileTerms(b progs.Benchmark) (*kl0.Program, []*kl0.Query, error) {
+	prog := kl0.NewProgram(nil)
+	cs, err := parse.Clauses(b.Name, b.Source)
+	if err == nil {
+		err = prog.AddClauses(cs)
+	}
+	var qs []*kl0.Query
+	for _, src := range []string{b.Handler, b.Query} {
+		if src == "" || err != nil {
+			continue
+		}
+		var g *term.Term
+		if g, err = parse.Term(src); err == nil {
+			var q *kl0.Query
+			if q, err = prog.CompileQuery(g); err == nil {
+				qs = append(qs, q)
+			}
+		}
+	}
+	return prog, qs, err
+}
+
+// imageText writes out a whole image: the symbol table in numbering
+// order, every procedure with its clause table, the code ranges, the
+// queries and the code words.
+func imageText(prog *kl0.Program, qs []*kl0.Query) []string {
+	var out []string
+	for i := 0; i < prog.Syms.Len(); i++ {
+		out = append(out, fmt.Sprintf("sym %d %q", i, prog.Syms.Name(uint32(i))))
+	}
+	for _, p := range prog.Procs {
+		out = append(out, fmt.Sprintf("proc %s/%d sym %d clauses %v", p.Name, p.Arity, p.Sym, p.Clauses))
+	}
+	for _, r := range prog.CodeRanges() {
+		out = append(out, fmt.Sprintf("range %v", r))
+	}
+	for _, q := range qs {
+		out = append(out, fmt.Sprintf("query %d %d %q", q.Start, q.NGlobals, q.Vars))
+	}
+	for i, w := range prog.Code {
+		out = append(out, fmt.Sprintf("code %d %#x", i, uint64(w)))
+	}
+	return out
+}
+
+// TestArenaMatchesTermsImage compiles each program through the arena
+// and through source terms, and demands the same image word for word —
+// code, symbol numbering, procedures, clause tables, code ranges and
+// queries — or the same error.
+func TestArenaMatchesTermsImage(t *testing.T) {
+	corpus := append(imageCorpus(), progs.Window1, progs.Window3)
+	for i, size := range []int{300, 1100, 3000} {
+		facts := fmt.Sprintf("id(1, 2, %d).\n", i) + kl0.FactBase(size)
+		corpus = append(corpus,
+			progs.Benchmark{Name: fmt.Sprintf("distinct-%d", size), Source: facts, Query: "f(7, X, _)"},
+			progs.Benchmark{Name: fmt.Sprintf("distinct-stdlib-%d", size), Source: psi.StdLib + "\n" + facts,
+				Query: "f(1, A, _), f(2, B, _), max_list([A, B], X)"})
+	}
+	corpus = append(corpus,
+		progs.Benchmark{Name: "undefined", Source: "p :- (q ; r).\nq.\n", Query: "p"},
+		progs.Benchmark{Name: "bad-query", Source: "p.", Query: "p, nosuch(X)"},
+		progs.Benchmark{Name: "syntax", Source: "p.\nq(.", Query: "p"})
+	for _, b := range corpus {
+		pa, qa, erra := compileArena(b)
+		pt, qt, errt := compileTerms(b)
+		if fmt.Sprint(erra) != fmt.Sprint(errt) {
+			t.Errorf("%s: arena path error %v, term path error %v", b.Name, erra, errt)
+			continue
+		}
+		ia, it := imageText(pa, qa), imageText(pt, qt)
+		for i := 0; i < len(ia) || i < len(it); i++ {
+			if i >= len(ia) || i >= len(it) || ia[i] != it[i] {
+				t.Errorf("%s: images differ at line %d of %d/%d:\n arena: %v\n terms: %v", b.Name, i, len(ia), len(it), ia[i:min(i+1, len(ia))], it[i:min(i+1, len(it))])
+				break
+			}
+		}
+	}
+}
+
+// TestConcurrentArenaCompiles compiles programs from several goroutines
+// at once, so pooled arenas and scratch pass between them, and demands
+// each image equal its serial compile.
+func TestConcurrentArenaCompiles(t *testing.T) {
+	var corpus []progs.Benchmark
+	for i, size := range []int{5, 40, 300} {
+		corpus = append(corpus,
+			progs.Benchmark{Name: fmt.Sprintf("facts-%d", size), Source: kl0.FactBase(size), Query: "f(1, X, _)"},
+			progs.Benchmark{Name: fmt.Sprintf("stdlib-%d", i), Source: psi.StdLib + kl0.FactBase(size), Query: "f(1, X, _), \\+ X = 0"})
+	}
+	want := make([][]string, len(corpus))
+	for i, b := range corpus {
+		prog, qs, err := compileArena(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = imageText(prog, qs)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 3*len(corpus); k++ {
+				i := (g + k) % len(corpus)
+				prog, qs, err := compileArena(corpus[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := imageText(prog, qs); !slices.Equal(got, want[i]) {
+					t.Errorf("goroutine %d: %s compiled to another image", g, corpus[i].Name)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/builtin"
+	"repro/internal/parse"
 	"repro/internal/term"
 	"repro/internal/word"
 )
@@ -114,12 +115,12 @@ type Query struct {
 // image is relocatable: TagSkel words and clause starts are offsets into
 // Code; the machine loader adds its heap base.
 //
-// Compilation (AddClauses, CompileQuery) is serialized by an internal
-// mutex, so concurrent compiles are safe. Once compiled, the image may be
-// shared read-only by any number of machines running concurrently; the
-// only runtime mutations a shared program tolerates are symbol interning
-// (guarded in term.Symbols) and first-argument index builds (guarded
-// here). Dynamic predicates (assertz/retract) mutate the clause lists and
+// Compilation (Compile, CompileGoal and their wrappers) is serialized
+// by an internal mutex, so concurrent compiles are safe. Once compiled,
+// the image may be shared read-only by any number of machines running
+// concurrently; the only runtime mutations a shared program tolerates
+// are symbol interning (guarded in term.Symbols) and first-argument
+// index builds (guarded here). Dynamic predicates (assertz/retract) mutate the clause lists and
 // are only safe on a program owned by a single machine: a machine
 // switches to a private Clone before its first such mutation.
 type Program struct {
@@ -134,34 +135,62 @@ type Program struct {
 	// code is emitted; read without the lock by running machines (the
 	// sharing contract: compilation happens before concurrent runs).
 	ranges []codeRange
-	// scratch is reused by every clause compiled under mu.
-	scratch scratch
+	// scratch is the compile state, from a pool, while a compile holds
+	// mu; nil otherwise.
+	scratch *scratch
 }
 
-// scratch is a Program's per-clause compile state, reused under mu so
-// that compiling a clause allocates nothing of its own. AddClauses and
-// CompileQuery clear it before they return: the source terms of one
-// parse share slab memory, so a single term left here would keep the
-// whole parse alive for as long as the program.
+// scratch is the per-clause compile state, reused from a pool so that
+// compiling a clause (or a whole program) allocates nothing of its own.
+// Compile and CompileGoal clear it and return it to the pool, so a
+// compiled image keeps no reference to the arena it was compiled from.
 type scratch struct {
-	cl classifier
+	a    *term.Arena // the arena being compiled
+	syms []symInfo   // by arena symbol
+	cl   classifier
 	// goals and work are stacks: a query's lifted predicates compile
 	// while its own goals wait, and a lifted batch compiles while the
 	// rest of its enclosing batch waits.
-	goals []goal    // normalized bodies
-	work  []pending // clauses of the batches being compiled
-	offs  []int     // skeleton offsets, see emitter
+	goals []goal     // normalized bodies
+	work  []pending  // clauses of the batches being compiled
+	offs  []int      // skeleton offsets, see emitter
+	vars  []term.Ref // varsOf's result
+	seen  []bool     // variable numbers met by varsOf
 }
 
-// release drops every reference the scratch holds into source terms.
-// Entries past each slice's length are always zero: the compile paths
-// append to these fields directly and clear what they truncate.
-func (s *scratch) release() {
+// symInfo is what a compile has learnt about one arena symbol, so that
+// it interns and looks up each name once, not at every occurrence.
+type symInfo struct {
+	g     uint32 // the program symbol plus one; 0 until first use
+	arity int32  // the arity plus one of the built-in lookup below; 0 before one
+	bi    Builtin
+	isBI  bool
+}
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// bind starts a compile from a, under mu.
+func (p *Program) bind(a *term.Arena) {
+	s := scratches.Get().(*scratch)
+	s.a = a
+	s.syms = slices.Grow(s.syms[:0], a.NumSyms())[:a.NumSyms()]
+	clear(s.syms)
+	p.scratch = s
+}
+
+// unbind ends a compile. Entries past each scratch slice's length are
+// always zero: the compile paths append to these fields directly and
+// clear what they truncate.
+func (p *Program) unbind() {
+	s := p.scratch
+	p.scratch = nil
+	s.a = nil
 	s.cl.reset(false)
 	clear(s.goals)
 	s.goals = s.goals[:0]
 	clear(s.work)
 	s.work = s.work[:0]
+	scratches.Put(s)
 }
 
 // popGoals clears the normalized goals stacked above base.
@@ -228,12 +257,48 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("kl0: in clause (%s): %s", e.Clause, e.Msg)
 }
 
-func errf(clause *term.Term, format string, args ...interface{}) error {
-	c := ""
-	if clause != nil {
-		c = clause.String()
+// errf reports an error in clause c of the arena being compiled.
+func (p *Program) errf(c term.Clause, format string, args ...interface{}) error {
+	return &Error{Clause: p.scratch.a.Text(c), Msg: fmt.Sprintf(format, args...)}
+}
+
+// sym returns the program symbol of arena symbol id, interning its name
+// on first use. Symbols are numbered in the order of first use, so the
+// compile calls sym exactly where the image needs a symbol.
+func (p *Program) sym(id int32) uint32 {
+	si := p.symInfo(id)
+	if si.g == 0 {
+		si.g = p.Syms.Intern(p.scratch.a.Name(id)) + 1
 	}
-	return &Error{Clause: c, Msg: fmt.Sprintf(format, args...)}
+	return si.g - 1
+}
+
+// lookupSym returns the program symbol of arena symbol id without
+// interning it.
+func (p *Program) lookupSym(id int32) (uint32, bool) {
+	if si := p.symInfo(id); si.g != 0 {
+		return si.g - 1, true
+	}
+	return p.Syms.Lookup(p.scratch.a.Name(id))
+}
+
+// builtin resolves arena symbol id with the given arity to a built-in.
+func (p *Program) builtin(id int32, arity int) (Builtin, bool) {
+	si := p.symInfo(id)
+	if int(si.arity) != arity+1 {
+		si.bi, si.isBI = LookupBuiltin(p.scratch.a.Name(id), arity)
+		si.arity = int32(arity + 1)
+	}
+	return si.bi, si.isBI
+}
+
+func (p *Program) symInfo(id int32) *symInfo {
+	s := p.scratch
+	if int(id) >= len(s.syms) {
+		// The compile interned a lifted predicate's name.
+		s.syms = append(s.syms, make([]symInfo, int(id)+1-len(s.syms))...)
+	}
+	return &s.syms[id]
 }
 
 func procKey(sym uint32, arity int) uint64 { return uint64(sym)<<8 | uint64(arity) }
@@ -291,14 +356,14 @@ func (p *Program) ProcName(id int) string {
 	return p.Procs[id].Indicator()
 }
 
-func (p *Program) ensureProc(name string, arity int) int {
-	sym := p.Syms.Intern(name)
+func (p *Program) ensureProc(id int32, arity int) int {
+	sym := p.sym(id)
 	key := procKey(sym, arity)
 	if idx, ok := p.procIndex[key]; ok {
 		return idx
 	}
 	idx := len(p.Procs)
-	p.Procs = append(p.Procs, &Proc{Name: name, Sym: sym, Arity: arity})
+	p.Procs = append(p.Procs, &Proc{Name: p.Syms.Name(sym), Sym: sym, Arity: arity})
 	p.procIndex[key] = idx
 	return idx
 }
@@ -309,65 +374,109 @@ type goal struct {
 	builtin Builtin
 	isBI    bool
 	proc    int // user proc index when !isBI && !cut
-	args    []*term.Term
+	args    []term.Ref
 }
 
 // pending is one clause of a batch, registered and awaiting code.
 type pending struct {
-	src   *term.Term
-	head  *term.Term
-	body  *term.Term
+	src   term.Clause
+	head  term.Ref
+	body  term.Ref // term.NoRef for a fact
 	owner int
 }
 
-// AddClauses compiles a batch of source clauses into the program. Within
-// the batch, forward references are allowed; references to predicates of
-// earlier batches resolve too. A clause of the form (H :- B) is a rule,
-// anything else a fact. Directives (:- G) are rejected — run goals
-// through a Query instead.
+// AddClauses compiles a batch of source clauses into the program,
+// through an arena: see Compile.
 func (p *Program) AddClauses(clauses []*term.Term) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	defer p.scratch.release()
-	return p.addClauses(clauses)
+	a := term.GetArena()
+	defer a.Release()
+	for _, c := range clauses {
+		a.AddTerm(c)
+	}
+	return p.Compile(a, a.Clauses())
 }
 
-// addClauses is AddClauses without the lock, for the recursive
-// compilation of lifted auxiliary predicates. A nested batch stacks its
-// clauses above the enclosing batch's in the scratch work list.
-func (p *Program) addClauses(clauses []*term.Term) error {
+// AddSource parses a program text and compiles its clauses.
+func (p *Program) AddSource(path, src string) error {
+	a := term.GetArena()
+	defer a.Release()
+	cs, err := parse.Read(a, path, src)
+	if err != nil {
+		return err
+	}
+	return p.Compile(a, cs)
+}
+
+// Compile compiles a batch of clauses of arena a into the program.
+// Within the batch, forward references are allowed; references to
+// predicates of earlier batches resolve too. A clause of the form
+// (H :- B) is a rule, anything else a fact. Directives (:- G) are
+// rejected — run goals through a Query instead. Compile appends the
+// auxiliary clauses it lifts out of control constructs to a.
+func (p *Program) Compile(a *term.Arena, cs []term.Clause) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.bind(a)
+	defer p.unbind()
+	// A compound's code is its functor word and argument words, and a
+	// clause adds its info and end words: room for that saves the image
+	// regrowing clause by clause. Clause structure (':-', ',') makes it
+	// an overestimate for rules.
+	comps, args := a.Size()
+	p.Code = slices.Grow(p.Code, comps+args+2*len(cs))
+	p.ranges = slices.Grow(p.ranges, len(cs))
+	return p.addClauses(cs)
+}
+
+// addClauses is Compile without the lock, for the recursive compilation
+// of lifted auxiliary predicates. A nested batch stacks its clauses
+// above the enclosing batch's in the scratch work list.
+func (p *Program) addClauses(cs []term.Clause) error {
+	a := p.scratch.a
 	base := len(p.scratch.work)
 
 	// Pass 1: register every defined predicate so bodies can resolve
 	// forward references.
-	for _, c := range clauses {
-		head, body := c, (*term.Term)(nil)
-		if c.Kind == term.Compound && c.Functor == ":-" {
-			switch len(c.Args) {
+	for _, c := range cs {
+		head, body := c.Root, term.NoRef
+		if a.Kind(head) == term.Compound && a.Sym(head) == term.IDNeck {
+			switch args := a.Args(head); len(args) {
 			case 2:
-				head, body = c.Args[0], c.Args[1]
+				head, body = args[0], args[1]
 			case 1:
-				return errf(c, "directives are not supported; compile a query instead")
+				return p.errf(c, "directives are not supported; compile a query instead")
 			}
 		}
-		if head.Kind != term.Atom && head.Kind != term.Compound {
-			return errf(c, "clause head must be an atom or compound term, got %s", head)
+		if k := a.Kind(head); k != term.Atom && k != term.Compound {
+			return p.errf(c, "clause head must be an atom or compound term, got %s", a.Text(term.Clause{Root: head, Vars: c.Vars}))
 		}
-		if head.Arity() > MaxArity {
-			return errf(c, "head arity %d exceeds %d", head.Arity(), MaxArity)
+		arity := a.Arity(head)
+		if arity > MaxArity {
+			return p.errf(c, "head arity %d exceeds %d", arity, MaxArity)
 		}
-		if _, isBI := LookupBuiltin(head.Functor, head.Arity()); isBI {
-			return errf(c, "cannot redefine built-in %s/%d", head.Functor, head.Arity())
+		if _, isBI := p.builtin(a.Sym(head), arity); isBI {
+			return p.errf(c, "cannot redefine built-in %s/%d", a.Name(a.Sym(head)), arity)
 		}
-		idx := p.ensureProc(head.Functor, head.Arity())
+		idx := p.ensureProc(a.Sym(head), arity)
 		p.scratch.work = append(p.scratch.work, pending{src: c, head: head, body: body, owner: idx})
+	}
+
+	// Room for each run of clauses of one procedure, as for the code.
+	work := p.scratch.work[base:]
+	for i := 0; i < len(work); {
+		j := i + 1
+		for j < len(work) && work[j].owner == work[i].owner {
+			j++
+		}
+		proc := p.Procs[work[i].owner]
+		proc.Clauses = slices.Grow(proc.Clauses, j-i)
+		i = j
 	}
 
 	// Pass 2: compile. A lifted predicate's batch may grow the work
 	// list, so entries are read by index.
 	for i, end := base, len(p.scratch.work); i < end; i++ {
-		w := p.scratch.work[i]
-		if err := p.compileClause(w.src, w.head, w.body, w.owner); err != nil {
+		if err := p.compileClause(p.scratch.work[i]); err != nil {
 			return err
 		}
 	}
@@ -376,15 +485,24 @@ func (p *Program) addClauses(clauses []*term.Term) error {
 	return nil
 }
 
-// CompileQuery compiles a top-level goal into a pseudo-clause with arity
-// 0 whose variables are all global.
+// CompileQuery compiles a top-level goal, through an arena: see
+// CompileGoal.
 func (p *Program) CompileQuery(body *term.Term) (*Query, error) {
+	a := term.GetArena()
+	defer a.Release()
+	return p.CompileGoal(a, a.AddTerm(body))
+}
+
+// CompileGoal compiles goal c of arena a into a pseudo-clause with arity
+// 0 whose variables are all global.
+func (p *Program) CompileGoal(a *term.Arena, c term.Clause) (*Query, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	defer p.scratch.release()
+	p.bind(a)
+	defer p.unbind()
 	base := len(p.scratch.goals)
-	var lifted []*term.Term
-	if err := p.normalizeBody(body, body, &lifted); err != nil {
+	var lifted []term.Clause
+	if err := p.normalizeBody(c.Root, c, &lifted); err != nil {
 		return nil, err
 	}
 	if err := p.compileLifted(lifted); err != nil {
@@ -393,50 +511,51 @@ func (p *Program) CompileQuery(body *term.Term) (*Query, error) {
 	goals := p.scratch.goals[base:]
 	cl := &p.scratch.cl
 	cl.reset(true)
-	cl.scanGoals(goals)
-	vars := cl.finish(nil)
+	cl.scanGoals(a, goals)
+	vars := cl.finish()
 	if vars.nGlobals > MaxArity {
-		return nil, errf(body, "query has %d variables; at most %d supported", vars.nGlobals, MaxArity)
+		return nil, p.errf(c, "query has %d variables; at most %d supported", vars.nGlobals, MaxArity)
 	}
-	em := emitter{p: p, cl: cl, clause: body, offs: p.scratch.offs[:0]}
+	em := emitter{p: p, a: a, cl: cl, clause: c, offs: p.scratch.offs[:0]}
 	start, err := em.emitClause(nil, goals, vars)
 	p.scratch.offs = em.offs[:0]
 	if err != nil {
 		return nil, err
 	}
 	p.ranges = append(p.ranges, codeRange{start: start, end: len(p.Code), proc: -1})
-	return &Query{Start: start, Vars: cl.globalNames(vars), NGlobals: vars.nGlobals}, nil
+	return &Query{Start: start, Vars: cl.globalNames(vars, a, c), NGlobals: vars.nGlobals}, nil
 }
 
-func (p *Program) compileClause(src, head, body *term.Term, owner int) error {
+func (p *Program) compileClause(w pending) error {
+	a := p.scratch.a
 	base := len(p.scratch.goals)
-	var lifted []*term.Term
-	if body != nil {
-		if err := p.normalizeBody(body, src, &lifted); err != nil {
+	var lifted []term.Clause
+	if w.body != term.NoRef {
+		if err := p.normalizeBody(w.body, w.src, &lifted); err != nil {
 			return err
 		}
 	}
 	cl := &p.scratch.cl
 	cl.reset(false)
-	var headArgs []*term.Term
-	if head.Kind == term.Compound {
-		headArgs = head.Args
-	}
+	headArgs := a.Args(w.head)
 	goals := p.scratch.goals[base:]
-	cl.scanArgs(headArgs)
-	cl.scanGoals(goals)
-	vars := cl.finish(src)
-	if vars.err != nil {
-		return vars.err
+	cl.scanArgs(a, headArgs)
+	cl.scanGoals(a, goals)
+	vars := cl.finish()
+	if vars.nLocals > MaxArity {
+		return p.errf(w.src, "clause needs %d local variables; at most %d supported", vars.nLocals, MaxArity)
 	}
-	em := emitter{p: p, cl: cl, clause: src, offs: p.scratch.offs[:0]}
+	if vars.nGlobals > MaxArity {
+		return p.errf(w.src, "clause needs %d global variables; at most %d supported", vars.nGlobals, MaxArity)
+	}
+	em := emitter{p: p, a: a, cl: cl, clause: w.src, offs: p.scratch.offs[:0]}
 	start, err := em.emitClause(headArgs, goals, vars)
 	p.scratch.offs = em.offs[:0]
 	if err != nil {
 		return err
 	}
 	p.scratch.popGoals(base)
-	proc := p.Procs[owner]
+	proc := p.Procs[w.owner]
 	if proc.nDead > 0 {
 		proc.alive = append(proc.alive, len(proc.Clauses))
 	}
@@ -445,12 +564,12 @@ func (p *Program) compileClause(src, head, body *term.Term, owner int) error {
 		NLocals:  vars.nLocals,
 		NGlobals: vars.nGlobals,
 	})
-	p.ranges = append(p.ranges, codeRange{start: start, end: len(p.Code), proc: owner})
+	p.ranges = append(p.ranges, codeRange{start: start, end: len(p.Code), proc: w.owner})
 	// Compile any predicates lifted out of control constructs.
 	return p.compileLifted(lifted)
 }
 
-func (p *Program) compileLifted(lifted []*term.Term) error {
+func (p *Program) compileLifted(lifted []term.Clause) error {
 	if len(lifted) == 0 {
 		return nil
 	}
@@ -460,12 +579,13 @@ func (p *Program) compileLifted(lifted []*term.Term) error {
 // normalizeBody flattens a clause body onto the scratch goal stack,
 // lifting disjunction, if-then-else and negation into fresh auxiliary
 // predicates whose clauses it appends to lifted.
-func (p *Program) normalizeBody(t, src *term.Term, lifted *[]*term.Term) error {
-	if t.Kind == term.Compound && t.Functor == "," && len(t.Args) == 2 {
-		if err := p.normalizeBody(t.Args[0], src, lifted); err != nil {
+func (p *Program) normalizeBody(t term.Ref, src term.Clause, lifted *[]term.Clause) error {
+	if a := p.scratch.a; a.Is(t, term.IDComma, 2) {
+		args := a.Args(t)
+		if err := p.normalizeBody(args[0], src, lifted); err != nil {
 			return err
 		}
-		return p.normalizeBody(t.Args[1], src, lifted)
+		return p.normalizeBody(args[1], src, lifted)
 	}
 	g, aux, err := p.normalizeGoal(t, src)
 	if err != nil {
@@ -476,109 +596,136 @@ func (p *Program) normalizeBody(t, src *term.Term, lifted *[]*term.Term) error {
 	return nil
 }
 
-func (p *Program) freshAux() string {
+func (p *Program) freshAux() int32 {
 	p.auxCount++
-	return fmt.Sprintf("$aux%d", p.auxCount)
+	return p.scratch.a.Intern(fmt.Sprintf("$aux%d", p.auxCount))
 }
 
 // containsTopCut reports whether a conjunction contains cut at the top
 // level (not inside a nested control construct).
-func containsTopCut(t *term.Term) bool {
-	if t.Kind == term.Atom && t.Functor == "!" {
+func containsTopCut(a *term.Arena, t term.Ref) bool {
+	if a.Is(t, term.IDCut, 0) {
 		return true
 	}
-	if t.Kind == term.Compound && t.Functor == "," && len(t.Args) == 2 {
-		return containsTopCut(t.Args[0]) || containsTopCut(t.Args[1])
+	if a.Is(t, term.IDComma, 2) {
+		args := a.Args(t)
+		return containsTopCut(a, args[0]) || containsTopCut(a, args[1])
 	}
 	return false
 }
 
-func auxHead(name string, varNames []string) *term.Term {
-	args := make([]*term.Term, len(varNames))
-	for i, v := range varNames {
-		args[i] = term.NewVar(v)
+// varsOf returns the distinct named variables of t in order of first
+// occurrence, one Ref each. The slice is scratch, valid until the next
+// call.
+func (p *Program) varsOf(t term.Ref) []term.Ref {
+	s := p.scratch
+	s.vars = s.vars[:0]
+	var walk func(term.Ref)
+	walk = func(t term.Ref) {
+		switch s.a.Kind(t) {
+		case term.Var:
+			k := int(s.a.VarNum(t))
+			if k == term.Anon {
+				return
+			}
+			if k >= len(s.seen) {
+				s.seen = append(s.seen, make([]bool, k+1-len(s.seen))...)
+			}
+			if !s.seen[k] {
+				s.seen[k] = true
+				s.vars = append(s.vars, t)
+			}
+		case term.Compound:
+			for _, x := range s.a.Args(t) {
+				walk(x)
+			}
+		}
 	}
-	return term.NewCompound(name, args...)
+	walk(t)
+	for _, v := range s.vars {
+		s.seen[s.a.VarNum(v)] = false
+	}
+	return s.vars
 }
 
-func (p *Program) normalizeGoal(t *term.Term, src *term.Term) (goal, []*term.Term, error) {
+// auxHead adds the head of a lifted predicate: an atom when it has no
+// variables, as term.NewCompound makes one.
+func (p *Program) auxHead(id int32, vars []term.Ref) term.Ref {
+	if len(vars) == 0 {
+		return p.scratch.a.Atom(id)
+	}
+	return p.scratch.a.Compound(id, vars...)
+}
+
+func (p *Program) normalizeGoal(t term.Ref, src term.Clause) (goal, []term.Clause, error) {
+	a := p.scratch.a
+	clause := func(root term.Ref) term.Clause { return term.Clause{Root: root, Vars: src.Vars} }
+	rule := func(head, body term.Ref) term.Clause { return clause(a.Compound(term.IDNeck, head, body)) }
+	conj := func(x, y term.Ref) term.Ref { return a.Compound(term.IDComma, x, y) }
 	switch {
-	case t.Kind == term.Var:
+	case a.Kind(t) == term.Var:
 		// A variable goal is a metacall.
-		return goal{builtin: BCall, isBI: true, args: []*term.Term{t}}, nil, nil
+		return goal{builtin: BCall, isBI: true, args: []term.Ref{t}}, nil, nil
 
-	case t.Kind == term.Int:
-		return goal{}, nil, errf(src, "integer %d cannot be a goal", t.N)
+	case a.Kind(t) == term.Int:
+		return goal{}, nil, p.errf(src, "integer %d cannot be a goal", a.IntVal(t))
 
-	case t.Kind == term.Atom && t.Functor == "!":
+	case a.Is(t, term.IDCut, 0):
 		return goal{cut: true}, nil, nil
 
-	case t.Kind == term.Compound && t.Functor == ";" && len(t.Args) == 2:
+	case a.Is(t, term.IDSemi, 2):
+		args := a.Args(t)
 		name := p.freshAux()
-		vars := t.Vars()
+		vars := p.varsOf(t)
 		p.ensureProc(name, len(vars))
-		head := auxHead(name, vars)
-		var aux []*term.Term
-		if c, ok := splitIfThen(t.Args[0]); ok {
+		head := p.auxHead(name, vars)
+		var aux []term.Clause
+		if a.Is(args[0], term.IDArrow, 2) {
 			// (C -> T ; E): the condition's cut is local — lifting is exact.
-			aux = []*term.Term{
-				term.NewCompound(":-", head, conj(c.cond, conj(term.NewAtom("!"), c.then))),
-				term.NewCompound(":-", head, t.Args[1]),
+			c := a.Args(args[0])
+			aux = []term.Clause{
+				rule(head, conj(c[0], conj(a.Atom(term.IDCut), c[1]))),
+				rule(head, args[1]),
 			}
 		} else {
-			if containsTopCut(t.Args[0]) || containsTopCut(t.Args[1]) {
-				return goal{}, nil, errf(src, "cut at the top level of a disjunct is not supported (KL0 restriction); restructure the clause")
+			if containsTopCut(a, args[0]) || containsTopCut(a, args[1]) {
+				return goal{}, nil, p.errf(src, "cut at the top level of a disjunct is not supported (KL0 restriction); restructure the clause")
 			}
-			aux = []*term.Term{
-				term.NewCompound(":-", head, t.Args[0]),
-				term.NewCompound(":-", head, t.Args[1]),
-			}
+			aux = []term.Clause{rule(head, args[0]), rule(head, args[1])}
 		}
 		g, _, err := p.normalizeGoal(head, src)
 		return g, aux, err
 
-	case t.Kind == term.Compound && t.Functor == "->" && len(t.Args) == 2:
+	case a.Is(t, term.IDArrow, 2):
 		// Bare if-then is (C -> T ; fail).
-		return p.normalizeGoal(term.NewCompound(";", t, term.NewAtom("fail")), src)
+		return p.normalizeGoal(a.Compound(term.IDSemi, t, a.Atom(term.IDFail)), src)
 
-	case t.Kind == term.Compound && t.Functor == "\\+" && len(t.Args) == 1:
+	case a.Is(t, term.IDNot, 1):
+		arg := a.Args(t)[0]
 		name := p.freshAux()
-		vars := t.Args[0].Vars()
+		vars := p.varsOf(arg)
 		p.ensureProc(name, len(vars))
-		head := auxHead(name, vars)
-		aux := []*term.Term{
-			term.NewCompound(":-", head,
-				conj(t.Args[0], conj(term.NewAtom("!"), term.NewAtom("fail")))),
-			head,
+		head := p.auxHead(name, vars)
+		aux := []term.Clause{
+			rule(head, conj(arg, conj(a.Atom(term.IDCut), a.Atom(term.IDFail)))),
+			clause(head),
 		}
 		g, _, err := p.normalizeGoal(head, src)
 		return g, aux, err
 
-	case t.Kind == term.Atom || t.Kind == term.Compound:
-		if t.Arity() > MaxArity {
-			return goal{}, nil, errf(src, "goal arity %d exceeds %d", t.Arity(), MaxArity)
+	default: // an atom or compound
+		arity := a.Arity(t)
+		if arity > MaxArity {
+			return goal{}, nil, p.errf(src, "goal arity %d exceeds %d", arity, MaxArity)
 		}
-		if bi, ok := LookupBuiltin(t.Functor, t.Arity()); ok {
-			return goal{builtin: bi, isBI: true, args: t.Args}, nil, nil
+		if bi, ok := p.builtin(a.Sym(t), arity); ok {
+			return goal{builtin: bi, isBI: true, args: a.Args(t)}, nil, nil
 		}
-		sym, ok := p.Syms.Lookup(t.Functor)
-		if ok {
-			if idx, ok := p.procIndex[procKey(sym, t.Arity())]; ok {
-				return goal{proc: idx, args: t.Args}, nil, nil
+		if sym, ok := p.lookupSym(a.Sym(t)); ok {
+			if idx, ok := p.procIndex[procKey(sym, arity)]; ok {
+				return goal{proc: idx, args: a.Args(t)}, nil, nil
 			}
 		}
-		return goal{}, nil, errf(src, "call to undefined predicate %s", t.Indicator())
+		return goal{}, nil, p.errf(src, "call to undefined predicate %s/%d", a.Name(a.Sym(t)), arity)
 	}
-	return goal{}, nil, errf(src, "malformed goal %s", t)
 }
-
-type ifThen struct{ cond, then *term.Term }
-
-func splitIfThen(t *term.Term) (ifThen, bool) {
-	if t.Kind == term.Compound && t.Functor == "->" && len(t.Args) == 2 {
-		return ifThen{t.Args[0], t.Args[1]}, true
-	}
-	return ifThen{}, false
-}
-
-func conj(a, b *term.Term) *term.Term { return term.NewCompound(",", a, b) }

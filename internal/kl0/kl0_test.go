@@ -232,8 +232,13 @@ func TestErrors(t *testing.T) {
 			t.Fatalf("parse error in test source %q: %v", src, err)
 		}
 		p := NewProgram(nil)
-		if err := p.AddClauses(cs); err == nil {
+		err = p.AddClauses(cs)
+		if err == nil {
 			t.Errorf("AddClauses(%q) should fail", src)
+			continue
+		}
+		if aerr := NewProgram(nil).AddSource("t", src); aerr == nil || aerr.Error() != err.Error() {
+			t.Errorf("AddSource(%q) = %v, AddClauses gave %v", src, aerr, err)
 		}
 	}
 }

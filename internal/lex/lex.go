@@ -143,13 +143,14 @@ const symbolChars = "+-*/\\^<>=~:.?@#&$"
 
 func isSymbolChar(c byte) bool { return strings.IndexByte(symbolChars, c) >= 0 }
 
-// Next returns the next token.
-func (l *Lexer) Next() (Token, error) {
+// Scan reads the next token into t. On error it leaves t unchanged.
+func (l *Lexer) Scan(t *Token) error {
 	if err := l.skipSpaceAndComments(); err != nil {
-		return Token{}, err
+		return err
 	}
 	if l.pos >= len(l.src) {
-		return Token{Kind: EOF, Line: l.line}, nil
+		*t = Token{Kind: EOF, Line: l.line}
+		return nil
 	}
 	line := l.line
 	c := l.peek()
@@ -161,29 +162,32 @@ func (l *Lexer) Next() (Token, error) {
 		}
 		text := l.src[start:l.pos]
 		if l.peek() == '(' {
-			return Token{Kind: FunctTok, Text: text, Line: line}, nil
+			*t = Token{Kind: FunctTok, Text: text, Line: line}
+			return nil
 		}
-		return Token{Kind: AtomTok, Text: text, Line: line}, nil
+		*t = Token{Kind: AtomTok, Text: text, Line: line}
+		return nil
 
 	case isUpper(c) || c == '_':
 		start := l.pos
 		for l.pos < len(l.src) && isAlnum(l.peek()) {
 			l.advance()
 		}
-		return Token{Kind: VarTok, Text: l.src[start:l.pos], Line: line}, nil
+		*t = Token{Kind: VarTok, Text: l.src[start:l.pos], Line: line}
+		return nil
 
 	case isDigit(c):
-		return l.lexNumber(line)
+		return l.lexNumber(t, line)
 
 	case c == '\'':
-		return l.lexQuoted(line)
+		return l.lexQuoted(t, line)
 
 	case c == '"':
 		l.advance()
 		var b strings.Builder
 		for {
 			if l.pos >= len(l.src) {
-				return Token{}, l.errf("unterminated string")
+				return l.errf("unterminated string")
 			}
 			ch := l.advance()
 			if ch == '"' {
@@ -197,22 +201,25 @@ func (l *Lexer) Next() (Token, error) {
 			if ch == '\\' {
 				e, err := l.escape()
 				if err != nil {
-					return Token{}, err
+					return err
 				}
 				b.WriteRune(e)
 				continue
 			}
 			b.WriteByte(ch)
 		}
-		return Token{Kind: StrTok, Text: b.String(), Line: line}, nil
+		*t = Token{Kind: StrTok, Text: b.String(), Line: line}
+		return nil
 
 	case c == '(' || c == ')' || c == '[' || c == ']' || c == '{' || c == '}' || c == ',' || c == '|' || c == '!' || c == ';':
 		l.advance()
 		text := l.src[l.pos-1 : l.pos]
 		if c == '!' || c == ';' {
-			return Token{Kind: AtomTok, Text: text, Line: line}, nil
+			*t = Token{Kind: AtomTok, Text: text, Line: line}
+			return nil
 		}
-		return Token{Kind: PunctTok, Text: text, Line: line}, nil
+		*t = Token{Kind: PunctTok, Text: text, Line: line}
+		return nil
 
 	case isSymbolChar(c):
 		start := l.pos
@@ -223,46 +230,51 @@ func (l *Lexer) Next() (Token, error) {
 		// A lone '.' is the clause terminator unless immediately applied
 		// to arguments, as in '.'(H,T) written .(H,T).
 		if text == "." && l.peek() != '(' {
-			return Token{Kind: EndTok, Text: ".", Line: line}, nil
+			*t = Token{Kind: EndTok, Text: ".", Line: line}
+			return nil
 		}
 		if l.peek() == '(' {
-			return Token{Kind: FunctTok, Text: text, Line: line}, nil
+			*t = Token{Kind: FunctTok, Text: text, Line: line}
+			return nil
 		}
-		return Token{Kind: AtomTok, Text: text, Line: line}, nil
+		*t = Token{Kind: AtomTok, Text: text, Line: line}
+		return nil
 
 	default:
 		if c < 128 && unicode.IsPrint(rune(c)) {
-			return Token{}, l.errf("unexpected character %q", c)
+			return l.errf("unexpected character %q", c)
 		}
-		return Token{}, l.errf("unexpected byte %#x", c)
+		return l.errf("unexpected byte %#x", c)
 	}
 }
 
-func (l *Lexer) lexNumber(line int) (Token, error) {
+func (l *Lexer) lexNumber(t *Token, line int) error {
 	start := l.pos
 	// 0'c character code syntax.
 	if l.peek() == '0' && l.peekAt(1) == '\'' {
 		l.advance()
 		l.advance()
 		if l.pos >= len(l.src) {
-			return Token{}, l.errf("unterminated character code")
+			return l.errf("unterminated character code")
 		}
 		ch := l.advance()
 		if ch == '\\' {
 			e, err := l.escape()
 			if err != nil {
-				return Token{}, err
+				return err
 			}
-			return Token{Kind: IntTok, Int: int64(e), Line: line}, nil
+			*t = Token{Kind: IntTok, Int: int64(e), Line: line}
+			return nil
 		}
 		if ch == '\'' {
 			// 0''' writes the quote character as a doubled quote.
 			if l.peek() != '\'' {
-				return Token{}, l.errf("expected doubled quote in 0''' character code")
+				return l.errf("expected doubled quote in 0''' character code")
 			}
 			l.advance()
 		}
-		return Token{Kind: IntTok, Int: int64(ch), Line: line}, nil
+		*t = Token{Kind: IntTok, Int: int64(ch), Line: line}
+		return nil
 	}
 	for l.pos < len(l.src) && isDigit(l.peek()) {
 		l.advance()
@@ -272,18 +284,19 @@ func (l *Lexer) lexNumber(line int) (Token, error) {
 	for i := 0; i < len(text); i++ {
 		v = v*10 + int64(text[i]-'0')
 		if v > 1<<40 {
-			return Token{}, l.errf("integer literal %s out of range", text)
+			return l.errf("integer literal %s out of range", text)
 		}
 	}
-	return Token{Kind: IntTok, Int: v, Line: line}, nil
+	*t = Token{Kind: IntTok, Int: v, Line: line}
+	return nil
 }
 
-func (l *Lexer) lexQuoted(line int) (Token, error) {
+func (l *Lexer) lexQuoted(t *Token, line int) error {
 	l.advance() // opening quote
 	var b strings.Builder
 	for {
 		if l.pos >= len(l.src) {
-			return Token{}, l.errf("unterminated quoted atom")
+			return l.errf("unterminated quoted atom")
 		}
 		c := l.advance()
 		if c == '\'' {
@@ -297,7 +310,7 @@ func (l *Lexer) lexQuoted(line int) (Token, error) {
 		if c == '\\' {
 			e, err := l.escape()
 			if err != nil {
-				return Token{}, err
+				return err
 			}
 			b.WriteRune(e)
 			continue
@@ -306,9 +319,11 @@ func (l *Lexer) lexQuoted(line int) (Token, error) {
 	}
 	text := b.String()
 	if l.peek() == '(' {
-		return Token{Kind: FunctTok, Text: text, Line: line}, nil
+		*t = Token{Kind: FunctTok, Text: text, Line: line}
+		return nil
 	}
-	return Token{Kind: AtomTok, Text: text, Line: line}, nil
+	*t = Token{Kind: AtomTok, Text: text, Line: line}
+	return nil
 }
 
 func (l *Lexer) escape() (rune, error) {
@@ -345,8 +360,8 @@ func All(src string) ([]Token, error) {
 	l := New(src)
 	var toks []Token
 	for {
-		t, err := l.Next()
-		if err != nil {
+		var t Token
+		if err := l.Scan(&t); err != nil {
 			return nil, err
 		}
 		toks = append(toks, t)

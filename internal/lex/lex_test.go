@@ -172,9 +172,9 @@ func countAllocs(t *testing.T, src string) float64 {
 	t.Helper()
 	return testing.AllocsPerRun(100, func() {
 		l := New(src)
+		var tok Token
 		for {
-			tok, err := l.Next()
-			if err != nil {
+			if err := l.Scan(&tok); err != nil {
 				t.Fatal(err)
 			}
 			if tok.Kind == EOF {

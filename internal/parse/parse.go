@@ -1,6 +1,8 @@
 // Package parse implements a DEC-10-style operator-precedence Prolog
-// reader over the lexer, producing source terms for the KL0 compiler and
-// the DEC-10 baseline compiler.
+// reader over the lexer. It reads into a flat term arena (term.Arena),
+// which the KL0 compiler compiles directly; Clauses and Term convert the
+// arena to source terms for the DEC-10 baseline compiler and other
+// consumers of term.Term.
 package parse
 
 import (
@@ -65,6 +67,8 @@ var infixOps = map[string]opDef{
 	"^":    {200, xfy},
 }
 
+var commaOp = infixOps[","]
+
 var prefixOps = map[string]opDef{
 	":-":  {1200, fx},
 	"?-":  {1200, fx},
@@ -74,100 +78,46 @@ var prefixOps = map[string]opDef{
 	"\\":  {200, fy},
 }
 
-// Parser reads a sequence of clauses from source text.
-//
-// The terms it returns come from slabs the parser owns: nodes holds
-// term.Term values and vecs argument vectors, each handed out from
-// chunks that grow with the parse. Terms of one parse therefore share
-// memory, and since clauses straddle chunks, holding any one of them
-// can keep the whole parse alive. Arguments and list elements collect
-// on stack, which is reused for every term the parser reads.
+// Parser reads a sequence of clauses from source text into a term
+// arena. Arguments and list elements collect on the arena's stack, and
+// each clause numbers its own variables.
 type Parser struct {
-	lx    *lex.Lexer
-	tok   lex.Token
-	err   error
-	path  string
-	nodes slab[term.Term]
-	vecs  slab[*term.Term]
-	stack []*term.Term
+	lx   lex.Lexer
+	tok  lex.Token
+	err  error
+	path string
+	a    *term.Arena
 }
 
-// New returns a parser over src. path is used in error messages.
+// New returns a parser over src that reads into a fresh arena. path is
+// used in error messages.
 func New(path, src string) *Parser {
-	p := &Parser{lx: lex.New(src), path: path}
-	p.next()
+	p := &Parser{}
+	p.init(term.NewArena(), path, src)
 	return p
 }
 
-// Slab chunks start at minChunk values, so a one-term parse stays
-// small, and double up to maxChunk, so a large program costs a few
-// allocations per thousand terms.
-const (
-	minChunk = 8
-	maxChunk = 1024
-)
-
-// slab hands out values from chunks that are filled front to back and
-// never reused: the values escape to the caller.
-type slab[T any] struct {
-	free []T // the unused tail of the current chunk
-	size int // length of the current chunk
+// init readies a parser over src. Read and ReadGoal keep their parser
+// on the stack, so the token it holds costs no write barrier.
+func (p *Parser) init(a *term.Arena, path, src string) {
+	*p = Parser{lx: *lex.New(src), path: path, a: a}
+	p.next()
 }
 
-// take returns n fresh values whose slice cannot grow into its
-// neighbours.
-func (s *slab[T]) take(n int) []T {
-	if n > len(s.free) {
-		s.size = min(max(2*s.size, minChunk), maxChunk)
-		s.free = make([]T, max(s.size, n))
-	}
-	v := s.free[:n:n]
-	s.free = s.free[n:]
-	return v
-}
+func (p *Parser) atom(name string) term.Ref { return p.a.Atom(p.a.Intern(name)) }
 
-// node returns a slab copy of t.
-func (p *Parser) node(t term.Term) *term.Term {
-	n := &p.nodes.take(1)[0]
-	*n = t
-	return n
-}
-
-func (p *Parser) atom(name string) *term.Term {
-	return p.node(term.Term{Kind: term.Atom, Functor: name})
-}
-
-func (p *Parser) integer(v int64) *term.Term {
-	return p.node(term.Term{Kind: term.Int, N: v})
-}
-
-// apply returns the compound functor(args...) with a slab copy of args.
-func (p *Parser) apply(functor string, args ...*term.Term) *term.Term {
-	vec := p.vecs.take(len(args))
-	copy(vec, args)
-	return p.node(term.Term{Kind: term.Compound, Functor: functor, Args: vec})
-}
-
-// pop truncates the stack to base, the depth before the caller pushed.
-func (p *Parser) pop(base int) { p.stack = p.stack[:base] }
-
-// list builds the list of the elements stacked above base, ending in
-// tail, and pops them.
-func (p *Parser) list(base int, tail *term.Term) *term.Term {
-	for i := len(p.stack) - 1; i >= base; i-- {
-		tail = p.apply(".", p.stack[i], tail)
-	}
-	p.pop(base)
-	return tail
-}
-
-// top reads one term of precedence at most 1200. A parse that fails
-// midway abandons the frames that pushed onto the stack; top drops what
-// they pushed.
-func (p *Parser) top() (*term.Term, error) {
+// top reads one term of precedence at most 1200 as a clause of its own.
+// A parse that fails midway abandons the frames that pushed onto the
+// stack; top drops what they pushed and the clause's variables.
+func (p *Parser) top() (term.Clause, error) {
+	base := p.a.Depth()
+	p.a.OpenClause()
 	t, err := p.parse(1200)
-	p.pop(0)
-	return t, err
+	p.a.Pop(base)
+	if err != nil {
+		return term.Clause{}, err
+	}
+	return p.a.EndClause(t), nil
 }
 
 // Error is a syntax error with position information.
@@ -189,74 +139,102 @@ func (p *Parser) next() {
 	if p.err != nil {
 		return
 	}
-	t, err := p.lx.Next()
-	if err != nil {
+	if err := p.lx.Scan(&p.tok); err != nil {
 		p.err = &Error{Path: p.path, Line: p.tok.Line, Msg: err.Error()}
-		return
 	}
-	p.tok = t
 }
 
 // ReadClause reads the next clause (a term terminated by '.'). It returns
 // nil, nil at end of input.
 func (p *Parser) ReadClause() (*term.Term, error) {
-	if p.err != nil {
-		return nil, p.err
-	}
-	if p.tok.Kind == lex.EOF {
-		return nil, nil
-	}
-	t, err := p.top()
-	if err != nil {
+	c, ok, err := p.read()
+	if !ok {
 		return nil, err
 	}
+	return p.a.Term(c), nil
+}
+
+// read reads the next clause into the arena; ok is false at end of input
+// and on error.
+func (p *Parser) read() (term.Clause, bool, error) {
 	if p.err != nil {
-		return nil, p.err
+		return term.Clause{}, false, p.err
+	}
+	if p.tok.Kind == lex.EOF {
+		return term.Clause{}, false, nil
+	}
+	c, err := p.top()
+	if err != nil {
+		return c, false, err
+	}
+	if p.err != nil {
+		return c, false, p.err
 	}
 	if p.tok.Kind != lex.EndTok {
-		return nil, p.errf("expected '.' after clause, found %q", p.tok.String())
+		return c, false, p.errf("expected '.' after clause, found %q", p.tok.String())
 	}
 	p.next()
 	if p.err != nil {
-		return nil, p.err
+		return c, false, p.err
 	}
-	return t, nil
+	return c, true, nil
 }
 
-// ReadAll reads all clauses in the source.
-func (p *Parser) ReadAll() ([]*term.Term, error) {
-	var cs []*term.Term
+// Read parses a whole program text into a, returning its clauses. The
+// slice aliases the arena's clause list.
+func Read(a *term.Arena, path, src string) ([]term.Clause, error) {
+	first := len(a.Clauses())
+	var p Parser
+	p.init(a, path, src)
 	for {
-		c, err := p.ReadClause()
+		_, ok, err := p.read()
 		if err != nil {
 			return nil, err
 		}
-		if c == nil {
-			return cs, nil
+		if !ok {
+			return a.Clauses()[first:], nil
 		}
-		cs = append(cs, c)
 	}
+}
+
+// ReadGoal parses a single term from src (no trailing '.') into a.
+func ReadGoal(a *term.Arena, src string) (term.Clause, error) {
+	var p Parser
+	p.init(a, "<term>", src)
+	c, err := p.top()
+	if err != nil {
+		return c, err
+	}
+	if p.err != nil {
+		return c, p.err
+	}
+	if p.tok.Kind != lex.EOF && p.tok.Kind != lex.EndTok {
+		return c, p.errf("trailing input %q", p.tok.String())
+	}
+	return c, nil
 }
 
 // Term parses a single term from src (no trailing '.').
 func Term(src string) (*term.Term, error) {
-	p := New("<term>", src)
-	t, err := p.top()
+	a := term.GetArena()
+	defer a.Release()
+	c, err := ReadGoal(a, src)
 	if err != nil {
 		return nil, err
 	}
-	if p.err != nil {
-		return nil, p.err
-	}
-	if p.tok.Kind != lex.EOF && p.tok.Kind != lex.EndTok {
-		return nil, p.errf("trailing input %q", p.tok.String())
-	}
-	return t, nil
+	return a.Term(c), nil
 }
 
-// Clauses parses a whole program text.
+// Clauses parses a whole program text. The terms share slab memory: see
+// term.Arena.Terms.
 func Clauses(path, src string) ([]*term.Term, error) {
-	return New(path, src).ReadAll()
+	a := term.GetArena()
+	defer a.Release()
+	cs, err := Read(a, path, src)
+	if err != nil {
+		return nil, err
+	}
+	return a.Terms(cs), nil
 }
 
 // MustClauses parses a program text and panics on error; for embedding
@@ -270,30 +248,35 @@ func MustClauses(path, src string) []*term.Term {
 }
 
 // parse reads a term whose principal operator has precedence <= maxPrec.
-func (p *Parser) parse(maxPrec int) (*term.Term, error) {
+func (p *Parser) parse(maxPrec int) (term.Ref, error) {
 	left, leftPrec, err := p.parsePrimary(maxPrec)
 	if err != nil {
-		return nil, err
+		return term.NoRef, err
 	}
 	return p.parseInfix(left, leftPrec, maxPrec)
 }
 
-func (p *Parser) parseInfix(left *term.Term, leftPrec, maxPrec int) (*term.Term, error) {
+func (p *Parser) parseInfix(left term.Ref, leftPrec, maxPrec int) (term.Ref, error) {
 	for {
 		if p.err != nil {
-			return nil, p.err
+			return term.NoRef, p.err
 		}
 		var name string
+		var op opDef
 		switch {
 		case p.tok.Kind == lex.AtomTok:
 			name = p.tok.Text
+			var ok bool
+			if op, ok = infixOps[name]; !ok {
+				return left, nil
+			}
 		case p.tok.Kind == lex.PunctTok && p.tok.Text == ",":
-			name = ","
+			// The commonest case, between arguments, needs no lookup.
+			name, op = ",", commaOp
 		default:
 			return left, nil
 		}
-		op, ok := infixOps[name]
-		if !ok || op.prec > maxPrec {
+		if op.prec > maxPrec {
 			return left, nil
 		}
 		var maxLeft, maxRight int
@@ -311,9 +294,9 @@ func (p *Parser) parseInfix(left *term.Term, leftPrec, maxPrec int) (*term.Term,
 		p.next()
 		right, err := p.parse(maxRight)
 		if err != nil {
-			return nil, err
+			return term.NoRef, err
 		}
-		left = p.apply(name, left, right)
+		left = p.a.Compound(p.a.Intern(name), left, right)
 		leftPrec = op.prec
 	}
 }
@@ -329,41 +312,41 @@ func (p *Parser) termStart() bool {
 	return false
 }
 
-func (p *Parser) parsePrimary(maxPrec int) (*term.Term, int, error) {
+func (p *Parser) parsePrimary(maxPrec int) (term.Ref, int, error) {
 	if p.err != nil {
-		return nil, 0, p.err
+		return term.NoRef, 0, p.err
 	}
 	tok := p.tok
 	switch tok.Kind {
 	case lex.IntTok:
 		p.next()
-		return p.integer(tok.Int), 0, nil
+		return p.a.Int(tok.Int), 0, nil
 
 	case lex.VarTok:
 		p.next()
-		return p.node(term.Term{Kind: term.Var, Name: tok.Text}), 0, nil
+		return p.a.Var(tok.Text), 0, nil
 
 	case lex.StrTok:
 		p.next()
-		base := len(p.stack)
+		base := p.a.Depth()
 		for _, r := range tok.Text {
-			p.stack = append(p.stack, p.integer(int64(r)))
+			p.a.Push(p.a.Int(int64(r)))
 		}
-		return p.list(base, p.atom("[]")), 0, nil
+		return p.a.List(base, p.a.Atom(term.IDNil)), 0, nil
 
 	case lex.FunctTok:
 		p.next() // functor; current token is '('
 		if p.tok.Kind != lex.PunctTok || p.tok.Text != "(" {
-			return nil, 0, p.errf("internal: functor token not followed by '('")
+			return term.NoRef, 0, p.errf("internal: functor token not followed by '('")
 		}
 		p.next()
-		base := len(p.stack)
+		base := p.a.Depth()
 		for {
 			a, err := p.parse(999)
 			if err != nil {
-				return nil, 0, err
+				return term.NoRef, 0, err
 			}
-			p.stack = append(p.stack, a)
+			p.a.Push(a)
 			if p.tok.Kind == lex.PunctTok && p.tok.Text == "," {
 				p.next()
 				continue
@@ -371,12 +354,10 @@ func (p *Parser) parsePrimary(maxPrec int) (*term.Term, int, error) {
 			break
 		}
 		if p.tok.Kind != lex.PunctTok || p.tok.Text != ")" {
-			return nil, 0, p.errf("expected ')' in arguments of %s, found %q", tok.Text, p.tok.String())
+			return term.NoRef, 0, p.errf("expected ')' in arguments of %s, found %q", tok.Text, p.tok.String())
 		}
 		p.next()
-		t := p.apply(tok.Text, p.stack[base:]...)
-		p.pop(base)
-		return t, 0, nil
+		return p.a.Apply(p.a.Intern(tok.Text), base), 0, nil
 
 	case lex.AtomTok:
 		name := tok.Text
@@ -390,7 +371,7 @@ func (p *Parser) parsePrimary(maxPrec int) (*term.Term, int, error) {
 				if name == "-" {
 					v = -v
 				}
-				return p.integer(v), 0, nil
+				return p.a.Int(v), 0, nil
 			}
 			argMax := op.prec
 			if op.typ == fx {
@@ -398,9 +379,9 @@ func (p *Parser) parsePrimary(maxPrec int) (*term.Term, int, error) {
 			}
 			arg, err := p.parse(argMax)
 			if err != nil {
-				return nil, 0, err
+				return term.NoRef, 0, err
 			}
-			return p.apply(name, arg), op.prec, nil
+			return p.a.Compound(p.a.Intern(name), arg), op.prec, nil
 		}
 		// Plain atom. An atom that is also an operator keeps its
 		// precedence so that (a :- b) :- c parses correctly.
@@ -415,10 +396,10 @@ func (p *Parser) parsePrimary(maxPrec int) (*term.Term, int, error) {
 			p.next()
 			t, err := p.parse(1200)
 			if err != nil {
-				return nil, 0, err
+				return term.NoRef, 0, err
 			}
 			if p.tok.Kind != lex.PunctTok || p.tok.Text != ")" {
-				return nil, 0, p.errf("expected ')', found %q", p.tok.String())
+				return term.NoRef, 0, p.errf("expected ')', found %q", p.tok.String())
 			}
 			p.next()
 			return t, 0, nil
@@ -429,55 +410,55 @@ func (p *Parser) parsePrimary(maxPrec int) (*term.Term, int, error) {
 			p.next()
 			if p.tok.Kind == lex.PunctTok && p.tok.Text == "}" {
 				p.next()
-				return p.atom("{}"), 0, nil
+				return p.a.Atom(term.IDCurly), 0, nil
 			}
 			t, err := p.parse(1200)
 			if err != nil {
-				return nil, 0, err
+				return term.NoRef, 0, err
 			}
 			if p.tok.Kind != lex.PunctTok || p.tok.Text != "}" {
-				return nil, 0, p.errf("expected '}', found %q", p.tok.String())
+				return term.NoRef, 0, p.errf("expected '}', found %q", p.tok.String())
 			}
 			p.next()
-			return p.apply("{}", t), 0, nil
+			return p.a.Compound(term.IDCurly, t), 0, nil
 		}
 	}
-	return nil, 0, p.errf("unexpected token %q", tok.String())
+	return term.NoRef, 0, p.errf("unexpected token %q", tok.String())
 }
 
-func (p *Parser) parseList() (*term.Term, int, error) {
+func (p *Parser) parseList() (term.Ref, int, error) {
 	if p.tok.Kind == lex.PunctTok && p.tok.Text == "]" {
 		p.next()
-		return p.atom("[]"), 0, nil
+		return p.a.Atom(term.IDNil), 0, nil
 	}
-	base := len(p.stack)
+	base := p.a.Depth()
 	for {
 		e, err := p.parse(999)
 		if err != nil {
-			return nil, 0, err
+			return term.NoRef, 0, err
 		}
-		p.stack = append(p.stack, e)
+		p.a.Push(e)
 		if p.tok.Kind == lex.PunctTok && p.tok.Text == "," {
 			p.next()
 			continue
 		}
 		break
 	}
-	var tail *term.Term
+	tail := term.NoRef
 	if p.tok.Kind == lex.PunctTok && p.tok.Text == "|" {
 		p.next()
 		t, err := p.parse(999)
 		if err != nil {
-			return nil, 0, err
+			return term.NoRef, 0, err
 		}
 		tail = t
 	}
 	if p.tok.Kind != lex.PunctTok || p.tok.Text != "]" {
-		return nil, 0, p.errf("expected ']', found %q", p.tok.String())
+		return term.NoRef, 0, p.errf("expected ']', found %q", p.tok.String())
 	}
 	p.next()
-	if tail == nil {
-		tail = p.atom("[]")
+	if tail == term.NoRef {
+		tail = p.a.Atom(term.IDNil)
 	}
-	return p.list(base, tail), 0, nil
+	return p.a.List(base, tail), 0, nil
 }

@@ -332,6 +332,21 @@ func TestErrorMessages(t *testing.T) {
 		if tc.term && got.(*term.Term) != nil || !tc.term && got.([]*term.Term) != nil {
 			t.Errorf("%q: a failed parse returned %v", tc.src, got)
 		}
+		// Reading into an arena reports the same error and leaves
+		// nothing on its stack.
+		a := term.NewArena()
+		var aerr error
+		if tc.term {
+			_, aerr = ReadGoal(a, tc.src)
+		} else {
+			_, aerr = Read(a, "t", tc.src)
+		}
+		if aerr == nil || aerr.Error() != e.Error() {
+			t.Errorf("%q: arena read error %v, want %q", tc.src, aerr, e.Error())
+		}
+		if a.Depth() != 0 {
+			t.Errorf("%q: %d terms left on the arena stack after the error", tc.src, a.Depth())
+		}
 	}
 }
 
@@ -351,7 +366,16 @@ func TestErrorAfterGoodClauses(t *testing.T) {
 	if c != nil || err == nil || err.Error() != `t:3: expected ']', found "v"` {
 		t.Fatalf("ReadClause = %v, %v; want the line-3 error", c, err)
 	}
-	if len(p.stack) != 0 {
-		t.Errorf("%d terms left on the argument stack after the error", len(p.stack))
+	if p.a.Depth() != 0 {
+		t.Errorf("%d terms left on the argument stack after the error", p.a.Depth())
+	}
+	// Read, the compile path, stops at the same error with the good
+	// clauses read.
+	a := term.NewArena()
+	if cs, rerr := Read(a, "t", "a.\nb(1, [2]).\nc(x, [y, f(z, [w v])]).\n"); cs != nil || rerr == nil || rerr.Error() != err.Error() {
+		t.Fatalf("Read = %v, %v; want the line-3 error", cs, rerr)
+	}
+	if got := a.Clauses(); len(got) != 2 || a.Text(got[0]) != "a" || a.Text(got[1]) != "b(1,[2])" || a.Depth() != 0 {
+		t.Errorf("after the error the arena holds %d clauses and %d stacked terms", len(got), a.Depth())
 	}
 }

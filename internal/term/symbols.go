@@ -1,6 +1,7 @@
 package term
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -66,6 +67,9 @@ func (s *Symbols) Intern(name string) uint32 {
 	if i > 0xffffff {
 		panic("term: symbol table overflow (more than 2^24 symbols)")
 	}
+	// A reader's names are substrings of its source text: a copy keeps
+	// the table from holding the whole text alive.
+	name = strings.Clone(name)
 	s.names = append(s.names, name)
 	names := s.names
 	s.pub.Store(&names)

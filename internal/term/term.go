@@ -1,7 +1,8 @@
-// Package term provides the source-level Prolog term representation shared
-// by the reader, the KL0 compiler, the DEC-10 baseline engine and answer
-// reporting. Terms are immutable trees; variables are identified by name
-// and occurrence so that the compilers can classify them.
+// Package term provides the source-level Prolog term representations.
+// Arena is the flat, pointer-free one the reader builds and the KL0
+// compiler compiles from. Term is the tree the DEC-10 baseline engine,
+// dynamic clauses and answer reporting use; variables are identified by
+// name. Arena.Terms and Arena.AddTerm convert between the two.
 package term
 
 import (

@@ -113,11 +113,7 @@ type Solutions = core.Solutions
 // fresh PSI machine.
 func LoadProgram(source string, opts Options) (*Machine, error) {
 	prog := kl0.NewProgram(nil)
-	cs, err := parse.Clauses("<program>", source)
-	if err != nil {
-		return nil, err
-	}
-	if err := prog.AddClauses(cs); err != nil {
+	if err := prog.AddSource("<program>", source); err != nil {
 		return nil, err
 	}
 	cfg := core.Config{
@@ -162,11 +158,7 @@ func LoadProgram(source string, opts Options) (*Machine, error) {
 
 // AddClauses compiles additional clauses into the loaded program.
 func (m *Machine) AddClauses(source string) error {
-	cs, err := parse.Clauses("<added>", source)
-	if err != nil {
-		return err
-	}
-	return m.m.Program().AddClauses(cs)
+	return m.m.Program().AddSource("<added>", source)
 }
 
 // Solve runs a query; iterate the returned Solutions for the answers.
@@ -376,11 +368,7 @@ func ParseTerm(src string) (*Term, error) { return parse.Term(src) }
 // predicate.
 func DisasmPSI(source, name string, arity int) (string, error) {
 	prog := kl0.NewProgram(nil)
-	cs, err := parse.Clauses("<program>", source)
-	if err != nil {
-		return "", err
-	}
-	if err := prog.AddClauses(cs); err != nil {
+	if err := prog.AddSource("<program>", source); err != nil {
 		return "", err
 	}
 	idx, ok := prog.LookupProc(name, arity)
