@@ -110,6 +110,27 @@ func TestCLIErrorExitCodes(t *testing.T) {
 	}
 }
 
+// TestCLINestedDeadline runs a loop nested in findall/3 under a wall
+// budget and no -steps bound, on both machines: the machine's context
+// poll must stop the nested sub-execution, so the run exits with the
+// deadline code within the budget's order of magnitude instead of
+// running to the default step limit.
+func TestCLINestedDeadline(t *testing.T) {
+	psiBin, _ := buildCLIs(t)
+	prog := writeProg(t, "loop :- loop.\ngo :- findall(X, loop, _).\n")
+	for _, args := range [][]string{{}, {"-dec"}} {
+		start := time.Now()
+		code, stderr := runCLI(t, psiBin, append(args, "-timeout", "200ms", prog)...)
+		d := time.Since(start)
+		if code != 5 || !strings.Contains(stderr, "deadline") {
+			t.Errorf("psi %v: exit code %d, want 5 deadline (stderr: %s)", args, code, stderr)
+		}
+		if d > 3*time.Second {
+			t.Errorf("psi %v: a 200ms budget took %v to end", args, d)
+		}
+	}
+}
+
 // TestCLIDegradedExit drives the graceful-degradation path end to end:
 // with one workload faulted under -keep-going, psibench must still print
 // the surviving rows plus the degraded section on stdout and exit with

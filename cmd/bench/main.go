@@ -2,14 +2,15 @@
 // against its floor. Every rung times its lanes with one interleaved
 // best-of timer and writes one psi-bench/v1 record, BENCH_<rung>.json:
 //
-//   - engine: Solutions.Next vs the engine.Session layer on nreverse
+//   - engine: Session.Next under a live cancelable context, which arms
+//     the machine's context poll, vs Session.Next(nil) on nreverse
 //     (overhead <= 2%);
 //   - fast: the untapped tick vs the same run with a per-cycle
 //     micro.Stats tap on nreverse (speedup >= 1.5x);
 //   - obs: bare fast vs fast with the profiler on nreverse (overhead
-//     <= 10%), and the profiler's per-predicate shares against the
-//     per-cycle reference profiler on every Table 1 program (within
-//     0.05);
+//     <= 10%), and the profiler's per-predicate cycles, memory accesses
+//     and misses against the per-cycle reference profiler on every
+//     Table 1 program (no predicate may differ);
 //   - pmms: the Figure 1 lanes through one streaming Sweeper pass vs the
 //     classified policy grid, on the quick sort trace (grid cost per
 //     lane <= 1.3x streaming).
@@ -24,6 +25,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -289,30 +291,34 @@ func benchEngine() (record, error) {
 		return record{}, err
 	}
 	cfg := core.Config{MaxSteps: core.DefaultMaxSteps}
-	lanes, err := interleave(rounds, wall,
-		lane{"direct", func() error {
+	// A live cancelable context arms the machine's poll; it is never
+	// canceled, so every polled run runs to its answer.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	same := sameWork()
+	runLane := func(ctx context.Context) func() error {
+		return func() error {
 			if err := reset(m, c, cfg, engine.ModeFast); err != nil {
 				return err
 			}
-			return firstAnswer(m, c)
-		}},
-		lane{"session", func() error {
-			if err := reset(m, c, cfg, engine.ModeFast); err != nil {
-				return err
-			}
-			if st, err := core.NewSession(m, c.Query).Next(nil); st != engine.Solution {
+			if st, err := core.NewSession(m, c.Query).Next(ctx); st != engine.Solution {
 				return fmt.Errorf("status %v: %v", st, err)
 			}
-			return nil
-		}})
+			return same(m.Stats().Steps)
+		}
+	}
+	lanes, err := interleave(rounds, wall,
+		lane{"unpolled", runLane(nil)},
+		lane{"polled", runLane(ctx)})
 	if err != nil {
 		return record{}, err
 	}
 	return newRecord(
-		"engine.Session indirection (core.NewSession + Next(nil) vs Solutions.Next)",
-		fmt.Sprintf("best of %d interleaved rounds over %s on one pooled (Reset) machine; direct = Solutions.Next, session = core.NewSession + Session.Next(nil), which takes the Drive fast path (one unbounded step, no context polling)", rounds, b.Name),
+		"context polling at the event boundary (Session.Next(cancelable ctx) vs Session.Next(nil))",
+		fmt.Sprintf("best of %d interleaved rounds over %s (%d cycles) on one pooled (Reset) machine; unpolled = core.NewSession + Next(nil), which arms no poll; polled = the same under a live cancelable context, which arms a poll point every %d steps on the step-limit sentinel; every run checks fast mode and equal cycle counts across lanes",
+			rounds, b.Name, m.Stats().Steps, engine.CheckEvery),
 		lanes,
-		atMost("overhead_pct", overheadPct(lanes["session"], lanes["direct"]), 2),
+		atMost("overhead_pct", overheadPct(lanes["polled"], lanes["unpolled"]), 2),
 	), nil
 }
 
@@ -393,27 +399,27 @@ func benchObs() (record, error) {
 	if err != nil {
 		return record{}, err
 	}
-	maxDelta, worst, err := shareAccuracy()
+	differing, first, err := profileAccuracy()
 	if err != nil {
 		return record{}, err
 	}
 	return newRecord(
 		"telemetry layer: the switch-charged profiler on the fast accounting engine (overhead + accuracy gates)",
-		fmt.Sprintf("overhead: best of %d interleaved rounds over %s on one pooled (Reset) machine, bare fast vs fast+profiler, every run checks fast mode, equal cycle counts and profile total = Steps; accuracy: all %d Table 1 programs profiled and run with the per-cycle reference profiler (obs.CycleProfiler on Config.Trace), totals equal, largest per-predicate share delta: %s",
-			rounds, b.Name, len(progs.Table1()), worst),
+		fmt.Sprintf("overhead: best of %d interleaved rounds over %s on one pooled (Reset) machine, bare fast vs fast+profiler, every run checks fast mode, equal cycle counts and profile total = Steps; accuracy: all %d Table 1 programs profiled and run with the per-cycle reference profiler (obs.CycleProfiler on Config.Trace), every predicate's cycles, memory accesses and misses compared, first difference: %s",
+			rounds, b.Name, len(progs.Table1()), first),
 		lanes,
 		atMost("overhead_pct", overheadPct(lanes["fast_profiled"], lanes["fast_bare"]), 10),
-		atMost("max_share_delta", maxDelta, 0.05),
+		atMost("predicates_differing", float64(differing), 0),
 	), nil
 }
 
-// shareAccuracy profiles every Table 1 program and runs it again with
-// the per-cycle reference profiler, and returns the largest absolute
-// per-predicate share delta with a "program/predicate" label for it
-// ("none, every share equal" when all agree). The two totals must be
-// equal.
-func shareAccuracy() (maxDelta float64, worst string, err error) {
-	worst = "none, every share equal"
+// profileAccuracy profiles every Table 1 program and runs it again with
+// the per-cycle reference profiler, and returns how many predicate
+// entries (cycles, memory accesses, misses) differ, with a
+// "program/predicate" label for the first ("none, every entry equal"
+// when all agree). The two totals must be equal.
+func profileAccuracy() (differing int, first string, err error) {
+	first = "none, every entry equal"
 	for _, b := range progs.Table1() {
 		prof, err := harness.Profile(b)
 		if err != nil {
@@ -426,27 +432,27 @@ func shareAccuracy() (maxDelta float64, worst string, err error) {
 		if prof.TotalCycles != ref.TotalCycles {
 			return 0, "", fmt.Errorf("%s: profile total %d != reference total %d", b.Name, prof.TotalCycles, ref.TotalCycles)
 		}
-		shares := map[string]float64{}
+		want := map[string]obs.PredProfile{}
 		for _, e := range ref.Entries {
-			shares[e.Name] = e.Share
+			want[e.Name] = e
 		}
 		for _, e := range prof.Entries {
-			d := e.Share - shares[e.Name]
-			if d < 0 {
-				d = -d
+			if e != want[e.Name] {
+				if differing == 0 {
+					first = b.Name + "/" + e.Name
+				}
+				differing++
 			}
-			if d > maxDelta {
-				maxDelta, worst = d, b.Name+"/"+e.Name
-			}
-			delete(shares, e.Name)
+			delete(want, e.Name)
 		}
-		for name, share := range shares {
-			if share > maxDelta {
-				maxDelta, worst = share, b.Name+"/"+name
+		for name := range want {
+			if differing == 0 {
+				first = b.Name + "/" + name
 			}
+			differing++
 		}
 	}
-	return maxDelta, worst, nil
+	return differing, first, nil
 }
 
 // referenceProfile runs b to its first answer with the per-cycle

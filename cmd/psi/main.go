@@ -73,9 +73,10 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	// SIGINT cancels the run context: the machine stops at the next
-	// CheckEvery slice and the process exits with the canceled code
-	// instead of dying on the signal.
+	// SIGINT cancels the run context: the machine stops at its next
+	// context poll (every CheckEvery steps, findall/3 included) and the
+	// process exits with the canceled code instead of dying on the
+	// signal.
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt)
 	defer stop()
 

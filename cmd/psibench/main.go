@@ -93,8 +93,9 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	// SIGINT cancels the evaluation context: in-flight runs stop at the
-	// next CheckEvery slice and the process exits with the canceled code.
+	// SIGINT cancels the evaluation context: in-flight runs stop at
+	// their next context poll (every CheckEvery machine steps) and the
+	// process exits with the canceled code.
 	ctx, stopSig := signal.NotifyContext(ctx, os.Interrupt)
 	defer stopSig()
 	o.Ctx = ctx

@@ -12,11 +12,11 @@
 // "stream": true, an NDJSON/SSE stream of solutions ending in a report
 // event. /healthz is liveness (always 200 while the process answers,
 // drain included), /readyz is readiness (503 while draining); /metrics,
-// /debug/pprof and /debug/vars are the ops plane. A stuck-session
-// watchdog hard-cancels sessions overstaying -watchdog-grace times
-// their wall budget (or -watchdog-max for unbudgeted jobs); killed
-// sessions end with the canceled class and a report whose fault block
-// names the watchdog and carries the flight-recorder dump.
+// /debug/pprof and /debug/vars are the ops plane. A job's wall budget
+// (its timeout_ms, else the config's defaults.timeout_ms) is a context
+// deadline the machine polls at its event boundary, nested
+// sub-executions included, so an overrunning job ends with the
+// deadline class within ~64K simulated steps.
 //
 // On SIGTERM or SIGINT the daemon drains gracefully: the listener
 // closes (new connections are refused), queued jobs abort with 503,
@@ -47,8 +47,6 @@ func main() {
 	queueDepth := flag.Int("queue", 0, "max queued jobs before 429 (default 4x workers; -1 = none)")
 	drain := flag.Duration("drain-timeout", 0, "graceful-drain bound before in-flight jobs are canceled (default 30s)")
 	programs := flag.Int("programs", 0, "compiled-program cache capacity (default 256)")
-	watchdogGrace := flag.Float64("watchdog-grace", 0, "kill a session still running this multiple of its wall budget (default 4)")
-	watchdogMax := flag.Duration("watchdog-max", 0, "kill unbudgeted sessions running longer than this (default 0 = exempt)")
 	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile to this `file`")
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -79,12 +77,6 @@ func main() {
 	}
 	if *programs != 0 {
 		cfg.Programs = *programs
-	}
-	if *watchdogGrace != 0 {
-		cfg.WatchdogGrace = *watchdogGrace
-	}
-	if *watchdogMax != 0 {
-		cfg.WatchdogMaxMS = watchdogMax.Milliseconds()
 	}
 
 	stopCPU, err := obs.StartCPUProfile(*cpuProfile)

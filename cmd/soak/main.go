@@ -78,6 +78,6 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "soak: PASSED: %d served (%d retries, %d shed, %d expired, %d watchdog kills), invariants held\n",
-		rep.Served, rep.Retry.Retries, rep.Retry.Shed, rep.Expired, rep.WatchdogKills)
+	fmt.Fprintf(os.Stderr, "soak: PASSED: %d served (%d retries, %d shed, %d expired), invariants held\n",
+		rep.Served, rep.Retry.Retries, rep.Retry.Shed, rep.Expired)
 }

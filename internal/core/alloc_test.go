@@ -88,7 +88,7 @@ func TestClauseRetryAllocations(t *testing.T) {
 			if !m.Reset(prog, cfg) {
 				t.Fatal("Reset refused")
 			}
-			if st := m.SolveQuery(q).Step(0); st != engine.Solution {
+			if st := m.SolveQuery(q).Run(nil); st != engine.Solution {
 				t.Fatalf("n=%d: status %v", n, st)
 			}
 		})

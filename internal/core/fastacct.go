@@ -13,7 +13,7 @@ import (
 // integer key and bumps one counter in a direct-mapped signature table.
 // Distinct signatures are few (one per emission site and dynamic
 // module/area combination), so the same handful of slots stay hot. At
-// every observation boundary — Solutions.Step returning,
+// every observation boundary — Solutions.Run returning,
 // Machine.Stats() — the table is flushed: each slot's count expands
 // into the same per-field additions Stats.Cycle would have performed
 // one cycle at a time. This is the machine's only accounting path; a
@@ -25,9 +25,9 @@ import (
 // 3..11, cache 12..13, branch 14..17, data 18) with the memory-area
 // kind in bits 19..21, offset by one so a zero slot key means "empty".
 //
-// Stats.Steps is NOT deferred: the run loop's budget slicing and the
-// step-limit abort both read it per cycle, and deferring it would move
-// the abort point. The expansion therefore adds everything except
+// Stats.Steps is NOT deferred: the event-boundary sentinel (step limit,
+// heartbeat, context poll) reads it per cycle, and deferring it would
+// move the abort point. The expansion therefore adds everything except
 // Steps.
 
 // fastTabBits sizes the signature table. Signature keys are 23 bits;

@@ -14,6 +14,7 @@
 package core
 
 import (
+	stdcontext "context"
 	"fmt"
 	"io"
 	"math"
@@ -57,7 +58,7 @@ type Config struct {
 	Trace micro.Sink
 	// Profile, when non-nil, is charged the cycles, memory accesses and
 	// cache misses of each predicate at every predicate switch and at
-	// each Solutions.Step boundary — the simulated-workload profiler
+	// each Solutions.Run boundary — the simulated-workload profiler
 	// hook. The charges are exact (they sum to Stats().Steps and the
 	// cache counters at every boundary) and it is not a per-cycle tap:
 	// AccountingMode stays fast.
@@ -84,22 +85,22 @@ type Config struct {
 	// the field remains so existing callers compile.
 	Fast bool
 	// Spans, when non-nil, records a host-time span for every
-	// Solutions.Step slice (Chrome trace-event export; see -trace-out).
+	// Solutions.Run (Chrome trace-event export; see -trace-out).
 	Spans *telemetry.SpanLog
-	// SpanName labels the Step spans (e.g. the workload); "" = "step".
+	// SpanName labels the run spans (e.g. the workload); "" = "step".
 	SpanName string
-	// SpanTID is the trace row the Step spans render on.
+	// SpanTID is the trace row the run spans render on.
 	SpanTID int64
-	// Flight, when non-nil, is the session flight recorder: Step slices,
-	// heartbeats and faults land in its ring, and fault reports dump it
-	// as a post-mortem. Not a per-cycle tap.
+	// Flight, when non-nil, is the session flight recorder: runs and
+	// their outcomes, heartbeats and faults land in its ring, and fault
+	// reports dump it as a post-mortem. Not a per-cycle tap.
 	Flight *telemetry.Flight
 	// Features selects machine-feature ablations and the PSI-II
 	// extensions.
 	Features Features
 	// Fault, when non-nil, is a seeded fault injector wired into the
 	// memory, cache, work-file and trace models. Detected faults panic
-	// with *fault.Check and are contained at the Solutions.Step boundary
+	// with *fault.Check and are contained at the Solutions.Run boundary
 	// as engine.ErrFault. Its trace-FIFO hook makes it a per-cycle tap.
 	Fault *fault.Injector
 }
@@ -188,7 +189,7 @@ type Machine struct {
 	stats micro.Stats
 	// fastTab is the deferred-accounting signature table (see
 	// fastacct.go). Allocated in New and kept across Reset; always fully
-	// drained (all-zero) outside a running Solutions.Step. A pointer to
+	// drained (all-zero) outside a running Solutions.Run. A pointer to
 	// a fixed-size array, so the hashed slot index needs no bounds check.
 	fastTab *[fastTabSize]fastSlot
 	// abort is an abort due at a memory cycle's boundary (a step limit
@@ -227,7 +228,13 @@ type Machine struct {
 	hbEvery int64
 	hbAt    int64
 
-	// Telemetry attachments: Step-slice spans and the session flight
+	// Context-poll state: poll is the cancelable context of the running
+	// Solutions.Run (nil when none is armed), pollAt the Steps value of
+	// the next poll (see armPoll).
+	poll   stdcontext.Context
+	pollAt int64
+
+	// Telemetry attachments: run spans and the session flight
 	// recorder (see run.go).
 	spans    *telemetry.SpanLog
 	spanName string
@@ -246,10 +253,10 @@ type Machine struct {
 	inferences int64
 	maxSteps   int64
 	// stepStop is the event-boundary sentinel: the largest Steps value
-	// needing no attention — min over the step limit and the next
-	// heartbeat (MaxInt64 with neither armed; pinned below every Steps
-	// value while a per-cycle tap is armed), so the per-cycle check is
-	// one branch-free compare. Kept by fastStop;
+	// needing no attention — min over the step limit, the next
+	// heartbeat and the next context poll (MaxInt64 with none armed;
+	// pinned below every Steps value while a per-cycle tap is armed), so
+	// the per-cycle check is one branch-free compare. Kept by fastStop;
 	// crossing it dispatches through fastBoundary.
 	stepStop int64
 	// memStop is the sentinel memory cycles compare against: stepStop,
@@ -281,7 +288,7 @@ type Machine struct {
 	intrProcess int
 
 	// inj is the fault injector (nil outside chaos runs). It is armed
-	// only inside Solutions.Step so every injected fault surfaces within
+	// only inside Solutions.Run so every injected fault surfaces within
 	// the containment boundary.
 	inj *fault.Injector
 
@@ -366,7 +373,7 @@ func (m *Machine) Reset(prog *kl0.Program, cfg Config) bool {
 	}
 	m.mem.Reset()
 	m.wf.Reset()
-	// Normally already drained by the last Step's flush; cleared here so
+	// Normally already drained by the last run's flush; cleared here so
 	// a reused machine never inherits deferred counts.
 	clear(m.fastTab[:])
 	m.abort = nil
@@ -458,6 +465,18 @@ func (m *Machine) configureSinks(cfg Config) {
 	m.spanTID = cfg.SpanTID
 	m.configureFault(cfg.Fault)
 	m.maxSteps = cfg.MaxSteps
+	m.poll = nil
+	m.fastStop()
+}
+
+// armPoll arms (or with nil disarms) the context poll: from the current
+// step on, fastBoundary checks ctx every engine.CheckEvery microcycles.
+// Solutions.Run arms it for the whole run, so every nested
+// sub-execution crosses the same poll points. Only the sentinel moves;
+// the cycle accounting is the same with or without a poll.
+func (m *Machine) armPoll(ctx stdcontext.Context) {
+	m.poll = ctx
+	m.pollAt = m.stats.Steps + engine.CheckEvery
 	m.fastStop()
 }
 
@@ -470,9 +489,9 @@ func (m *Machine) tapped() bool { return m.tap != nil || m.inj != nil }
 // value that needs no attention. The per-cycle tick compares Steps
 // against it once; crossing it funnels into fastBoundary, which
 // dispatches whichever events are due (per-cycle tap, heartbeat,
-// step-limit abort) and moves the sentinel forward. With nothing armed
-// the sentinel is the step limit alone, so the bare tick is one compare
-// per cycle. While a per-cycle tap is armed the sentinel
+// step-limit abort, context poll) and moves the sentinel forward. With
+// nothing armed the sentinel is the step limit alone, so the bare tick
+// is one compare per cycle. While a per-cycle tap is armed the sentinel
 // is pinned to 0 — Steps is at least 1 after the tick's increment — so
 // every cycle enters fastBoundary. memStop follows stepStop, except
 // that an armed access sink pins it to 0: memory cycles then take
@@ -490,6 +509,9 @@ func (m *Machine) fastStop() {
 	if m.hb != nil && m.hbAt-1 < stop {
 		stop = m.hbAt - 1
 	}
+	if m.poll != nil && m.pollAt-1 < stop {
+		stop = m.pollAt - 1
+	}
 	m.stepStop, m.memStop = stop, stop
 	if m.access != nil {
 		m.memStop = 0
@@ -501,11 +523,13 @@ func (m *Machine) fastStop() {
 // (usually) due. key and a identify the cycle just counted (a is zero
 // for a register-only cycle). The per-cycle tap sees the cycle first,
 // rebuilt from its signature key; then come the trace-FIFO hook, the
-// heartbeat and the step-limit abort, in that order. An abort at a
-// memory cycle waits in m.abort until memCycleSlow has taken the
-// cycle's access to the cache, so the cache counts every memory
-// command the statistics count. Out of line so the per-cycle tick
-// stays within the inlining budget.
+// heartbeat, the step-limit abort and the context poll, in that order:
+// a heartbeat that cancels the context stops the run at the poll due at
+// or after it, and a run over its step limit ends with that class
+// whatever its context says. An abort at a memory cycle waits in
+// m.abort until memCycleSlow has taken the cycle's access to the cache,
+// so the cache counts every memory command the statistics count. Out of
+// line so the per-cycle tick stays within the inlining budget.
 //
 //go:noinline
 func (m *Machine) fastBoundary(key uint32, a word.Addr) {
@@ -527,6 +551,13 @@ func (m *Machine) fastBoundary(key uint32, a word.Addr) {
 	if m.maxSteps > 0 && m.stats.Steps > m.maxSteps {
 		m.abortAt(key, stepLimitError(m.maxSteps))
 		return
+	}
+	if m.poll != nil && m.stats.Steps >= m.pollAt {
+		m.pollAt += engine.CheckEvery
+		if err := m.poll.Err(); err != nil {
+			m.abortAt(key, ctxAbort(err, m.stats.Steps))
+			return
+		}
 	}
 	m.fastStop()
 }
@@ -569,7 +600,7 @@ func (m *Machine) charge() {
 // profileFlush charges the tail of the cycle stream (the work since the
 // last predicate switch) at an observation boundary, so the profile's
 // total equals Stats().Steps whenever statistics are observable. Called
-// next to fastFlush at the Solutions.Step boundary.
+// next to fastFlush at the Solutions.Run boundary.
 func (m *Machine) profileFlush() {
 	if m.profile != nil {
 		m.charge()
@@ -579,6 +610,12 @@ func (m *Machine) profileFlush() {
 // stepLimitError is the step-limit abort.
 func stepLimitError(limit int64) *RunError {
 	return &RunError{Msg: fmt.Sprintf("step limit %d exceeded", limit), Class: engine.ErrStepLimit}
+}
+
+// ctxAbort is the abort of a run whose context is done at step steps,
+// classed engine.ErrDeadline or engine.ErrCanceled.
+func ctxAbort(err error, steps int64) *RunError {
+	return &RunError{Msg: fmt.Sprintf("%v at step %d", err, steps), Class: engine.CtxClass(err)}
 }
 
 // configureFault wires (or with nil unwires) the fault injector into the
@@ -699,9 +736,10 @@ func (m *Machine) SetInterruptHandler(process int, q *kl0.Query) error {
 // packed accounting signature (micro.Sig* layout, offset by one so the
 // key doubles as the signature-table key) and count it with one table
 // bump; the totals expand later (see fastacct.go). Steps stays live so
-// the budget slicing and the step-limit abort happen at the exact
-// cycle, and the boundary is serviced after the slot update because
-// the cycle that crosses the limit is accounted before the abort.
+// the heartbeat, the step-limit abort and the context poll happen at
+// the exact cycle, and the boundary is serviced after the slot update
+// because the cycle that crosses the limit is accounted before the
+// abort.
 
 // enterPred records that the code pointer now executes inside predicate
 // p. On a change it charges the predicate it leaves to the profile and

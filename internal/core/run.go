@@ -1,6 +1,7 @@
 package core
 
 import (
+	stdcontext "context"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -60,7 +61,6 @@ type Solutions struct {
 	q       *kl0.Query
 	gf      word.Addr
 	started bool
-	resume  bool // last Step yielded: continue in place, don't force failure
 	done    bool
 	err     error
 }
@@ -95,17 +95,20 @@ func (m *Machine) SolveQuery(q *kl0.Query) *Solutions {
 // Next produces the next answer as a variable binding map. ok is false
 // when no (further) answer exists or an error occurred (check Err).
 func (s *Solutions) Next() (map[string]*term.Term, bool) {
-	if s.Step(0) != engine.Solution {
+	if s.Run(nil) != engine.Solution {
 		return nil, false
 	}
 	return s.Bindings(), true
 }
 
-// Step advances the search by about budget microcycles (budget <= 0
-// removes the bound) and reports how it stopped. After engine.Solution,
-// the next Step forces backtracking into the next answer; after
-// engine.Yielded it resumes the interrupted search in place.
-func (s *Solutions) Step(budget int64) engine.Status {
+// Run searches for the next answer and reports how the search stopped;
+// after engine.Solution, the next Run forces backtracking into the next
+// answer. A cancelable ctx is polled at the machine's event boundary
+// every engine.CheckEvery microcycles, nested sub-executions included
+// (see armPoll); a done context aborts the run like the step limit,
+// classed engine.ErrDeadline or engine.ErrCanceled. A nil or
+// non-cancelable ctx arms no poll.
+func (s *Solutions) Run(ctx stdcontext.Context) engine.Status {
 	if s.err != nil {
 		return engine.Failed
 	}
@@ -113,10 +116,6 @@ func (s *Solutions) Step(budget int64) engine.Status {
 		return engine.Exhausted
 	}
 	m := s.m
-	limit := int64(0)
-	if budget > 0 {
-		limit = m.stats.Steps + budget
-	}
 	// Telemetry bookends. The span measures host time (it never touches
 	// simulated state); the flight event is keyed by the simulated step
 	// count, so the recorded stream is deterministic for a given program
@@ -127,9 +126,9 @@ func (s *Solutions) Step(budget int64) engine.Status {
 		spanStart = time.Now()
 	}
 	if m.flight != nil {
-		m.flight.Record(stepsBefore, "step", "budget="+strconv.FormatInt(budget, 10))
+		m.flight.Record(stepsBefore, "step", "")
 	}
-	var found, yielded bool
+	var found bool
 	func() {
 		// The containment boundary: no panic raised while the machine
 		// executes escapes this frame. Expected aborts travel as
@@ -162,40 +161,40 @@ func (s *Solutions) Step(budget int64) engine.Status {
 			}
 			s.done = true
 		}()
+		if ctx != nil && ctx.Done() != nil {
+			if err := ctx.Err(); err != nil {
+				panic(ctxAbort(err, m.stats.Steps))
+			}
+			m.armPoll(ctx)
+			defer m.armPoll(nil)
+		}
 		// Arm injection only inside the boundary: decode, compilation and
 		// program-load paths outside it never trip an injector.
 		if m.inj != nil {
 			m.inj.Arm()
 			defer m.inj.Disarm()
 		}
-		switch {
-		case !s.started:
+		if !s.started {
 			s.started = true
 			s.gf = m.startQuery(s.q)
-		case s.resume:
-			// Continue the sliced search where the budget ran out.
-		default:
+		} else {
 			m.failed = true // force backtracking into the next answer
 		}
-		found, yielded = m.runSteps(limit)
+		found = m.runLoop()
 	}()
 	// Drain the deferred accounting: from here on the statistics are
-	// observable (reports, metrics, the next budget computation) and
-	// must equal per-cycle micro.Stats accounting bit for bit. Runs
-	// after the containment recovery above, so aborted and faulted runs
-	// flush too. The profile's tail is charged at the same boundary, so
-	// its total equals Stats().Steps whenever statistics are observable.
+	// observable (reports, metrics, the next run) and must equal
+	// per-cycle micro.Stats accounting bit for bit. Runs after the
+	// containment recovery above, so aborted and faulted runs flush too.
+	// The profile's tail is charged at the same boundary, so its total
+	// equals Stats().Steps whenever statistics are observable.
 	m.fastFlush()
 	m.profileFlush()
 	var st engine.Status
 	switch {
 	case s.err != nil:
 		st = engine.Failed
-	case yielded:
-		s.resume = true
-		st = engine.Yielded
 	case found:
-		s.resume = false
 		st = engine.Solution
 	default:
 		s.done = true
@@ -206,7 +205,6 @@ func (s *Solutions) Step(budget int64) engine.Status {
 	}
 	if m.spans != nil {
 		m.spans.Complete(m.spanName, "step", m.spanTID, spanStart, map[string]string{
-			"budget": strconv.FormatInt(budget, 10),
 			"steps":  strconv.FormatInt(m.stats.Steps-stepsBefore, 10),
 			"status": st.String(),
 		})
@@ -214,9 +212,8 @@ func (s *Solutions) Step(budget int64) engine.Status {
 	return st
 }
 
-// recordOutcome appends the Step slice's outcome to the flight
-// recorder: the status on a clean slice, the fault site or the error
-// text otherwise.
+// recordOutcome appends the run's outcome to the flight recorder: the
+// status on a clean run, the fault site or the error text otherwise.
 func (s *Solutions) recordOutcome(st engine.Status) {
 	m := s.m
 	switch {
@@ -229,8 +226,6 @@ func (s *Solutions) recordOutcome(st engine.Status) {
 		}
 	case st == engine.Solution:
 		m.flight.Record(m.stats.Steps, "solution", "")
-	case st == engine.Yielded:
-		m.flight.Record(m.stats.Steps, "yield", "")
 	default:
 		m.flight.Record(m.stats.Steps, "exhausted", "")
 	}
@@ -277,29 +272,16 @@ func (m *Machine) startQuery(q *kl0.Query) word.Addr {
 
 // runLoop executes microcode until a solution is found (true) or the
 // search space is exhausted (false). Nested sub-executions (findall/3,
-// \+/1, interrupt handlers) run through it unbounded: a step budget
-// applies only to the top-level stepped loop.
+// \+/1, interrupt handlers) run through it too, so the event boundary
+// (step limit, context poll) stops them like the top-level search.
 func (m *Machine) runLoop() bool {
-	found, _ := m.runSteps(0)
-	return found
-}
-
-// runSteps executes microcode until a solution is found (found), the
-// search space is exhausted (neither), or the machine's total step count
-// reaches limit (yielded; limit 0 = unbounded). A yielded machine
-// resumes by calling runSteps again: all execution state lives on the
-// machine, so the loop re-enters between instruction dispatches.
-func (m *Machine) runSteps(limit int64) (found, yielded bool) {
 	for {
 		if m.halted {
-			return false, false
-		}
-		if limit > 0 && m.stats.Steps >= limit {
-			return false, true
+			return false
 		}
 		if m.failed {
 			if !m.backtrack() {
-				return false, false
+				return false
 			}
 			continue
 		}
@@ -332,7 +314,7 @@ func (m *Machine) runSteps(limit int64) (found, yielded bool) {
 
 		case word.TagEnd:
 			if m.ret() {
-				return true, false
+				return true
 			}
 
 		default:

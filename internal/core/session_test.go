@@ -3,12 +3,14 @@ package core
 import (
 	stdcontext "context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
 	"repro/internal/kl0"
+	"repro/internal/micro"
 	"repro/internal/parse"
 )
 
@@ -22,6 +24,10 @@ range(I, N, [I|R]) :- I < N, J is I + 1, range(J, N, R).
 go :- range(1, 30, L), nrev(L, _).
 boom :- X is 1 // 0, X = X.
 loop :- loop.
+nested :- findall(X, loop, _).
+lists :- findall(L, (app(_, [N|_], [30,35,40,45,50]), range(1, N, R), nrev(R, L)), Ls), length(Ls, 5).
+length([], 0).
+length([_|T], N) :- length(T, M), N is M + 1.
 `
 
 func compileQuery(t *testing.T, prog *kl0.Program, query string) *kl0.Query {
@@ -50,55 +56,67 @@ func sessionProg(t *testing.T) *kl0.Program {
 	return prog
 }
 
-// TestSteppedExecutionMatchesUnbounded slices one query into small step
-// budgets and checks the answer stream and cycle count are identical to
-// an unbounded run.
-func TestSteppedExecutionMatchesUnbounded(t *testing.T) {
+// TestPolledExecutionMatchesUnpolled runs queries under a live
+// cancelable context, which arms the machine's context poll, and checks
+// the answer stream and the full statistics are identical to a run under
+// Next(nil), which arms none. The lists query runs its work inside
+// findall/3 across several poll points.
+func TestPolledExecutionMatchesUnpolled(t *testing.T) {
 	prog := sessionProg(t)
-	q := compileQuery(t, prog, "app(X, Y, [1,2,3,4])")
-
-	whole := New(prog, Config{MaxSteps: 1_000_000})
-	var wantAns []string
-	ws := whole.SolveQuery(q)
-	for {
-		ans, ok := ws.Next()
-		if !ok {
-			break
+	for _, query := range []string{"app(X, Y, [1,2,3,4])", "lists"} {
+		q := compileQuery(t, prog, query)
+		run := func(ctx stdcontext.Context) ([]string, micro.Stats) {
+			m := New(prog, Config{MaxSteps: 10_000_000})
+			sess := NewSession(m, q)
+			var answers []string
+			for {
+				st, err := sess.Next(ctx)
+				if err != nil {
+					t.Fatalf("%s: %v", query, err)
+				}
+				if st != engine.Solution {
+					break
+				}
+				answers = append(answers, fmt.Sprint(sess.Bindings()))
+			}
+			return answers, *m.Stats()
 		}
-		wantAns = append(wantAns, ans["X"].String()+"/"+ans["Y"].String())
-	}
-	if ws.Err() != nil {
-		t.Fatal(ws.Err())
-	}
-
-	sliced := New(prog, Config{MaxSteps: 1_000_000})
-	ss := sliced.SolveQuery(q)
-	var gotAns []string
-	yields := 0
-	for {
-		st := ss.Step(25) // tiny budget: forces many yields per answer
-		switch st {
-		case engine.Yielded:
-			yields++
-			continue
-		case engine.Solution:
-			ans := ss.Bindings()
-			gotAns = append(gotAns, ans["X"].String()+"/"+ans["Y"].String())
-			continue
-		case engine.Exhausted:
-		case engine.Failed:
-			t.Fatal(ss.Err())
+		wantAns, want := run(nil)
+		ctx, cancel := stdcontext.WithCancel(stdcontext.Background())
+		gotAns, got := run(ctx)
+		cancel()
+		if !reflect.DeepEqual(gotAns, wantAns) {
+			t.Errorf("%s: polled answers %v, unpolled %v", query, gotAns, wantAns)
 		}
-		break
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: polled statistics differ from unpolled:\ngot  %+v\nwant %+v", query, got, want)
+		}
+		if query == "lists" && want.Steps < 4*engine.CheckEvery {
+			t.Errorf("%s: %d steps cross fewer than four poll points", query, want.Steps)
+		}
 	}
-	if !reflect.DeepEqual(gotAns, wantAns) {
-		t.Fatalf("stepped answers %v, unbounded %v", gotAns, wantAns)
-	}
-	if yields == 0 {
-		t.Fatal("budget of 25 cycles never yielded")
-	}
-	if g, w := sliced.Stats().Steps, whole.Stats().Steps; g != w {
-		t.Fatalf("stepped run executed %d cycles, unbounded %d", g, w)
+}
+
+// TestCancelStopsAtNextPoll cancels a run from a heartbeat inside
+// findall/3 and checks the run stops exactly at the first poll at or
+// after the heartbeat: polls fall every engine.CheckEvery steps from the
+// start of the run, and a poll due at the heartbeat's own step sees the
+// cancel.
+func TestCancelStopsAtNextPoll(t *testing.T) {
+	prog := sessionProg(t)
+	q := compileQuery(t, prog, "nested")
+	for _, every := range []int64{100_000, 2 * engine.CheckEvery, 2*engine.CheckEvery + 1} {
+		ctx, cancel := stdcontext.WithCancel(stdcontext.Background())
+		m := New(prog, Config{MaxSteps: 1_000_000, Progress: func(Heartbeat) { cancel() }, ProgressEvery: every})
+		st, err := NewSession(m, q).Next(ctx)
+		cancel()
+		if st != engine.Failed || !errors.Is(err, engine.ErrCanceled) {
+			t.Fatalf("heartbeat every %d: status %v err %v, want Failed/ErrCanceled", every, st, err)
+		}
+		want := (every + engine.CheckEvery - 1) / engine.CheckEvery * engine.CheckEvery
+		if got := m.Stats().Steps; got != want {
+			t.Errorf("heartbeat at step %d: run stopped at step %d, want the poll at %d", every, got, want)
+		}
 	}
 }
 
@@ -123,18 +141,22 @@ func TestSessionErrorClasses(t *testing.T) {
 			t.Fatalf("status %v err %v, want Failed/ErrMalformed", st, err)
 		}
 	})
-	t.Run("deadline", func(t *testing.T) {
-		m := New(prog, Config{MaxSteps: 0})
-		sess := NewSession(m, compileQuery(t, prog, "loop"))
-		ctx, cancel := stdcontext.WithTimeout(stdcontext.Background(), 20*time.Millisecond)
-		defer cancel()
-		st, err := sess.Next(ctx)
-		if st != engine.Failed || !errors.Is(err, engine.ErrDeadline) {
-			t.Fatalf("status %v err %v, want Failed/ErrDeadline", st, err)
-		}
-	})
+	for name, query := range map[string]string{"deadline": "loop", "deadline-findall": "nested"} {
+		t.Run(name, func(t *testing.T) {
+			// The step limit (about 2 s of host time) only ends a run
+			// whose poll never fires.
+			m := New(prog, Config{MaxSteps: 500_000_000})
+			sess := NewSession(m, compileQuery(t, prog, query))
+			ctx, cancel := stdcontext.WithTimeout(stdcontext.Background(), 20*time.Millisecond)
+			defer cancel()
+			st, err := sess.Next(ctx)
+			if st != engine.Failed || !errors.Is(err, engine.ErrDeadline) {
+				t.Fatalf("status %v err %v, want Failed/ErrDeadline", st, err)
+			}
+		})
+	}
 	t.Run("canceled", func(t *testing.T) {
-		m := New(prog, Config{MaxSteps: 0})
+		m := New(prog, Config{MaxSteps: 500_000_000})
 		sess := NewSession(m, compileQuery(t, prog, "loop"))
 		ctx, cancel := stdcontext.WithCancel(stdcontext.Background())
 		cancel()
@@ -162,6 +184,21 @@ func TestResetAfterAbortedRun(t *testing.T) {
 	}
 	want := *fresh.Stats()
 
+	// deadline aborts query at its wall budget; the step limit (about
+	// 2 s of host time) only ends a run whose poll never fires.
+	deadline := func(query string) func(t *testing.T, m *Machine) {
+		return func(t *testing.T, m *Machine) {
+			if !m.Reset(prog, Config{MaxSteps: 500_000_000}) {
+				t.Fatal("Reset refused")
+			}
+			sess := NewSession(m, compileQuery(t, prog, query))
+			ctx, cancel := stdcontext.WithTimeout(stdcontext.Background(), 10*time.Millisecond)
+			defer cancel()
+			if _, err := sess.Next(ctx); !errors.Is(err, engine.ErrDeadline) {
+				t.Fatalf("want deadline abort, got %v", err)
+			}
+		}
+	}
 	poison := map[string]func(t *testing.T, m *Machine){
 		"step-limit": func(t *testing.T, m *Machine) {
 			if !m.Reset(prog, Config{MaxSteps: 1000}) {
@@ -172,17 +209,8 @@ func TestResetAfterAbortedRun(t *testing.T) {
 				t.Fatalf("want step-limit abort, got ok=%v err=%v", ok, s.Err())
 			}
 		},
-		"deadline": func(t *testing.T, m *Machine) {
-			if !m.Reset(prog, Config{MaxSteps: 0}) {
-				t.Fatal("Reset refused")
-			}
-			sess := NewSession(m, compileQuery(t, prog, "loop"))
-			ctx, cancel := stdcontext.WithTimeout(stdcontext.Background(), 10*time.Millisecond)
-			defer cancel()
-			if _, err := sess.Next(ctx); !errors.Is(err, engine.ErrDeadline) {
-				t.Fatalf("want deadline abort, got %v", err)
-			}
-		},
+		"deadline":         deadline("loop"),
+		"deadline-findall": deadline("nested"),
 		"malformed": func(t *testing.T, m *Machine) {
 			if !m.Reset(prog, cfg) {
 				t.Fatal("Reset refused")

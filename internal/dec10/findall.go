@@ -41,7 +41,7 @@ func (m *Machine) subSolve(goal Cell, each func() bool) {
 	m.cont = m.metaStub + 1
 	m.pc = m.metaStub
 
-	for m.run(m.metaStub + 1) {
+	for m.run() {
 		if !each() {
 			break
 		}

@@ -1,8 +1,10 @@
 package dec10
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"math"
 	"runtime/debug"
 
 	"repro/internal/engine"
@@ -64,6 +66,15 @@ type Machine struct {
 	units    int64
 	calls    int64
 	maxUnits int64
+	// stop is the event-boundary sentinel cost compares units against:
+	// the smaller of the unit limit and the unit count before the next
+	// context poll (MaxInt64 with neither armed), so one compare per
+	// charge serves both. Kept by setStop; crossing it enters boundary.
+	stop int64
+	// poll is the cancelable context of the running Solutions.Run (nil
+	// when none is armed), pollAt the unit count of its next poll.
+	poll   context.Context
+	pollAt int64
 
 	failed bool
 	halted bool
@@ -74,19 +85,24 @@ func New(prog *Program, cfg Config) *Machine {
 	if cfg.Out == nil {
 		cfg.Out = io.Discard
 	}
-	return &Machine{
+	m := &Machine{
 		prog:     prog,
 		x:        make([]Cell, prog.MaxReg+kl0.MaxArity+8),
 		out:      cfg.Out,
 		maxUnits: cfg.MaxUnits,
 	}
+	m.setStop()
+	return m
 }
 
 // Units reports the consumed cost units.
 func (m *Machine) Units() int64 { return m.units }
 
 // SetMaxUnits adjusts the abort bound (0 = none).
-func (m *Machine) SetMaxUnits(n int64) { m.maxUnits = n }
+func (m *Machine) SetMaxUnits(n int64) {
+	m.maxUnits = n
+	m.setStop()
+}
 
 // TimeNS reports the modelled DEC-2060 execution time.
 func (m *Machine) TimeNS() int64 { return m.units * NSPerUnit }
@@ -98,9 +114,54 @@ func (m *Machine) Calls() int64 { return m.calls }
 // cost charges units.
 func (m *Machine) cost(u int64) {
 	m.units += u
+	if m.units > m.stop {
+		m.boundary()
+	}
+}
+
+// boundary services the event boundary cost crossed: the unit-limit
+// abort, then the context poll, the same order as the PSI machine's.
+// Out of line so cost stays inlinable.
+//
+//go:noinline
+func (m *Machine) boundary() {
 	if m.maxUnits > 0 && m.units > m.maxUnits {
 		panic(&RunError{Msg: fmt.Sprintf("unit limit %d exceeded", m.maxUnits), Class: engine.ErrStepLimit})
 	}
+	if m.poll != nil && m.units >= m.pollAt {
+		m.pollAt = m.units + engine.CheckEvery
+		if err := m.poll.Err(); err != nil {
+			panic(ctxAbort(err, m.units))
+		}
+	}
+	m.setStop()
+}
+
+// setStop recomputes the event-boundary sentinel from the unit limit
+// and the next context poll.
+func (m *Machine) setStop() {
+	m.stop = math.MaxInt64
+	if m.maxUnits > 0 {
+		m.stop = m.maxUnits
+	}
+	if m.poll != nil && m.pollAt-1 < m.stop {
+		m.stop = m.pollAt - 1
+	}
+}
+
+// armPoll arms (or with nil disarms) the context poll: from the current
+// unit count on, boundary checks ctx every engine.CheckEvery units,
+// inside nested sub-executions too.
+func (m *Machine) armPoll(ctx context.Context) {
+	m.poll = ctx
+	m.pollAt = m.units + engine.CheckEvery
+	m.setStop()
+}
+
+// ctxAbort is the abort of a run whose context is done at unit count
+// units, classed engine.ErrDeadline or engine.ErrCanceled.
+func ctxAbort(err error, units int64) *RunError {
+	return &RunError{Msg: fmt.Sprintf("%v at unit %d", err, units), Class: engine.CtxClass(err)}
 }
 
 // RunError reports abnormal termination. Class, when set, is the
@@ -219,7 +280,6 @@ type Solutions struct {
 	haltPC  int
 	entry   int
 	started bool
-	resume  bool // last Step yielded: continue in place, don't force failure
 	done    bool
 	err     error
 }
@@ -255,17 +315,19 @@ func (m *Machine) SolveQuery(q *Query) *Solutions {
 
 // Next returns the next answer.
 func (s *Solutions) Next() (map[string]*term.Term, bool) {
-	if s.Step(0) != engine.Solution {
+	if s.Run(nil) != engine.Solution {
 		return nil, false
 	}
 	return s.Bindings(), true
 }
 
-// Step advances the search by about budget cost units (budget <= 0
-// removes the bound) and reports how it stopped. After engine.Solution,
-// the next Step forces backtracking into the next answer; after
-// engine.Yielded it resumes the interrupted search in place.
-func (s *Solutions) Step(budget int64) engine.Status {
+// Run searches for the next answer and reports how the search stopped;
+// after engine.Solution, the next Run forces backtracking into the next
+// answer. A cancelable ctx is polled at the cost boundary every
+// engine.CheckEvery units, nested sub-executions included; a done
+// context aborts the run like the unit limit, classed
+// engine.ErrDeadline or engine.ErrCanceled.
+func (s *Solutions) Run(ctx context.Context) engine.Status {
 	if s.err != nil {
 		return engine.Failed
 	}
@@ -273,11 +335,7 @@ func (s *Solutions) Step(budget int64) engine.Status {
 		return engine.Exhausted
 	}
 	m := s.m
-	limit := int64(0)
-	if budget > 0 {
-		limit = m.units + budget
-	}
-	var found, yielded bool
+	var found bool
 	func() {
 		// Containment boundary: the DEC-10 model has no injection sites,
 		// but any internal panic is still converted into a classified
@@ -300,8 +358,14 @@ func (s *Solutions) Step(budget int64) engine.Status {
 			}
 			s.done = true
 		}()
-		switch {
-		case !s.started:
+		if ctx != nil && ctx.Done() != nil {
+			if err := ctx.Err(); err != nil {
+				panic(ctxAbort(err, m.units))
+			}
+			m.armPoll(ctx)
+			defer m.armPoll(nil)
+		}
+		if !s.started {
 			s.started = true
 			// Fresh unbound argument cells for the query variables.
 			s.cells = make([]Cell, len(s.vars))
@@ -313,21 +377,15 @@ func (s *Solutions) Step(budget int64) engine.Status {
 			m.cont = s.haltPC
 			m.pc = s.entry
 			m.failed = false
-		case s.resume:
-			// Continue the sliced search where the budget ran out.
-		default:
+		} else {
 			m.failed = true // force backtracking into the next answer
 		}
-		found, yielded = m.runSteps(limit)
+		found = m.run()
 	}()
 	switch {
 	case s.err != nil:
 		return engine.Failed
-	case yielded:
-		s.resume = true
-		return engine.Yielded
 	case found:
-		s.resume = false
 		return engine.Solution
 	default:
 		s.done = true
@@ -377,31 +435,18 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// run executes until success (pc reaches haltPC's opHaltSuccess) or
+// run executes until success (pc reaches the query's opHaltSuccess) or
 // exhaustion. Nested sub-executions (findall/3, \+/1, metacall stubs)
-// run through it unbounded: a step budget applies only to the
-// top-level stepped loop.
-func (m *Machine) run(haltPC int) bool {
-	found, _ := m.runSteps(0)
-	return found
-}
-
-// runSteps executes until success (found), exhaustion (neither), or the
-// machine's total cost-unit count reaches limit (yielded; limit 0 =
-// unbounded). A yielded machine resumes by calling runSteps again: all
-// execution state lives on the machine, so the loop re-enters between
-// instruction dispatches.
-func (m *Machine) runSteps(limit int64) (found, yielded bool) {
+// run through it too, so the cost boundary (unit limit, context poll)
+// stops them like the top-level search.
+func (m *Machine) run() bool {
 	for {
 		if m.halted {
-			return false, false
-		}
-		if limit > 0 && m.units >= limit {
-			return false, true
+			return false
 		}
 		if m.failed {
 			if !m.backtrack() {
-				return false, false
+				return false
 			}
 			continue
 		}
@@ -732,7 +777,7 @@ func (m *Machine) runSteps(limit int64) (found, yielded bool) {
 			m.execBuiltin(ins.bi, int(ins.a))
 
 		case opHaltSuccess:
-			return true, false
+			return true
 
 		default:
 			panic(&RunError{Msg: fmt.Sprintf("bad opcode %v", ins.op)})

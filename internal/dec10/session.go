@@ -23,16 +23,12 @@ type session struct {
 	sols *Solutions
 }
 
-func (s *session) Step(budget int64) (engine.Status, error) {
-	st := s.sols.Step(budget)
+func (s *session) Next(ctx context.Context) (engine.Status, error) {
+	st := s.sols.Run(ctx)
 	if st == engine.Failed {
 		return st, s.sols.Err()
 	}
 	return st, nil
-}
-
-func (s *session) Next(ctx context.Context) (engine.Status, error) {
-	return engine.Drive(ctx, s.Step)
 }
 
 func (s *session) Bindings() map[string]*term.Term { return s.sols.Bindings() }

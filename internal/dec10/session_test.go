@@ -3,6 +3,7 @@ package dec10
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -16,6 +17,10 @@ app([], L, L).
 app([H|T], L, [H|R]) :- app(T, L, R).
 loop :- loop.
 boom :- X is 1 // 0, X = X.
+nested :- findall(X, loop, _).
+count(0) :- !.
+count(N) :- M is N - 1, count(M).
+counts :- findall(N, (app(_, [N|_], [20000, 30000, 40000]), count(N)), _).
 `
 
 // compileSession compiles sessionSrc and query the way the harness
@@ -41,54 +46,43 @@ func compileSession(t *testing.T, query string) (*Program, *Query) {
 	return prog, q
 }
 
-// TestSteppedExecutionMatchesUnbounded slices one query into small unit
-// budgets and checks the answer stream and unit count are identical to
-// an unbounded run.
-func TestSteppedExecutionMatchesUnbounded(t *testing.T) {
-	prog, q := compileSession(t, "app(X, Y, [1,2,3,4])")
-
-	whole := New(prog.Snapshot(), Config{MaxUnits: 1_000_000})
-	ws := whole.SolveQuery(q)
-	var wantAns []string
-	for {
-		ans, ok := ws.Next()
-		if !ok {
-			break
+// TestPolledExecutionMatchesUnpolled runs queries under a live
+// cancelable context, which arms the machine's context poll, and checks
+// the answer stream and the unit and call counts are identical to a run
+// under Next(nil), which arms none. The counts query runs its work
+// inside findall/3 across several poll points.
+func TestPolledExecutionMatchesUnpolled(t *testing.T) {
+	for _, query := range []string{"app(X, Y, [1,2,3,4])", "counts"} {
+		prog, q := compileSession(t, query)
+		run := func(ctx context.Context) ([]string, [2]int64) {
+			m := New(prog.Snapshot(), Config{MaxUnits: 100_000_000})
+			sess := NewSession(m, q)
+			var answers []string
+			for {
+				st, err := sess.Next(ctx)
+				if err != nil {
+					t.Fatalf("%s: %v", query, err)
+				}
+				if st != engine.Solution {
+					break
+				}
+				answers = append(answers, fmt.Sprint(sess.Bindings()))
+			}
+			return answers, [2]int64{m.Units(), m.Calls()}
 		}
-		wantAns = append(wantAns, ans["X"].String()+"/"+ans["Y"].String())
-	}
-	if ws.Err() != nil {
-		t.Fatal(ws.Err())
-	}
-
-	sliced := New(prog.Snapshot(), Config{MaxUnits: 1_000_000})
-	ss := sliced.SolveQuery(q)
-	var gotAns []string
-	yields := 0
-	for {
-		st := ss.Step(5) // tiny budget: forces many yields per answer
-		switch st {
-		case engine.Yielded:
-			yields++
-			continue
-		case engine.Solution:
-			ans := ss.Bindings()
-			gotAns = append(gotAns, ans["X"].String()+"/"+ans["Y"].String())
-			continue
-		case engine.Exhausted:
-		case engine.Failed:
-			t.Fatal(ss.Err())
+		wantAns, want := run(nil)
+		ctx, cancel := context.WithCancel(context.Background())
+		gotAns, got := run(ctx)
+		cancel()
+		if !reflect.DeepEqual(gotAns, wantAns) {
+			t.Errorf("%s: polled answers %v, unpolled %v", query, gotAns, wantAns)
 		}
-		break
-	}
-	if !reflect.DeepEqual(gotAns, wantAns) {
-		t.Fatalf("stepped answers %v, unbounded %v", gotAns, wantAns)
-	}
-	if yields == 0 {
-		t.Fatal("budget of 5 units never yielded")
-	}
-	if g, w := sliced.Units(), whole.Units(); g != w {
-		t.Fatalf("stepped run charged %d units, unbounded %d", g, w)
+		if got != want {
+			t.Errorf("%s: polled run charged %v units and calls, unpolled %v", query, got, want)
+		}
+		if query == "counts" && want[0] < 4*engine.CheckEvery {
+			t.Errorf("%s: %d units cross fewer than four poll points", query, want[0])
+		}
 	}
 }
 
@@ -112,12 +106,16 @@ func TestSessionErrorClasses(t *testing.T) {
 			t.Fatalf("status %v err %v, want Failed/ErrMalformed", st, err)
 		}
 	})
-	t.Run("deadline", func(t *testing.T) {
-		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-		defer cancel()
-		st, err := newSess(t, "loop", 0).Next(ctx)
-		if st != engine.Failed || !errors.Is(err, engine.ErrDeadline) {
-			t.Fatalf("status %v err %v, want Failed/ErrDeadline", st, err)
-		}
-	})
+	for name, query := range map[string]string{"deadline": "loop", "deadline-findall": "nested"} {
+		t.Run(name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			defer cancel()
+			// The unit limit (about 2 s of host time) only ends a run
+			// whose poll never fires.
+			st, err := newSess(t, query, 500_000_000).Next(ctx)
+			if st != engine.Failed || !errors.Is(err, engine.ErrDeadline) {
+				t.Fatalf("status %v err %v, want Failed/ErrDeadline", st, err)
+			}
+		})
+	}
 }

@@ -4,21 +4,21 @@
 // and everything that drives them: the harness, the CLIs and any future
 // serving layer.
 //
-// The seam is deliberately small: a Session is a resumable search that
-// advances in bounded steps, opened on a machine and a precompiled query
-// by core.NewSession or dec10.NewSession. Step(budget) runs at most
-// ~budget machine steps (microcycles on the PSI, cost units on the
-// DEC-10) and reports a Status; Next(ctx) drives Step in
-// CheckEvery-sized slices, polling the context between slices, so
-// cancellation and deadlines are honoured with bounded overhead instead
-// of a per-cycle check.
+// The seam is deliberately small: a Session is a search opened on a
+// machine and a precompiled query by core.NewSession or
+// dec10.NewSession. Next(ctx) runs to the next answer, exhaustion or
+// error. Each machine polls a cancelable context itself, every
+// CheckEvery machine steps (microcycles on the PSI, cost units on the
+// DEC-10), on the same event boundary that enforces the step limit, so
+// cancellation and deadlines reach nested sub-executions too and cost no
+// per-cycle check.
 //
 // All abnormal terminations map onto a small typed taxonomy —
 // ErrStepLimit, ErrCanceled, ErrDeadline, ErrMalformed, ErrFault,
 // ErrExpired — so
 // callers branch on errors.Is instead of matching message strings, and
 // the CLIs can translate every class into a distinct exit code. ErrFault
-// is the containment class: any panic crossing a Session's Step
+// is the containment class: any panic crossing a Session's Next
 // boundary (an injected fault detected by the simulated hardware, or an
 // unexpected internal panic) is recovered and classified instead of
 // crashing the process.
@@ -38,9 +38,6 @@ type Status int
 const (
 	// Solution: the search produced an answer; Bindings holds it.
 	Solution Status = iota
-	// Yielded: the step budget ran out with the search still in flight;
-	// call Step or Next again to resume.
-	Yielded
 	// Exhausted: the search space is exhausted; no (further) answer.
 	Exhausted
 	// Failed: the run aborted with an error (see the returned error).
@@ -52,8 +49,6 @@ func (s Status) String() string {
 	switch s {
 	case Solution:
 		return "solution"
-	case Yielded:
-		return "yielded"
 	case Exhausted:
 		return "exhausted"
 	case Failed:
@@ -89,7 +84,7 @@ var (
 )
 
 // FaultError is the classified form of a contained machine fault. Every
-// panic that crosses a Session's Step boundary — a fault.Check raised by
+// panic that crosses a Session's Next boundary — a fault.Check raised by
 // the injection layer or an unexpected runtime panic inside the
 // simulator — is converted into one of these instead of crashing the
 // process. It unwraps to ErrFault for errors.Is classification.
@@ -117,24 +112,18 @@ func (e *FaultError) Error() string {
 // Unwrap classifies the fault under the engine taxonomy.
 func (e *FaultError) Unwrap() error { return ErrFault }
 
-// CheckEvery is the step budget Next grants between context polls:
+// CheckEvery is the machine-step period of a run's context polls:
 // cancellation latency is bounded by ~64K machine steps rather than
 // paying a check on every cycle.
 const CheckEvery = 1 << 16
 
-// Session is one resumable query execution on a machine.
-//
-// The step budget is a soft boundary: the machine only yields between
-// instruction dispatches, so a slice may overshoot by the cost of the
-// instruction (and of any nested sub-execution, e.g. findall/3) in
-// flight when the budget ran out.
+// Session is one query execution on a machine.
 type Session interface {
-	// Step advances the search by about budget machine steps
-	// (budget <= 0 removes the bound). After a Solution, calling Step
-	// again searches for the next answer.
-	Step(budget int64) (Status, error)
-	// Next runs until the next terminal status, polling ctx every
-	// CheckEvery steps. A nil or non-cancelable context runs unsliced.
+	// Next runs until the next terminal status; after a Solution,
+	// calling Next again searches for the next answer. A cancelable ctx
+	// is polled every CheckEvery machine steps, nested sub-executions
+	// included, and a done context fails the run with ErrDeadline or
+	// ErrCanceled. A nil or non-cancelable context is never polled.
 	Next(ctx context.Context) (Status, error)
 	// Bindings returns the current answer after a Solution status.
 	Bindings() map[string]*term.Term
@@ -161,34 +150,19 @@ func ParseMode(s string) (string, error) {
 	return "", fmt.Errorf("engine: unknown mode %q (want %q or %q)", s, ModeExact, ModeFast)
 }
 
-// Drive implements Session.Next over a Step function: it advances in
-// CheckEvery-step slices and polls ctx between slices. With a nil or
-// non-cancelable context (Done() == nil, e.g. context.Background()) it
-// issues one unbounded Step — the zero-overhead path the evaluation
-// harness runs on.
-func Drive(ctx context.Context, step func(budget int64) (Status, error)) (Status, error) {
-	if ctx == nil || ctx.Done() == nil {
-		return step(0)
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return Failed, CtxError(err)
-		}
-		st, err := step(CheckEvery)
-		if st != Yielded || err != nil {
-			return st, err
-		}
-	}
-}
-
 // CtxError maps a context error onto the taxonomy (ErrDeadline or
 // ErrCanceled), preserving the original text.
 func CtxError(err error) error {
-	class := ErrCanceled
+	return fmt.Errorf("%w (%v)", CtxClass(err), err)
+}
+
+// CtxClass is the taxonomy class of a context error: ErrDeadline for
+// an expired deadline, ErrCanceled otherwise.
+func CtxClass(err error) error {
 	if errors.Is(err, context.DeadlineExceeded) {
-		class = ErrDeadline
+		return ErrDeadline
 	}
-	return fmt.Errorf("%w (%v)", class, err)
+	return ErrCanceled
 }
 
 // ClassName names an error's taxonomy class for CLI stderr messages.

@@ -191,7 +191,7 @@ type Injector struct {
 }
 
 // Arm enables the site hooks; the interpreter core arms the injector
-// around its stepped run loop only.
+// around its run loop only.
 func (i *Injector) Arm() { i.armed = true }
 
 // Disarm disables the site hooks.

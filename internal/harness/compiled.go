@@ -66,7 +66,12 @@ func Compile(b progs.Benchmark) (*Compiled, error) {
 // so byte-identical job specs share one compiled image while distinct
 // programs never collide on a label.
 func CompileKeyed(key string, b progs.Benchmark) (*Compiled, error) {
-	v, _ := progCache.LoadOrStore(key, &cacheEntry{})
+	// A hit loads the entry without allocating the candidate a miss
+	// stores.
+	v, ok := progCache.Load(key)
+	if !ok {
+		v, _ = progCache.LoadOrStore(key, &cacheEntry{})
+	}
 	e := v.(*cacheEntry)
 	e.once.Do(func() { e.c, e.err = compileBenchmark(b) })
 	return e.c, e.err

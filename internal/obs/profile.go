@@ -11,7 +11,7 @@ import (
 
 // Profiler is a micro.ProfileSink: the simulated-workload profiler. The
 // interpreter core charges it, at every predicate switch and at every
-// Solutions.Step boundary, with the cycles, memory accesses and cache
+// Solutions.Run boundary, with the cycles, memory accesses and cache
 // misses the predicate it leaves executed since the previous charge, so
 // the bucket totals always sum to exactly the run's micro.Stats.Steps
 // and cache counters. It is not a per-cycle tap: the machine keeps its

@@ -76,7 +76,7 @@ type MemoryReport struct {
 // at recovery — diagnostic only, omitted when empty so deterministic
 // comparisons can strip it with one field. Flight, when the session
 // carried a flight recorder, dumps the last telemetry events leading up
-// to the fault (Step slices, heartbeats) — a post-mortem keyed by
+// to the fault (runs, heartbeats) — a post-mortem keyed by
 // simulated step counts, so it is as deterministic as the fault itself.
 type FaultReport struct {
 	Site   string                  `json:"site"`

@@ -8,15 +8,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 )
 
 // The resilience battery: deadline-aware admission (queue-expiry
-// shedding), load-tracking Retry-After, the stuck-session watchdog, and
-// the drain-during-stream contract. These are the serving-layer
-// promises the retrying client and the soak harness build on.
+// shedding), load-tracking Retry-After, deadlines that reach nested
+// sub-executions, and the drain-during-stream contract. These are the
+// serving-layer promises the retrying client and the soak harness build
+// on.
 
 // occupyWorker posts an unbudgeted loop job that holds one worker until
 // the returned cancel is called; done closes when the request ends.
@@ -167,84 +167,45 @@ func TestE2EExpiredInQueue(t *testing.T) {
 	}
 }
 
-// TestWatchdogKillsStuckSession wedges an unbudgeted infinite loop under
-// a MaxStuck cap and checks the watchdog hard-cancels it through the
-// session seam: the run ends with the canceled class and its report
-// carries a watchdog fault block with the flight-recorder dump.
-func TestWatchdogKillsStuckSession(t *testing.T) {
-	s, ts := newTestServer(t, Config{
-		WatchdogMaxMS:      150,
-		WatchdogIntervalMS: 20,
-	})
+// nestedLoopProg loops inside findall/3: only a context poll inside the
+// nested sub-execution ends it before the step limit.
+const nestedLoopProg = "loop :- loop.\ngo :- findall(X, loop, _).\n"
 
-	resp, b := postJob(t, ts, JobSpec{Program: loopProg, Workload: "stuck"})
-	if resp.StatusCode != StatusClientClosedRequest {
-		t.Fatalf("killed session status = %d, want 499\n%s", resp.StatusCode, b)
-	}
-	rep := decodeReport(t, b)
-	if rep.Termination != "canceled" {
-		t.Errorf("killed session termination = %q, want canceled", rep.Termination)
-	}
-	if rep.Fault == nil {
-		t.Fatal("killed session report has no fault block")
-	}
-	if rep.Fault.Site != "watchdog" {
-		t.Errorf("fault site = %q, want watchdog", rep.Fault.Site)
-	}
-	if len(rep.Fault.Flight) == 0 {
-		t.Error("watchdog fault block carries no flight-recorder events")
-	}
-	if rep.Fault.Stack != "" {
-		t.Error("watchdog fault block carries a stack; that breaks report determinism")
-	}
-	st := s.Stats()
-	if st.WatchdogKills != 1 {
-		t.Errorf("watchdog kills = %d, want 1", st.WatchdogKills)
-	}
-	// The kill reaches the exposition under the documented psid_ name
-	// (the registry is process-wide, so other tests may add to it).
-	resp, err := ts.Client().Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	kills := -1
-	for _, line := range strings.Split(string(text), "\n") {
-		if v, ok := strings.CutPrefix(line, "psid_watchdog_kills_total "); ok {
-			kills, _ = strconv.Atoi(v)
-		}
-		if strings.Contains(line, "psi_watchdog_kills_total") {
-			t.Errorf("/metrics carries the undocumented name: %q", line)
-		}
-	}
-	if kills < 1 {
-		t.Errorf("/metrics psid_watchdog_kills_total = %d, want >= 1", kills)
-	}
-}
+// TestNestedLoopEndsAtDeadline runs a budgeted loop nested in findall/3
+// and checks the job's own deadline ends it, with the deadline class, a
+// clean report and well before the default step limit would.
+func TestNestedLoopEndsAtDeadline(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
 
-// TestWatchdogSparesBudgetedSessions runs a budgeted loop under an
-// aggressive patrol and checks the engine's own deadline fires first:
-// the watchdog only ever kills sessions that failed to end themselves.
-func TestWatchdogSparesBudgetedSessions(t *testing.T) {
-	s, ts := newTestServer(t, Config{
-		WatchdogGrace:      8,
-		WatchdogIntervalMS: 10,
-	})
-
-	resp, b := postJob(t, ts, JobSpec{Program: loopProg, Workload: "budgeted", TimeoutMS: 60})
+	start := time.Now()
+	resp, b := postJob(t, ts, JobSpec{Program: nestedLoopProg, Workload: "nested", TimeoutMS: 200})
+	if d := time.Since(start); d > 3*time.Second {
+		t.Errorf("a 200 ms budget took %v to end", d)
+	}
 	if resp.StatusCode != http.StatusRequestTimeout {
-		t.Fatalf("budgeted loop status = %d, want 408\n%s", resp.StatusCode, b)
+		t.Fatalf("nested loop status = %d, want 408\n%s", resp.StatusCode, b)
 	}
 	rep := decodeReport(t, b)
 	if rep.Termination != "deadline" {
-		t.Errorf("budgeted loop termination = %q, want deadline", rep.Termination)
+		t.Errorf("nested loop termination = %q, want deadline", rep.Termination)
 	}
 	if rep.Fault != nil {
-		t.Errorf("healthy deadline run carries a fault block: %+v", rep.Fault)
+		t.Errorf("deadline run carries a fault block: %+v", rep.Fault)
 	}
-	if kills := s.Stats().WatchdogKills; kills != 0 {
-		t.Errorf("watchdog killed %d budgeted sessions; grace must let the deadline fire first", kills)
+}
+
+// TestDefaultTimeoutCapsUnbudgetedJobs checks defaults.timeout_ms is the
+// wall budget of a job that names none: an unbudgeted nested loop ends
+// with the deadline class.
+func TestDefaultTimeoutCapsUnbudgetedJobs(t *testing.T) {
+	_, ts := newTestServer(t, Config{Defaults: Defaults{TimeoutMS: 150}})
+
+	resp, b := postJob(t, ts, JobSpec{Program: nestedLoopProg, Workload: "unbudgeted"})
+	if resp.StatusCode != http.StatusRequestTimeout {
+		t.Fatalf("unbudgeted loop status = %d, want 408\n%s", resp.StatusCode, b)
+	}
+	if rep := decodeReport(t, b); rep.Termination != "deadline" {
+		t.Errorf("unbudgeted loop termination = %q, want deadline", rep.Termination)
 	}
 }
 

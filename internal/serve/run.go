@@ -79,13 +79,11 @@ func bindingsFor(sess engine.Session) map[string]string {
 // on a pooled machine. emit, when non-nil, receives each solution as it
 // is found and may return an error to abort the enumeration (a gone
 // streaming client); hb, when non-nil, receives the machine's heartbeats
-// every spec.HeartbeatCycles simulated cycles; wj, when non-nil, is the
-// job's watchdog registration — a watchdog kill stamps the report's
-// fault block with the flight-recorder dump. A non-nil error return
+// every spec.HeartbeatCycles simulated cycles. A non-nil error return
 // means the job never ran (a compile or setup failure, classified under
 // the engine taxonomy); run-level failures land in jobResult.runErr with
 // the report assembled around them.
-func (s *Server) execute(ctx context.Context, spec *JobSpec, wj *watchedJob, emit func(n int, bindings map[string]string) error, hb func(core.Heartbeat)) (*jobResult, error) {
+func (s *Server) execute(ctx context.Context, spec *JobSpec, emit func(n int, bindings map[string]string) error, hb func(core.Heartbeat)) (*jobResult, error) {
 	c, err := s.programs.compiled(spec)
 	if err != nil {
 		return nil, err
@@ -147,20 +145,6 @@ func (s *Server) execute(ctx context.Context, spec *JobSpec, wj *watchedJob, emi
 		// Go stacks carry goroutine ids; strip them so byte-identical
 		// jobs keep byte-identical reports even on the fault path.
 		rep.Fault.Stack = ""
-	}
-	if wj.Killed() {
-		// The watchdog hard-canceled this session: the run ends with the
-		// canceled class like any other cancel, but the report carries a
-		// fault block naming the watchdog and the flight-recorder ring,
-		// so the incident ships its own post-mortem. The message is
-		// deterministic (step count, no wall durations) to keep reports
-		// reproducible.
-		rep.Fault = &obs.FaultReport{
-			Site:   "watchdog",
-			Step:   m.Stats().Steps,
-			Error:  fmt.Sprintf("watchdog: session %q exceeded its grace window and was hard-canceled", spec.Workload),
-			Flight: m.Flight().Events(),
-		}
 	}
 	res.report = rep
 	return res, nil

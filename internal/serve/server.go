@@ -36,7 +36,6 @@ type Server struct {
 	cfg      Config
 	q        *queue
 	programs *programLRU
-	watch    *watchdog
 
 	// hardCtx cancels every in-flight job when the drain deadline
 	// passes; the jobs end with their own budget class (canceled).
@@ -55,12 +54,9 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	hardCtx, hardCancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:      cfg,
-		q:        newQueue(cfg.Workers, cfg.Queue),
-		programs: newProgramLRU(cfg.Programs),
-		watch: newWatchdog(cfg.WatchdogGrace,
-			time.Duration(cfg.WatchdogMaxMS)*time.Millisecond,
-			time.Duration(cfg.WatchdogIntervalMS)*time.Millisecond),
+		cfg:        cfg,
+		q:          newQueue(cfg.Workers, cfg.Queue),
+		programs:   newProgramLRU(cfg.Programs),
 		hardCtx:    hardCtx,
 		hardCancel: hardCancel,
 	}
@@ -101,28 +97,26 @@ func (s *Server) HardCancel() { s.hardCancel() }
 // Stats is a snapshot of the admission state, served by /healthz and
 // /readyz and used by tests to synchronize with in-flight work.
 type Stats struct {
-	Draining      bool  `json:"draining"`
-	Inflight      int64 `json:"inflight"`
-	Queued        int64 `json:"queued"`
-	Rejected      int64 `json:"rejected"`
-	Expired       int64 `json:"expired"`
-	Jobs          int64 `json:"jobs"`
-	Programs      int   `json:"programs"`
-	WatchdogKills int64 `json:"watchdog_kills"`
+	Draining bool  `json:"draining"`
+	Inflight int64 `json:"inflight"`
+	Queued   int64 `json:"queued"`
+	Rejected int64 `json:"rejected"`
+	Expired  int64 `json:"expired"`
+	Jobs     int64 `json:"jobs"`
+	Programs int   `json:"programs"`
 }
 
 // Stats snapshots the server's admission counters.
 func (s *Server) Stats() Stats {
 	_, waiting := s.q.depths()
 	return Stats{
-		Draining:      s.draining.Load(),
-		Inflight:      s.inflight.Load(),
-		Queued:        int64(waiting),
-		Rejected:      s.rejected.Load(),
-		Expired:       s.expired.Load(),
-		Jobs:          s.jobs.Load(),
-		Programs:      s.programs.Len(),
-		WatchdogKills: s.watch.Kills(),
+		Draining: s.draining.Load(),
+		Inflight: s.inflight.Load(),
+		Queued:   int64(waiting),
+		Rejected: s.rejected.Load(),
+		Expired:  s.expired.Load(),
+		Jobs:     s.jobs.Load(),
+		Programs: s.programs.Len(),
 	}
 }
 
@@ -215,7 +209,6 @@ func registerServeFamilies() {
 	reg := telemetry.Default
 	reg.Counter("psid_jobs_total", "jobs admitted and executed")
 	reg.Counter("psid_rejected_total", "jobs refused by backpressure or drain")
-	reg.Counter(watchdogKillsMetric, watchdogKillsHelp)
 	reg.Gauge("psid_inflight_jobs", "jobs executing right now")
 	reg.Gauge("psid_queue_depth", "jobs waiting for a worker")
 	reg.Histogram("psid_request_seconds", "wall time per job request", requestDurationBounds)
@@ -323,17 +316,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	stop := context.AfterFunc(s.hardCtx, cancel)
 	defer stop()
 
-	// The watchdog holds the same cancel seam a drain hard-cancel pulls:
-	// if this session overstays its grace window it is killed through
-	// the job context and ends with the canceled class.
-	wj := s.watch.admit(spec.Workload, start, spec.Timeout(), cancel)
-	defer s.watch.done(wj)
-
 	if spec.Stream {
-		s.streamSolve(ctx, w, r, spec, wj)
+		s.streamSolve(ctx, w, r, spec)
 		return
 	}
-	s.reportSolve(ctx, w, spec, wj)
+	s.reportSolve(ctx, w, spec)
 }
 
 // expiredNow reports whether a job's arrival-anchored deadline (zero =
@@ -353,8 +340,8 @@ func updateDepthGauges(s *Server) {
 // reportSolve runs the job to completion and answers with the full
 // psi-run-report/v1 document — the same bytes `psi -json` writes for
 // the same job — under the status the termination class maps to.
-func (s *Server) reportSolve(ctx context.Context, w http.ResponseWriter, spec *JobSpec, wj *watchedJob) {
-	res, err := s.execute(ctx, spec, wj, nil, nil)
+func (s *Server) reportSolve(ctx context.Context, w http.ResponseWriter, spec *JobSpec) {
+	res, err := s.execute(ctx, spec, nil, nil)
 	if err != nil {
 		class := engine.ClassName(err)
 		classMetric(class)

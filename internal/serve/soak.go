@@ -36,8 +36,8 @@ import (
 //     serves Table-1 programs and compares the bytes against the psi
 //     library's report — fault containment must leave no residue;
 //   - no goroutine leaks: after drain and shutdown the process returns
-//     to its pre-soak goroutine count (the watchdog patrol, session
-//     workers and connection handlers must all wind down);
+//     to its pre-soak goroutine count (session workers and connection
+//     handlers must all wind down);
 //   - memory stays bounded: the settled heap must not have grown past
 //     the baseline by more than a fixed allowance (the program LRU and
 //     machine pools are bounded by design; a soak is how that design
@@ -64,8 +64,9 @@ type SoakOptions struct {
 	// whole soak replays for a given seed (default 1).
 	Seed uint64
 	// Server configures the daemon under soak (zero fields take the
-	// serve defaults; the watchdog cap defaults to 30s so a genuinely
-	// wedged session cannot outlive the soak silently).
+	// serve defaults; Defaults.TimeoutMS defaults to 30s, the wall
+	// budget of jobs that carry none, so a runaway session cannot
+	// outlive the soak silently).
 	Server Config
 	// Client tunes the retry discipline of the soak clients.
 	Client client.Options
@@ -89,9 +90,8 @@ type SoakReport struct {
 	Statuses  map[string]int64 `json:"status_counts"`
 	Retry     client.Stats     `json:"retry"`
 
-	Expired       int64 `json:"expired"`
-	Rejected      int64 `json:"rejected"`
-	WatchdogKills int64 `json:"watchdog_kills"`
+	Expired  int64 `json:"expired"`
+	Rejected int64 `json:"rejected"`
 
 	DifferentialPrograms int `json:"differential_programs"`
 
@@ -217,8 +217,8 @@ func RunSoak(opts SoakOptions) (*SoakReport, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	if opts.Server.WatchdogMaxMS == 0 {
-		opts.Server.WatchdogMaxMS = 30_000
+	if opts.Server.Defaults.TimeoutMS == 0 {
+		opts.Server.Defaults.TimeoutMS = 30_000
 	}
 	logf := opts.Logf
 	if logf == nil {
@@ -328,7 +328,6 @@ func RunSoak(opts SoakOptions) (*SoakReport, error) {
 	st := s.Stats()
 	rep.Expired = st.Expired
 	rep.Rejected = st.Rejected
-	rep.WatchdogKills = st.WatchdogKills
 
 	// ---- invariants ------------------------------------------------------
 

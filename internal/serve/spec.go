@@ -140,18 +140,6 @@ type Config struct {
 	// Programs bounds the compiled-program cache (default 256 entries,
 	// LRU-evicted).
 	Programs int `json:"programs,omitempty"`
-	// WatchdogGrace is the stuck-session kill threshold as a multiple of
-	// a job's wall budget: the watchdog hard-cancels a session still
-	// running grace x its TimeoutMS after start (default 4; the engine's
-	// own deadline handling fires long before, so a kill means the
-	// session was genuinely wedged).
-	WatchdogGrace float64 `json:"watchdog_grace,omitempty"`
-	// WatchdogMaxMS caps jobs that carry no wall budget of their own:
-	// any session running longer is hard-canceled (default 0 = such
-	// jobs are exempt from the watchdog).
-	WatchdogMaxMS int64 `json:"watchdog_max_ms,omitempty"`
-	// WatchdogIntervalMS is the patrol period (default 100).
-	WatchdogIntervalMS int64 `json:"watchdog_interval_ms,omitempty"`
 	// Defaults are the job-spec defaults.
 	Defaults Defaults `json:"defaults,omitempty"`
 }
@@ -191,12 +179,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Programs <= 0 {
 		c.Programs = 256
-	}
-	if c.WatchdogGrace <= 0 {
-		c.WatchdogGrace = 4
-	}
-	if c.WatchdogIntervalMS <= 0 {
-		c.WatchdogIntervalMS = 100
 	}
 	return c
 }

@@ -92,7 +92,7 @@ func (ew *eventWriter) write(ev StreamEvent) error {
 // plus the terminal report event. The HTTP status is always 200 — the
 // stream was accepted; how the run ended travels in the events, with
 // the same class → status mapping quoted in the error event.
-func (s *Server) streamSolve(ctx context.Context, w http.ResponseWriter, r *http.Request, spec *JobSpec, wj *watchedJob) {
+func (s *Server) streamSolve(ctx context.Context, w http.ResponseWriter, r *http.Request, spec *JobSpec) {
 	ew := newEventWriter(w, r)
 	w.Header().Set("X-Psi-Schema", obs.ReportSchema)
 	w.WriteHeader(http.StatusOK)
@@ -114,7 +114,7 @@ func (s *Server) streamSolve(ctx context.Context, w http.ResponseWriter, r *http
 		})
 	}
 
-	res, err := s.execute(ctx, spec, wj, emit, hb)
+	res, err := s.execute(ctx, spec, emit, hb)
 	if err != nil {
 		class := engine.ClassName(err)
 		classMetric(class)

@@ -1,8 +1,8 @@
 package telemetry
 
 // Flight recorder: a fixed-size ring of the most recent telemetry
-// events of one session — Step slices with their outcomes, heartbeats,
-// and finally the fault that ended the run. When a
+// events of one session — each Solutions.Run with its outcome,
+// heartbeats, and finally the fault that ended the run. When a
 // chaos run aborts with engine.ErrFault (exit 7), the ring is dumped
 // into the run report's fault block, so the incident ships its own
 // post-mortem instead of just a classification.
@@ -11,8 +11,8 @@ package telemetry
 // for a given program and fault plan — the dump is reproducible.
 
 // DefaultFlightSize is the ring capacity the CLIs use. Sessions emit a
-// handful of events per Step slice, so 64 entries hold the recent past
-// of even a long sliced run.
+// handful of events per run plus one per heartbeat, so 64 entries hold
+// the recent past of even a long run.
 const DefaultFlightSize = 64
 
 // FlightEvent is one recorded event.
@@ -22,10 +22,10 @@ type FlightEvent struct {
 	Seq int64 `json:"seq"`
 	// Step is the simulated step count when the event was recorded.
 	Step int64 `json:"step"`
-	// Kind classifies the event: "step", "solution", "yield",
+	// Kind classifies the event: "step" (a run starts), "solution",
 	// "exhausted", "error", "fault", "heartbeat".
 	Kind string `json:"kind"`
-	// Detail is a short deterministic description (budget, fault site).
+	// Detail is a short deterministic description (fault site, error).
 	Detail string `json:"detail,omitempty"`
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // Span tracing: host-time slices of the simulator's own work (compile,
-// session, Step(budget) slices, harness cells), exported in the Chrome
+// session runs, harness cells), exported in the Chrome
 // trace-event format so a run can be opened in Perfetto or
 // chrome://tracing. Spans measure the host, not the simulation — they
 // never touch simulated statistics, which stay byte-identical with

@@ -5,8 +5,8 @@
 // None of it consumes the simulated cycle stream, so its cost is
 // independent of the cycle rate:
 //
-//   - SpanLog: host-time spans of compiles, sessions, Step(budget)
-//     slices and harness cells, exported as Chrome trace-event JSON
+//   - SpanLog: host-time spans of compiles, session runs and harness
+//     cells, exported as Chrome trace-event JSON
 //     (viewable in Perfetto / chrome://tracing);
 //   - Registry: process-wide counters, gauges and histograms with
 //     Prometheus-style text exposition (mounted at /metrics next to

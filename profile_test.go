@@ -26,11 +26,11 @@ import (
 	"repro/internal/progs"
 )
 
-// profileRun runs b on a pooled machine under cfg until the first
-// answer or the end of the run, and returns the machine's Steps, its
-// accounting mode and the run's termination error (nil on an answer).
-// fn, if set, sees the machine before it goes back to the pool.
-func profileRun(t *testing.T, b progs.Benchmark, cfg core.Config, fn func(*core.Machine)) (steps int64, mode string, runErr error) {
+// profileRun runs b on a pooled machine under cfg and ctx until the
+// first answer or the end of the run, and returns the machine's Steps,
+// its accounting mode and the run's termination error (nil on an
+// answer). fn, if set, sees the machine before it goes back to the pool.
+func profileRun(t *testing.T, ctx context.Context, b progs.Benchmark, cfg core.Config, fn func(*core.Machine)) (steps int64, mode string, runErr error) {
 	t.Helper()
 	c, err := harness.Compile(b)
 	if err != nil {
@@ -44,7 +44,7 @@ func profileRun(t *testing.T, b progs.Benchmark, cfg core.Config, fn func(*core.
 		t.Fatal(err)
 	}
 	defer live.Release()
-	st, err := live.Session.Next(context.Background())
+	st, err := live.Session.Next(ctx)
 	if st != engine.Solution && err == nil {
 		t.Fatalf("%s: run ended %v without an answer or an error", b.Name, st)
 	}
@@ -80,8 +80,10 @@ func sameProfile(t *testing.T, what string, got, ref *obs.RunProfile, steps int6
 
 // profileVsReference runs b twice under cfg — once with the profiler,
 // once with the per-cycle reference on the trace hook — and compares
-// the two. It returns the profiled run's termination error.
-func profileVsReference(t *testing.T, b progs.Benchmark, cfg core.Config, newFault func() *fault.Injector) error {
+// the two. With cancelAt > 0 each run's context is canceled by a
+// heartbeat at step cancelAt. It returns the profiled run's Steps and
+// termination error.
+func profileVsReference(t *testing.T, b progs.Benchmark, cfg core.Config, newFault func() *fault.Injector, cancelAt int64) (int64, error) {
 	t.Helper()
 	p, ref := obs.NewProfiler(), obs.NewCycleProfiler()
 	pcfg, rcfg := cfg, cfg
@@ -89,8 +91,13 @@ func profileVsReference(t *testing.T, b progs.Benchmark, cfg core.Config, newFau
 	if newFault != nil {
 		pcfg.Fault, rcfg.Fault = newFault(), newFault()
 	}
+	pctx, rctx := context.Background(), context.Background()
+	if cancelAt > 0 {
+		pctx = cancelAtHeartbeat(&pcfg, cancelAt)
+		rctx = cancelAtHeartbeat(&rcfg, cancelAt)
+	}
 	var got, want *obs.RunProfile
-	steps, mode, err := profileRun(t, b, pcfg, func(m *core.Machine) {
+	steps, mode, err := profileRun(t, pctx, b, pcfg, func(m *core.Machine) {
 		got = p.Profile(m.Program(), b.Name)
 		var acc, miss int64
 		for _, e := range got.Entries {
@@ -108,14 +115,23 @@ func profileVsReference(t *testing.T, b progs.Benchmark, cfg core.Config, newFau
 	if newFault == nil && mode != engine.ModeFast {
 		t.Errorf("profiled run accounts in %q mode, want %q", mode, engine.ModeFast)
 	}
-	refSteps, _, refErr := profileRun(t, b, rcfg, func(m *core.Machine) {
+	refSteps, _, refErr := profileRun(t, rctx, b, rcfg, func(m *core.Machine) {
 		want = ref.Profile(m.Program(), b.Name)
 	})
 	if refSteps != steps || fmt.Sprint(refErr) != fmt.Sprint(err) {
 		t.Fatalf("reference run: %d steps, %v; profiled run: %d steps, %v", refSteps, refErr, steps, err)
 	}
 	sameProfile(t, b.Name, got, want, steps)
-	return err
+	return steps, err
+}
+
+// cancelAtHeartbeat arms cfg with a heartbeat at step every (and its
+// multiples) that cancels the returned context.
+func cancelAtHeartbeat(cfg *core.Config, every int64) context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cfg.Progress = func(core.Heartbeat) { cancel() }
+	cfg.ProgressEvery = every
+	return ctx
 }
 
 // TestSamplingDifferentialTable1 holds the profile of every Table 1
@@ -131,7 +147,7 @@ func TestSamplingDifferentialTable1(t *testing.T) {
 	for _, b := range table {
 		t.Run(b.Name, func(t *testing.T) {
 			for _, noCache := range []bool{false, true} {
-				if err := profileVsReference(t, b, core.Config{NoCache: noCache}, nil); err != nil {
+				if _, err := profileVsReference(t, b, core.Config{NoCache: noCache}, nil, 0); err != nil {
 					t.Fatalf("NoCache=%v: %v", noCache, err)
 				}
 			}
@@ -146,9 +162,36 @@ func TestSamplingDifferentialTable1(t *testing.T) {
 func TestProfileStepLimitAbort(t *testing.T) {
 	for _, limit := range []int64{1, 2, 3, 5, 7, 10, 14, 1000, 1001, 1002, 1003, 54321} {
 		for _, noCache := range []bool{false, true} {
-			err := profileVsReference(t, progs.NReverse, core.Config{MaxSteps: limit, NoCache: noCache}, nil)
+			_, err := profileVsReference(t, progs.NReverse, core.Config{MaxSteps: limit, NoCache: noCache}, nil, 0)
 			if !errors.Is(err, engine.ErrStepLimit) {
 				t.Fatalf("limit %d: run ended with %v, want a step-limit abort", limit, err)
+			}
+		}
+	}
+}
+
+// TestProfileCanceledAtPoll cancels runs of a loop nested in findall/3
+// from a heartbeat: each stops at the first context poll at or after
+// the heartbeat (polls fall every engine.CheckEvery steps), and the
+// profile and the statistics still match the per-cycle reference and
+// the memory system, with and without the cache. The loop's period is 8
+// cycles; the polls land on a register-only cycle of the plain loop and,
+// with the unifications shifting its phase, on a memory cycle, whose
+// access reaches the cache before the abort is raised.
+func TestProfileCanceledAtPoll(t *testing.T) {
+	for _, goal := range []string{"loop", "(X = 1, Y = 2, loop)"} {
+		src := "loop :- loop.\ngo :- findall(X, " + goal + ", _).\n"
+		// harness.Compile caches by name, so each program needs its own.
+		b := progs.Benchmark{Name: "nested-loop " + goal, Source: src, Query: "go"}
+		for _, cancelAt := range []int64{100_000, 2*engine.CheckEvery + 1} {
+			for _, noCache := range []bool{false, true} {
+				steps, err := profileVsReference(t, b, core.Config{MaxSteps: 1_000_000, NoCache: noCache}, nil, cancelAt)
+				if !errors.Is(err, engine.ErrCanceled) {
+					t.Fatalf("%s, cancel at %d: run ended with %v, want a canceled abort", goal, cancelAt, err)
+				}
+				if want := (cancelAt + engine.CheckEvery - 1) / engine.CheckEvery * engine.CheckEvery; steps != want {
+					t.Errorf("%s, cancel at %d, NoCache=%v: run stopped at step %d, want the poll at %d", goal, cancelAt, noCache, steps, want)
+				}
 			}
 		}
 	}
@@ -159,7 +202,7 @@ func TestProfileStepLimitAbort(t *testing.T) {
 func TestProfileContainedFault(t *testing.T) {
 	for _, after := range []int64{1, 500, 20000} {
 		plan := &fault.Plan{Site: fault.SiteMem, After: after, Seed: 1}
-		err := profileVsReference(t, progs.QuickSort, core.Config{}, plan.New)
+		_, err := profileVsReference(t, progs.QuickSort, core.Config{}, plan.New, 0)
 		var fe *engine.FaultError
 		if !errors.As(err, &fe) {
 			t.Fatalf("after %d: run ended with %v, want a contained fault", after, err)
@@ -195,7 +238,7 @@ func TestProfilePooledReset(t *testing.T) {
 		}
 		var want *obs.RunProfile
 		ref := obs.NewCycleProfiler()
-		profileRun(t, second, core.Config{NoCache: noCache, Trace: ref}, func(rm *core.Machine) {
+		profileRun(t, context.Background(), second, core.Config{NoCache: noCache, Trace: ref}, func(rm *core.Machine) {
 			want = ref.Profile(rm.Program(), second.Name)
 		})
 		sameProfile(t, fmt.Sprintf("reset, NoCache=%v", noCache), p.Profile(m.Program(), second.Name), want, m.Stats().Steps)

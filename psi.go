@@ -78,7 +78,7 @@ type Options struct {
 	// tap and the run stays in fast accounting mode.
 	Profile bool
 	// Spans, when non-nil, records a host-time span for every
-	// Solutions.Step slice into the given log, for Chrome trace-event
+	// Solutions.Run into the given log, for Chrome trace-event
 	// export (`psi -trace-out`). Never affects simulated output.
 	Spans *telemetry.SpanLog
 	// Progress, when non-nil, receives periodic heartbeats while a
@@ -166,46 +166,28 @@ func (m *Machine) Solve(goal string) (*Solutions, error) {
 	return m.m.Solve(goal)
 }
 
-// stepper is the stepped-execution surface both engines' Solutions
-// share (see internal/engine).
-type stepper interface {
-	Step(budget int64) engine.Status
-	Err() error
-	Bindings() map[string]*term.Term
-}
-
-// nextCtx drives a stepped search under a context: cancelable contexts
-// slice the run and surface engine.ErrDeadline / engine.ErrCanceled;
-// nil or non-cancelable contexts run unbounded exactly like Next.
-func nextCtx(ctx context.Context, s stepper) (map[string]*Term, bool, error) {
-	st, err := engine.Drive(ctx, func(budget int64) (engine.Status, error) {
-		st := s.Step(budget)
-		if st == engine.Failed {
-			return st, s.Err()
-		}
-		return st, nil
-	})
-	switch {
-	case err != nil:
-		return nil, false, err
-	case st == engine.Solution:
-		return s.Bindings(), true, nil
-	default:
-		return nil, false, nil
-	}
-}
-
 // NextCtx returns the next PSI answer, honoring the context's deadline
 // and cancellation. Errors carry an engine error class: use
 // engine.ExitCode / engine.ClassName (or errors.Is against
 // engine.ErrStepLimit etc.) to classify them.
 func NextCtx(ctx context.Context, sols *Solutions) (map[string]*Term, bool, error) {
-	return nextCtx(ctx, sols)
+	return answer(sols.Run(ctx), sols.Err, sols.Bindings)
 }
 
 // BaselineNextCtx is NextCtx for the DEC-10 baseline.
 func BaselineNextCtx(ctx context.Context, sols *BaselineSolutions) (map[string]*Term, bool, error) {
-	return nextCtx(ctx, sols)
+	return answer(sols.Run(ctx), sols.Err, sols.Bindings)
+}
+
+// answer converts a run's status into NextCtx's result.
+func answer(st engine.Status, err func() error, bindings func() map[string]*Term) (map[string]*Term, bool, error) {
+	switch st {
+	case engine.Failed:
+		return nil, false, err()
+	case engine.Solution:
+		return bindings(), true, nil
+	}
+	return nil, false, nil
 }
 
 // SetInterruptHandler installs a goal run on another process context
@@ -241,9 +223,9 @@ func (m *Machine) Stats() *micro.Stats { return m.m.Stats() }
 func (m *Machine) AccountingMode() string { return m.m.AccountingMode() }
 
 // FlightEvents returns the flight recorder's retained telemetry events,
-// oldest first — the session's recent Step slices, heartbeats and
-// faults. The same events appear in the run report's fault block when a
-// run ends in a contained fault.
+// oldest first — the session's recent runs and their outcomes,
+// heartbeats and faults. The same events appear in the run report's
+// fault block when a run ends in a contained fault.
 func (m *Machine) FlightEvents() []telemetry.FlightEvent { return m.flight.Events() }
 
 // CacheHitRatio reports the overall cache hit ratio (1 when the cache is
