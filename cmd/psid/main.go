@@ -1,6 +1,7 @@
 // Command psid is the long-running PSI evaluation service: a stdlib
 // net/http daemon multiplexing concurrent Prolog jobs over the pooled
-// simulated machines and the shared compiled-program cache.
+// simulated machines and the shared compiled-image cache (harness.Compile:
+// content-keyed, 256 images, least recently used evicted).
 //
 // Usage:
 //
@@ -46,7 +47,6 @@ func main() {
 	workers := flag.Int("workers", 0, "max concurrent jobs (default GOMAXPROCS)")
 	queueDepth := flag.Int("queue", 0, "max queued jobs before 429 (default 4x workers; -1 = none)")
 	drain := flag.Duration("drain-timeout", 0, "graceful-drain bound before in-flight jobs are canceled (default 30s)")
-	programs := flag.Int("programs", 0, "compiled-program cache capacity (default 256)")
 	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile to this `file`")
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -74,9 +74,6 @@ func main() {
 	}
 	if *drain != 0 {
 		cfg.DrainTimeoutMS = drain.Milliseconds()
-	}
-	if *programs != 0 {
-		cfg.Programs = *programs
 	}
 
 	stopCPU, err := obs.StartCPUProfile(*cpuProfile)

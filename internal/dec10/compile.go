@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/kl0"
+	"repro/internal/parse"
 	"repro/internal/term"
 )
 
@@ -69,6 +70,15 @@ type cgoal struct {
 type clauseSrc struct {
 	head  *term.Term
 	goals []cgoal
+}
+
+// AddSource parses a program text and compiles its clauses as one batch.
+func (p *Program) AddSource(path, src string) error {
+	cs, err := parse.Clauses(path, src)
+	if err != nil {
+		return err
+	}
+	return p.AddClauses(cs)
 }
 
 // AddClauses compiles a batch of clauses. All clauses of a predicate must

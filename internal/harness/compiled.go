@@ -1,8 +1,13 @@
 package harness
 
 import (
+	"container/list"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
+	"strconv"
 	"sync"
 	"time"
 
@@ -42,46 +47,104 @@ type Compiled struct {
 	decErr  error
 }
 
-type cacheEntry struct {
+// imageCap bounds the compiled-image cache. The evaluation corpus needs
+// a small fraction of it; the bound is for the serving layer's unbounded
+// stream of distinct submitted programs.
+const imageCap = 256
+
+// image is one cache entry. Concurrent callers of its key block on one
+// compile through once.
+type image struct {
+	key  string
 	once sync.Once
 	c    *Compiled
 	err  error
 }
 
-// progCache maps benchmark name -> *cacheEntry. Benchmarks are compiled
-// at most once per process no matter how many tables (or workers) need
-// them.
-var progCache sync.Map
+// images is the process-wide compiled-image cache: content key -> entry,
+// the least recently used entry evicted beyond imageCap. Machines already
+// running an evicted image keep their reference.
+var images = struct {
+	mu    sync.Mutex
+	order list.List // front = most recently used; values are *image
+	byKey map[string]*list.Element
+}{byKey: map[string]*list.Element{}}
 
-// Compile parses and compiles a benchmark exactly once, returning the
-// shared artifacts. Concurrent callers for the same benchmark block on
-// one compile.
-func Compile(b progs.Benchmark) (*Compiled, error) {
-	return CompileKeyed(b.Name, b)
+// Key is a benchmark's compiled-image cache key: a hash of every field
+// the compiler reads (source, query, handler goal and process count), so
+// two benchmarks share an image exactly when they would compile to the
+// same one. The label (Name) is not part of it.
+func Key(b progs.Benchmark) string {
+	procs := b.Processes
+	if procs == 0 {
+		procs = 1
+	}
+	h := sha256.New()
+	for _, f := range [...]string{b.Source, b.Query, b.Handler, strconv.Itoa(procs)} {
+		io.WriteString(h, f)
+		h.Write(keySep)
+	}
+	var sum [sha256.Size]byte
+	var text [32]byte
+	hex.Encode(text[:], h.Sum(sum[:0])[:16])
+	return string(text[:])
 }
 
-// CompileKeyed is Compile with an explicit cache key. The evaluation
-// harness keys by benchmark name (the corpus is fixed), but the serving
-// layer compiles arbitrary submitted programs and keys by content hash,
-// so byte-identical job specs share one compiled image while distinct
-// programs never collide on a label.
-func CompileKeyed(key string, b progs.Benchmark) (*Compiled, error) {
-	// A hit loads the entry without allocating the candidate a miss
-	// stores.
-	v, ok := progCache.Load(key)
-	if !ok {
-		v, _ = progCache.LoadOrStore(key, &cacheEntry{})
-	}
-	e := v.(*cacheEntry)
+var keySep = []byte{0}
+
+// Compile parses and compiles a benchmark at most once while its image
+// stays resident, returning the shared artifacts. Concurrent callers for
+// the same content block on one compile. The image carries the label of
+// the benchmark that compiled it, for error texts and spans.
+func Compile(b progs.Benchmark) (*Compiled, error) {
+	return compiled(Key(b), b)
+}
+
+// compiled is Compile under a precomputed key. A failed compile does not
+// stay resident, so a resubmission compiles afresh.
+func compiled(key string, b progs.Benchmark) (*Compiled, error) {
+	e := lookup(key)
 	e.once.Do(func() { e.c, e.err = compileBenchmark(b) })
+	if e.err != nil {
+		drop(e)
+	}
 	return e.c, e.err
 }
 
-// Evict drops a compiled program from the process-wide cache. Machines
-// already running the image keep their reference; the next CompileKeyed
-// for the key recompiles. The serving layer uses this to bound the cache
-// over an unbounded stream of distinct submitted programs.
-func Evict(key string) { progCache.Delete(key) }
+// lookup returns key's entry, creating it on a miss, marks it most
+// recently used and evicts the coldest entries beyond imageCap.
+func lookup(key string) *image {
+	images.mu.Lock()
+	defer images.mu.Unlock()
+	if el, ok := images.byKey[key]; ok {
+		images.order.MoveToFront(el)
+		return el.Value.(*image)
+	}
+	e := &image{key: key}
+	images.byKey[key] = images.order.PushFront(e)
+	for images.order.Len() > imageCap {
+		old := images.order.Remove(images.order.Back()).(*image)
+		delete(images.byKey, old.key)
+	}
+	return e
+}
+
+// drop removes e from the cache if it is still the entry of its key.
+func drop(e *image) {
+	images.mu.Lock()
+	defer images.mu.Unlock()
+	if el, ok := images.byKey[e.key]; ok && el.Value == e {
+		images.order.Remove(el)
+		delete(images.byKey, e.key)
+	}
+}
+
+// Resident reports how many compiled images the cache holds.
+func Resident() int {
+	images.mu.Lock()
+	defer images.mu.Unlock()
+	return images.order.Len()
+}
 
 // compileBenchmark reads the program and its queries into one pooled
 // term arena and compiles them from it.
@@ -130,12 +193,7 @@ func compileBenchmark(b progs.Benchmark) (*Compiled, error) {
 func (c *Compiled) DEC(src string) (*dec10.Program, *dec10.Query, error) {
 	c.decOnce.Do(func() {
 		prog := dec10.NewProgram(nil)
-		cs, err := parse.Clauses(c.name, src)
-		if err != nil {
-			c.decErr = fmt.Errorf("%s: %w", c.name, err)
-			return
-		}
-		if err := prog.AddClauses(cs); err != nil {
+		if err := prog.AddSource(c.name, src); err != nil {
 			c.decErr = fmt.Errorf("%s: %w", c.name, err)
 			return
 		}

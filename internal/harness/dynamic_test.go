@@ -16,13 +16,12 @@ import (
 // (run it under -race): every run must find the solution and render the
 // same report, and the shared image must keep its single clause.
 func TestDynamicJobLeavesImageUnchanged(t *testing.T) {
-	c, err := CompileKeyed("dynamic-job-test", progs.Benchmark{
+	c, err := Compile(progs.Benchmark{
 		Name: "dynamic", Source: "q(0).\n", Query: "assertz(q(1)), retract(q(0)), q(X)",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer Evict("dynamic-job-test")
 	qi, _ := c.Prog.LookupProc("q", 1)
 	codeLen := len(c.Prog.Code)
 

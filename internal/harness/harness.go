@@ -3,9 +3,9 @@
 // every table and figure of the paper (Tables 1-7, Figure 1, and the
 // cache ablations discussed in section 4.2).
 //
-// Benchmarks are parsed and compiled once per process (see Compile) and
-// the resulting read-only code images are shared by every machine that
-// runs them; machines themselves are pooled and reset between runs. The
+// Benchmarks are parsed and compiled once per process (see Compile, a
+// bounded cache keyed by program content) and the resulting read-only
+// code images are shared by every machine that runs them; machines themselves are pooled and reset between runs. The
 // evaluation can therefore simulate each distinct run once on a bounded
 // worker pool (see Options) and render every table from those runs
 // without changing a single byte of output.

@@ -28,12 +28,10 @@ func TestCompiledImageRetainsNoParse(t *testing.T) {
 		for k := 0; k < clauses; k++ {
 			fmt.Fprintf(&b, "f(%d, %d, [%d, %d, %d]).\n", k, i*clauses+k, k%10, k%100, k%1000)
 		}
-		key := fmt.Sprintf("retention-%d", i)
-		c, err := CompileKeyed(key, progs.Benchmark{Name: key, Source: b.String(), Query: "f(7, X, _)"})
+		c, err := Compile(progs.Benchmark{Name: fmt.Sprintf("retention-%d", i), Source: b.String(), Query: "f(7, X, _)"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		Evict(key) // the test holds the image, not the process cache
 		kept[i] = c
 		codeBytes += len(c.Prog.Code) * 8
 	}

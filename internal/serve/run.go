@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"container/list"
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	psi "repro"
@@ -25,6 +23,12 @@ func (s *JobSpec) source() string {
 		return psi.StdLib + "\n" + s.Program
 	}
 	return s.Program
+}
+
+// benchmark is the job as the image cache sees it: the effective source
+// and query under the job's workload label.
+func (s *JobSpec) benchmark() progs.Benchmark {
+	return progs.Benchmark{Name: s.Workload, Source: s.source(), Query: s.Query}
 }
 
 // machineConfig assembles the core configuration for one job the way
@@ -75,7 +79,7 @@ func bindingsFor(sess engine.Session) map[string]string {
 	return out
 }
 
-// execute compiles (through the bounded program cache) and runs one job
+// execute compiles (through the shared image cache) and runs one job
 // on a pooled machine. emit, when non-nil, receives each solution as it
 // is found and may return an error to abort the enumeration (a gone
 // streaming client); hb, when non-nil, receives the machine's heartbeats
@@ -84,9 +88,11 @@ func bindingsFor(sess engine.Session) map[string]string {
 // the engine taxonomy); run-level failures land in jobResult.runErr with
 // the report assembled around them.
 func (s *Server) execute(ctx context.Context, spec *JobSpec, emit func(n int, bindings map[string]string) error, hb func(core.Heartbeat)) (*jobResult, error) {
-	c, err := s.programs.compiled(spec)
+	c, err := harness.Compile(spec.benchmark())
 	if err != nil {
-		return nil, err
+		// A program that does not compile is malformed by class: the
+		// 4xx contract for bad submissions.
+		return nil, fmt.Errorf("%w: %v", engine.ErrMalformed, err)
 	}
 	cfg := spec.machineConfig()
 	if spec.HeartbeatCycles > 0 && hb != nil {
@@ -148,82 +154,4 @@ func (s *Server) execute(ctx context.Context, spec *JobSpec, emit func(n int, bi
 	}
 	res.report = rep
 	return res, nil
-}
-
-// ---- bounded compiled-program cache --------------------------------------
-
-// programLRU bounds the process-wide compiled-program cache for
-// submitted jobs: harness.CompileKeyed still deduplicates and shares
-// images, the LRU decides which keys stay resident. The Table-1 corpus
-// comfortably fits any reasonable capacity; the bound exists for the
-// unbounded stream of distinct programs a public endpoint sees.
-type programLRU struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recently used; values are keys
-	items map[string]*list.Element
-}
-
-func newProgramLRU(capacity int) *programLRU {
-	return &programLRU{
-		cap:   capacity,
-		order: list.New(),
-		items: map[string]*list.Element{},
-	}
-}
-
-// compiled resolves the job's compiled image, compiling at most once per
-// content key and evicting the least-recently-used image beyond the cap.
-func (l *programLRU) compiled(spec *JobSpec) (*harness.Compiled, error) {
-	key := spec.Key()
-	l.touch(key)
-	c, err := harness.CompileKeyed(key, progs.Benchmark{
-		Name:   spec.Workload,
-		Source: spec.source(),
-		Query:  spec.Query,
-	})
-	if err != nil {
-		l.forget(key)
-		// A program that does not compile is malformed by class: the
-		// 4xx contract for bad submissions.
-		return nil, fmt.Errorf("%w: %v", engine.ErrMalformed, err)
-	}
-	return c, nil
-}
-
-// touch marks a key used, evicting the coldest entries beyond capacity.
-func (l *programLRU) touch(key string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if el, ok := l.items[key]; ok {
-		l.order.MoveToFront(el)
-		return
-	}
-	l.items[key] = l.order.PushFront(key)
-	for l.order.Len() > l.cap {
-		oldest := l.order.Back()
-		l.order.Remove(oldest)
-		old := oldest.Value.(string)
-		delete(l.items, old)
-		harness.Evict(old)
-	}
-}
-
-// forget drops a key that failed to compile so a corrected resubmission
-// is not charged an LRU slot for the broken image.
-func (l *programLRU) forget(key string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if el, ok := l.items[key]; ok {
-		l.order.Remove(el)
-		delete(l.items, key)
-	}
-	harness.Evict(key)
-}
-
-// Len reports the resident program count (for tests and metrics).
-func (l *programLRU) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.order.Len()
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
 )
@@ -33,9 +34,8 @@ type ErrorDoc struct {
 // Handler on a listener (cmd/psid) or an httptest server (the e2e
 // battery), and call BeginDrain/HardCancel during shutdown.
 type Server struct {
-	cfg      Config
-	q        *queue
-	programs *programLRU
+	cfg Config
+	q   *queue
 
 	// hardCtx cancels every in-flight job when the drain deadline
 	// passes; the jobs end with their own budget class (canceled).
@@ -56,7 +56,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		q:          newQueue(cfg.Workers, cfg.Queue),
-		programs:   newProgramLRU(cfg.Programs),
 		hardCtx:    hardCtx,
 		hardCancel: hardCancel,
 	}
@@ -103,7 +102,7 @@ type Stats struct {
 	Rejected int64 `json:"rejected"`
 	Expired  int64 `json:"expired"`
 	Jobs     int64 `json:"jobs"`
-	Programs int   `json:"programs"`
+	Programs int   `json:"programs"` // compiled images resident in the process
 }
 
 // Stats snapshots the server's admission counters.
@@ -116,7 +115,7 @@ func (s *Server) Stats() Stats {
 		Rejected: s.rejected.Load(),
 		Expired:  s.expired.Load(),
 		Jobs:     s.jobs.Load(),
-		Programs: s.programs.Len(),
+		Programs: harness.Resident(),
 	}
 }
 

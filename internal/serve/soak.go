@@ -39,8 +39,8 @@ import (
 //     to its pre-soak goroutine count (session workers and connection
 //     handlers must all wind down);
 //   - memory stays bounded: the settled heap must not have grown past
-//     the baseline by more than a fixed allowance (the program LRU and
-//     machine pools are bounded by design; a soak is how that design
+//     the baseline by more than a fixed allowance (the compiled-image
+//     cache and machine pools are bounded by design; a soak is how that design
 //     gets checked under churn).
 
 // SoakSchema identifies the soak report record.

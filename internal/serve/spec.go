@@ -1,15 +1,15 @@
 // Package serve is the long-running evaluation service of the PSI
 // reproduction: a stdlib net/http daemon (cmd/psid) that accepts Prolog
 // program + query jobs over JSON, runs them on pooled simulated machines
-// through the shared compiled-program cache, and answers with either a
+// through the shared compiled-image cache, and answers with either a
 // stream of solutions (NDJSON or SSE) or the full psi-run-report/v1
 // document — byte-identical to what `psi -json` writes for the same job.
 //
 // The serving layer is a thin deterministic shell over the engine seam:
 //
-//   - every job compiles through harness.CompileKeyed, keyed by content
-//     hash, behind a bounded LRU so an unbounded stream of distinct
-//     programs cannot grow the process without bound;
+//   - every job compiles through harness.Compile, whose image cache is
+//     keyed by content hash and bounded, so an unbounded stream of
+//     distinct programs cannot grow the process without bound;
 //   - every run borrows a pooled machine (harness.Compiled.Open) whose
 //     Reset guarantees bit-identical behaviour to a fresh machine, which
 //     is what makes reports reproducible across requests;
@@ -22,8 +22,6 @@
 package serve
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -34,6 +32,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/fault"
+	"repro/internal/harness"
 )
 
 // SpecSchema identifies the job-spec JSON schema accepted by POST
@@ -137,9 +136,6 @@ type Config struct {
 	// when it expires are hard-canceled and end with the canceled class
 	// (default 30000).
 	DrainTimeoutMS int64 `json:"drain_timeout_ms,omitempty"`
-	// Programs bounds the compiled-program cache (default 256 entries,
-	// LRU-evicted).
-	Programs int `json:"programs,omitempty"`
 	// Defaults are the job-spec defaults.
 	Defaults Defaults `json:"defaults,omitempty"`
 }
@@ -176,9 +172,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainTimeoutMS <= 0 {
 		c.DrainTimeoutMS = 30_000
-	}
-	if c.Programs <= 0 {
-		c.Programs = 256
 	}
 	return c
 }
@@ -258,13 +251,7 @@ func (s *JobSpec) Timeout() time.Duration {
 	return time.Duration(s.TimeoutMS) * time.Millisecond
 }
 
-// Key is the job's compiled-program cache key: a content hash over the
-// effective source and query, so byte-identical programs share one
-// compiled image regardless of workload label or budgets.
-func (s *JobSpec) Key() string {
-	h := sha256.New()
-	io.WriteString(h, s.source())
-	h.Write([]byte{0})
-	io.WriteString(h, s.Query)
-	return "job:" + hex.EncodeToString(h.Sum(nil)[:16])
-}
+// Key is the job's compiled-image cache key (harness.Key): a content
+// hash over the effective source and query, so byte-identical programs
+// share one compiled image regardless of workload label or budgets.
+func (s *JobSpec) Key() string { return harness.Key(s.benchmark()) }

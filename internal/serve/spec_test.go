@@ -92,7 +92,7 @@ func TestSpecKey(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Addr != ":8131" || c.Workers <= 0 || c.Queue != 4*c.Workers || c.Programs != 256 {
+	if c.Addr != ":8131" || c.Workers <= 0 || c.Queue != 4*c.Workers {
 		t.Errorf("zero-config defaults wrong: %+v", c)
 	}
 	if got := (Config{Queue: -1}).withDefaults().Queue; got != 0 {

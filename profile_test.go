@@ -181,8 +181,7 @@ func TestProfileStepLimitAbort(t *testing.T) {
 func TestProfileCanceledAtPoll(t *testing.T) {
 	for _, goal := range []string{"loop", "(X = 1, Y = 2, loop)"} {
 		src := "loop :- loop.\ngo :- findall(X, " + goal + ", _).\n"
-		// harness.Compile caches by name, so each program needs its own.
-		b := progs.Benchmark{Name: "nested-loop " + goal, Source: src, Query: "go"}
+		b := progs.Benchmark{Name: "nested-loop", Source: src, Query: "go"}
 		for _, cancelAt := range []int64{100_000, 2*engine.CheckEvery + 1} {
 			for _, noCache := range []bool{false, true} {
 				steps, err := profileVsReference(t, b, core.Config{MaxSteps: 1_000_000, NoCache: noCache}, nil, cancelAt)

@@ -310,11 +310,7 @@ type BaselineSolutions = dec10.Solutions
 // LoadBaseline compiles a program for the DEC-10 baseline engine.
 func LoadBaseline(source string, out io.Writer) (*Baseline, error) {
 	prog := dec10.NewProgram(nil)
-	cs, err := parse.Clauses("<program>", source)
-	if err != nil {
-		return nil, err
-	}
-	if err := prog.AddClauses(cs); err != nil {
+	if err := prog.AddSource("<program>", source); err != nil {
 		return nil, err
 	}
 	return &Baseline{
@@ -364,11 +360,7 @@ func DisasmPSI(source, name string, arity int) (string, error) {
 // predicate's compiled code, including its indexing blocks.
 func DisasmBaseline(source, name string, arity int) (string, error) {
 	prog := dec10.NewProgram(nil)
-	cs, err := parse.Clauses("<program>", source)
-	if err != nil {
-		return "", err
-	}
-	if err := prog.AddClauses(cs); err != nil {
+	if err := prog.AddSource("<program>", source); err != nil {
 		return "", err
 	}
 	idx, ok := prog.LookupProc(name, arity)
